@@ -182,8 +182,8 @@ def product(p: JointPmf, q: JointPmf) -> JointPmf:
     return JointPmf(p.axes + q.axes, np.multiply.outer(p.probs, q.probs))
 
 
-def empirical_pmf(sequences: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """Empirical joint frequency tensor of per-letter symbol tuples."""
+def _joint_counts(sequences: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """Joint count tensor of per-letter symbol tuples."""
     seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
     if len(seqs) != len(shape):
         raise ValueError(f"expected {len(shape)} sequences, got {len(seqs)}")
@@ -194,8 +194,32 @@ def empirical_pmf(sequences: Sequence[np.ndarray], shape: tuple[int, ...]) -> np
         if len(s) != n:
             raise ValueError("sequences have mismatched lengths")
     flat = np.ravel_multi_index(tuple(seqs), shape)
-    counts = np.bincount(flat, minlength=int(np.prod(shape)))
-    return (counts / n).reshape(shape)
+    return np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
+
+
+# Relative distance within which n * p * (1 +- eps) is taken to be an integer.
+SNAP_TOL = 1e-9
+
+
+def _snap(x: np.ndarray) -> np.ndarray:
+    r = np.round(x)
+    return np.where(np.abs(x - r) <= SNAP_TOL * np.abs(r), r, x)
+
+
+def typical_count_bounds(ref: np.ndarray, n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer count bounds (lo, hi) of robust typicality at block length n.
+
+    A cell of reference probability p holding c of the n letters satisfies
+    |c/n - p| <= eps * p iff lo <= c <= hi, with lo = ceil(n p (1 - eps))
+    and hi = floor(n p (1 + eps)).  A product within SNAP_TOL relative of an
+    integer is snapped to it before rounding, so float roundoff in p (e.g.
+    0.7 * 0.1 == 0.06999999999999999) cannot push a bound past an exact
+    count.  Zero-probability cells get lo = hi = 0.
+    """
+    base = n * np.asarray(ref, dtype=np.float64)
+    lo = np.ceil(_snap(base * (1.0 - eps))).astype(np.int64)
+    hi = np.floor(_snap(base * (1.0 + eps))).astype(np.int64)
+    return lo, hi
 
 
 def joint_typicality_test(sequences: Sequence[np.ndarray], reference: JointPmf, eps: float) -> bool:
@@ -203,10 +227,12 @@ def joint_typicality_test(sequences: Sequence[np.ndarray], reference: JointPmf, 
 
     Symbols with zero reference probability must not appear (the eps * p
     bound is then zero).  With eps = 0 this accepts exactly the sequences
-    whose empirical pmf equals the reference.
+    whose empirical pmf equals the reference.  The test is made on integer
+    counts, see `typical_count_bounds`.
     """
-    emp = empirical_pmf(sequences, reference.shape)
-    return bool(np.all(np.abs(emp - reference.probs) <= eps * reference.probs))
+    counts = _joint_counts(sequences, reference.shape)
+    lo, hi = typical_count_bounds(reference.probs, int(counts.sum()), eps)
+    return bool(np.all((lo <= counts) & (counts <= hi)))
 
 
 def binary_entropy(x: float) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from .coded_channel import Configuration, fresh_law, io_index
 from .markov import build_chain, pair_law, prev_law_residual, prev_to_reduced
 from .models import DistortionMeasure, JointSource, TwoWayChannel
-from .probability import marginalize
+from .probability import marginalize, typical_count_bounds
 
 
 def codebook_size(n: int, rate: float) -> int:
@@ -110,20 +110,75 @@ class SimReport:
         }
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis with the last entry pinned to 1,
+    so that no uniform draw in [0, 1) lands past the alphabet when the sums
+    fall short of 1 by roundoff."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
 def _cdf_sample(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
     return np.searchsorted(cdf, rng.random(n), side="right")
 
 
-def _typical(counts: np.ndarray, n: int, ref: np.ndarray, eps: float):
-    emp = counts / n
-    return (np.abs(emp - ref) <= eps * ref).all(axis=-1)
+def _letter_sample(rng: np.random.Generator, cdf: np.ndarray, shape: tuple) -> np.ndarray:
+    """Letters drawn from a short CDF in the smallest unsigned dtype.
+
+    Each letter counts the CDF entries at or below its uniform draw, which
+    is the index `_cdf_sample` returns for the same draw.  The draws are
+    made one leading-axis slice at a time: the same stream as one draw of
+    the whole shape, with one slice of doubles in memory.
+    """
+    out = np.zeros(shape, dtype=np.min_scalar_type(len(cdf) - 1))
+    for part in out:
+        r = rng.random(part.shape)
+        for c in cdf[:-1]:
+            part += r >= c
+    return out
+
+
+def _in_bounds(counts, bounds) -> np.ndarray:
+    lo, hi = bounds
+    return (lo <= counts) & (counts <= hi)
+
+
+def _typical_candidates(own: np.ndarray, book: np.ndarray, bounds) -> np.ndarray:
+    """Ascending indices of the codewords jointly typical with `own`.
+
+    `own` holds each letter's own-sequence cell and `book` is the (m, n)
+    codebook; `bounds` are the integer count bounds over (own cell,
+    codeword letter).  A codeword's letter counts in own cell o sum to
+    N_o, the count of o in `own`, so if some N_o lies outside
+    [sum_a lo, sum_a hi] no codeword is typical; this also decides every
+    own cell that does not occur, since all lo share the sign of 1 - eps.
+    Otherwise the counts over the cells that occur are one-hot products,
+    exact in float32 for n < 2**24, and the last letter's count is N_o
+    minus the others.
+    """
+    lo, hi = bounds
+    n_own = np.bincount(own, minlength=len(lo))
+    if np.any(n_own < lo.sum(axis=1)) or np.any(n_own > hi.sum(axis=1)):
+        return np.empty(0, dtype=np.intp)
+    cells, col = np.unique(own, return_inverse=True)
+    onehot = np.zeros((len(own), len(cells)), dtype=np.float32)
+    onehot[np.arange(len(own)), col] = 1.0
+    ok = np.ones(len(book), dtype=bool)
+    counted = np.zeros((len(book), len(cells)), dtype=np.float32)
+    for a in range(lo.shape[1] - 1):
+        counts = (book == a).astype(np.float32) @ onehot
+        counted += counts
+        ok &= _in_bounds(counts, (lo[cells, a], hi[cells, a])).all(axis=1)
+    ok &= _in_bounds(n_own[cells] - counted, (lo[cells, -1], hi[cells, -1])).all(axis=1)
+    return np.flatnonzero(ok)
 
 
 @dataclass
 class Codebooks:
     """Per-block codebooks plus the fixed boundary sequences of one trial."""
 
-    u1: np.ndarray  # (B, M1, n)
+    u1: np.ndarray  # (B, M1, n), uint8 for alphabets up to 256 letters
     u2: np.ndarray
     init_prev: tuple  # (prev_s1, prev_s2, prev_u1, prev_u2, prev_io1, prev_io2)
     termination: tuple  # (s1, s2, u1, u2)
@@ -142,22 +197,26 @@ def generate_codebooks(
     if cfg.prev_law is None:
         raise ValueError("codebook generation needs a previous-block law")
     psu = fresh_law(cfg, src)
-    pu1_cdf = np.cumsum(psu.sum(axis=(0, 1, 3)))
-    pu2_cdf = np.cumsum(psu.sum(axis=(0, 1, 2)))
     m1 = codebook_size(params.n, params.rate1)
     m2 = codebook_size(params.n, params.rate2)
     b, n = params.blocks, params.n
-    u1 = _cdf_sample(rng, pu1_cdf, b * m1 * n).reshape(b, m1, n)
-    u2 = _cdf_sample(rng, pu2_cdf, b * m2 * n).reshape(b, m2, n)
-    init_flat = _cdf_sample(rng, np.cumsum(cfg.prev_law.probs.reshape(-1)), n)
+    u1 = _letter_sample(rng, _cdf(psu.sum(axis=(0, 1, 3))), (b, m1, n))
+    u2 = _letter_sample(rng, _cdf(psu.sum(axis=(0, 1, 2))), (b, m2, n))
+    init_flat = _cdf_sample(rng, _cdf(cfg.prev_law.probs.reshape(-1)), n)
     init_prev = np.unravel_index(init_flat, cfg.prev_law.shape)
-    term_flat = _cdf_sample(rng, np.cumsum(psu.reshape(-1)), n)
+    term_flat = _cdf_sample(rng, _cdf(psu.reshape(-1)), n)
     termination = np.unravel_index(term_flat, psu.shape)
     return Codebooks(u1, u2, init_prev, termination)
 
 
 class SimContext:
-    """Reference laws, tables, and samplers shared by encode/decode steps."""
+    """Reference laws, tables, and samplers shared by encode/decode steps.
+
+    Typicality references are held as (own cell, codeword letter) tables
+    under ("enc", j) and ("dec", j), and flat under "z" for the full-state
+    law; `count_bounds` turns them into integer count bounds once per
+    (n, eps).
+    """
 
     def __init__(self, cfg: Configuration, ch: TwoWayChannel, src: JointSource):
         cfg.check_against(ch, src)
@@ -169,25 +228,33 @@ class SimContext:
         pi0 = prev_to_reduced(sys.reduced_shape, cfg.prev_law.probs)
         z = pair_law(sys, pi0)
         self.z_shape = z.shape
-        self.z_flat = z.probs.reshape(-1)
 
         psu = fresh_law(cfg, src)
-        self.enc_ref = {
-            1: psu.sum(axis=(1, 3)).reshape(-1),
-            2: psu.sum(axis=(0, 2)).reshape(-1),
-        }
         # decoder reference: own 7-tuple first, candidate codeword axis last
         dec_keep = {1: (0, 2, 4, 6, 8, 10, 12, 7), 2: (1, 3, 5, 7, 9, 11, 13, 6)}
-        self.dec_ref = {j: marginalize(z, dec_keep[j]).probs.reshape(-1) for j in (1, 2)}
+        self.refs = {
+            ("enc", 1): psu.sum(axis=(1, 3)),
+            ("enc", 2): psu.sum(axis=(0, 2)),
+            ("dec", 1): marginalize(z, dec_keep[1]).probs.reshape(-1, cfg.u2.size),
+            ("dec", 2): marginalize(z, dec_keep[2]).probs.reshape(-1, cfg.u1.size),
+            "z": z.probs.reshape(-1),
+        }
+        self._bounds = {}
         self.own_shape = {
             1: (cfg.s1.size, cfg.u1.size, cfg.s1.size, cfg.u1.size,
                 cfg.io1_size, ch.x1.size, ch.y1.size),
             2: (cfg.s2.size, cfg.u2.size, cfg.s2.size, cfg.u2.size,
                 cfg.io2_size, ch.x2.size, ch.y2.size),
         }
-        self.src_cdf = np.cumsum(src.law.probs.reshape(-1))
+        self.src_cdf = _cdf(src.law.probs.reshape(-1))
         nyy = ch.y1.size * ch.y2.size
-        self.chan_cdf = np.cumsum(ch.law.probs.reshape(-1, nyy), axis=1)
+        self.chan_cdf = _cdf(ch.law.probs.reshape(-1, nyy))
+
+    def count_bounds(self, key, n: int, eps: float):
+        """Integer count bounds (lo, hi) of reference `key` at (n, eps)."""
+        if (key, n, eps) not in self._bounds:
+            self._bounds[key, n, eps] = typical_count_bounds(self.refs[key], n, eps)
+        return self._bounds[key, n, eps]
 
     def sample_source(self, rng, n):
         flat = _cdf_sample(rng, self.src_cdf, n)
@@ -208,14 +275,8 @@ def encode_block(ctx: SimContext, j: int, s_block: np.ndarray, prev: tuple,
     Returns (index, codeword, x, covered); on covering failure the index is
     uniform over the whole codebook.
     """
-    nu = (ctx.cfg.u1 if j == 1 else ctx.cfg.u2).size
-    ref = ctx.enc_ref[j]
     m, n = codebook.shape
-    idx = s_block[None, :] * nu + codebook
-    cells = len(ref)
-    counts = np.bincount((idx + (np.arange(m) * cells)[:, None]).ravel(), minlength=m * cells)
-    ok = _typical(counts.reshape(m, cells), n, ref, params.eps1)
-    cand = np.flatnonzero(ok)
+    cand = _typical_candidates(s_block, codebook, ctx.count_bounds(("enc", j), n, params.eps1))
     covered = len(cand) > 0
     if covered:
         mj = int(cand[rng.integers(len(cand))]) if len(cand) > 1 else int(cand[0])
@@ -237,18 +298,13 @@ def decode_block(ctx: SimContext, j: int, own: dict, codebook_prev: np.ndarray,
     candidate_indices); with no typical candidate the index is uniform.
     """
     cfg = ctx.cfg
-    nu_other = (cfg.u2 if j == 1 else cfg.u1).size
-    ref = ctx.dec_ref[j]
     own_flat = np.ravel_multi_index(
         (own["s"], own["u"], own["ps"], own["pu"], own["pio"], own["x"], own["y"]),
         ctx.own_shape[j],
     )
     m, n = codebook_prev.shape
-    idx = own_flat[None, :] * nu_other + codebook_prev
-    cells = len(ref)
-    counts = np.bincount((idx + (np.arange(m) * cells)[:, None]).ravel(), minlength=m * cells)
-    ok = _typical(counts.reshape(m, cells), n, ref, params.eps)
-    cand = np.flatnonzero(ok)
+    cand = _typical_candidates(own_flat, codebook_prev,
+                               ctx.count_bounds(("dec", j), n, params.eps))
     if len(cand) > 0:
         m_hat = int(cand[rng.integers(len(cand))]) if len(cand) > 1 else int(cand[0])
     else:
@@ -322,8 +378,9 @@ def run_simulation(
                  prev1[2], prev2[2], x1, x2, y1, y2),
                 ctx.z_shape,
             )
-            z_counts = np.bincount(z_idx, minlength=len(ctx.z_flat))
-            block_typical = bool(_typical(z_counts, n, ctx.z_flat, params.eps))
+            z_bounds = ctx.count_bounds("z", n, params.eps)
+            z_counts = np.bincount(z_idx, minlength=len(z_bounds[0]))
+            block_typical = bool(_in_bounds(z_counts, z_bounds).all())
             f3 += not block_typical
 
             if b >= 2:

@@ -186,6 +186,15 @@ class TestJointTypicality:
         assert joint_typicality_test((s1, s2), ref, 0.0)
         assert not joint_typicality_test((s1, np.array([0, 1, 0, 0])), ref, 0.0)
 
+    def test_eps_zero_accepts_exact_counts_of_rounded_product(self):
+        # 0.7 * 0.1 == 0.06999999999999999: the float bound 100 * p lies
+        # just below the exact count 7
+        sa = Alphabet(2)
+        ref = JointPmf((sa, sa), np.outer([0.7, 0.3], [0.1, 0.9]))
+        counts = np.array([[7, 63], [3, 27]])
+        s1, s2 = np.unravel_index(np.repeat(np.arange(4), counts.ravel()), (2, 2))
+        assert joint_typicality_test((s1, s2), ref, 0.0)
+
     def test_zero_probability_symbol_must_not_appear(self):
         sa = Alphabet(2)
         ref = JointPmf((sa, sa), np.array([[0.5, 0.0], [0.0, 0.5]]))

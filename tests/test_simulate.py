@@ -3,6 +3,7 @@ import pytest
 
 import twjscc as tw
 from twjscc.conditions import lift_hybrid
+from twjscc.probability import Alphabet, ConditionalPmf
 from twjscc.region import uncoded_configuration
 from twjscc.simulate import (
     Codebooks,
@@ -88,6 +89,37 @@ class TestCodebooks:
         ps1, ps2 = books.init_prev[0], books.init_prev[1]
         # the source pair (0, 0) never occurs under the stationary law
         assert not np.any((np.asarray(ps1) == 0) & (np.asarray(ps2) == 0))
+
+
+class _TopDraw:
+    """Generator stand-in whose every uniform draw is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+class TestSampling:
+    def test_top_draw_stays_in_alphabet(self):
+        # uniform laws on 14 cells: the cumulative sums end at
+        # 0.9999999999999997, below the top draw
+        assert np.cumsum(np.full(14, 1 / 14))[-1] < 1.0 - 2.0 ** -53
+        a2, a7 = Alphabet(2), Alphabet(7)
+        law = np.full((2, 2, 2, 7), 1 / 14)
+        ch = tw.TwoWayChannel(a2, a2, a2, a7, ConditionalPmf((a2, a2), (a2, a7), law))
+        src = tw.JointSource(a2, a7, tw.JointPmf((a2, a7), np.full((2, 7), 1 / 14)))
+        cfg = uncoded_configuration(ch, src, tw.hamming(a2), tw.hamming(a7))
+        ctx = SimContext(cfg, ch, src)
+        top = _TopDraw()
+        s1, s2 = ctx.sample_source(top, 3)
+        assert s1.tolist() == [1] * 3 and s2.tolist() == [6] * 3
+        y1, y2 = ctx.sample_channel(top, np.array([0, 1, 1]), np.array([1, 0, 1]))
+        assert y1.tolist() == [1] * 3 and y2.tolist() == [6] * 3
+        params = SimParams(n=3, blocks=1, eps=0.3, eps1=0.1, rate1=0.0, rate2=0.0)
+        books = generate_codebooks(cfg, src, params, top)
+        assert books.u1.dtype == np.uint8 and not books.u1.any()
+        for seqs, shape in ((books.init_prev, cfg.prev_law.shape),
+                            (books.termination, (2, 7, 1, 1))):
+            assert all(np.all(np.asarray(s) == k - 1) for s, k in zip(seqs, shape))
 
 
 class TestEncode:
