@@ -161,10 +161,10 @@ def execute(spec: RunSpec) -> int:
         cfg.check_against(ch, src)
         report = eval_adaptive(cfg, ch, src, tol=opt["tol"], simplify=opt["simplify"])
         if opt.get("marginals_csv"):
-            from .markov import Z_AXES, build_chain, pair_marginal, prev_to_reduced
+            from .markov import Z_AXES, build_chain, pair_marginal, stationary_vector
 
             sys_ = build_chain(cfg, ch, src)
-            pi = prev_to_reduced(sys_.reduced_shape, cfg.prev_law.probs)
+            pi, _ = stationary_vector(sys_)
             rows = []
             for k, name in enumerate(Z_AXES):
                 marg = pair_marginal(sys_, pi, (k,)).probs

@@ -18,26 +18,35 @@ import numpy as np
 
 from .coded_channel import Configuration
 from .markov import (
-    MarkovSystem,
-    _solve_stationary,
     build_chain,
     pair_marginal,
     prev_axes_of,
-    prev_law_residual,
-    prev_to_reduced,
     stationary_prev_law,
+    stationary_vector,
 )
-from .models import DistortionMeasure, JointSource, TwoWayChannel
+from .models import (
+    DistortionMeasure,
+    JointSource,
+    TwoWayChannel,
+    bayes_decoder,
+    decoder_distortion,
+)
 from .probability import (
     Alphabet,
     ConditionalPmf,
     JointPmf,
+    _plogp_sum,
     conditional_mutual_information,
     marginalize,
     mutual_information,
 )
 
 DEFAULT_TOL = 1e-9
+PREV_LAW_TOL = 1e-8  # largest residual accepted from a supplied previous-block law
+
+_UNIT_SOURCE = JointSource(
+    Alphabet(1, "unit"), Alphabet(1, "unit"), JointPmf((Alphabet(1),) * 2, np.ones((1, 1)))
+)
 
 
 @dataclass(frozen=True)
@@ -134,17 +143,6 @@ class HybridEvaluation:
     distortions: tuple[float, float]
 
 
-def _table_distortion(marg: np.ndarray, table: np.ndarray, d: DistortionMeasure) -> float:
-    """E[d(source, table(args))] where marg has the source on axis 0 and the
-    table's arguments on the remaining axes."""
-    idx = np.indices(marg.shape[1:], sparse=True)
-    est = table[tuple(idx)]
-    total = 0.0
-    for s in range(marg.shape[0]):
-        total += float(np.sum(marg[s] * d.table[s, est]))
-    return total
-
-
 def eval_hybrid(
     hs: HybridScheme,
     ch: TwoWayChannel,
@@ -163,9 +161,9 @@ def eval_hybrid(
 
     # terminal 1 rebuilds s2 via g1(u2, s1, u1, y1); terminal 2 mirrors
     marg2 = marginalize(law, (1, 3, 0, 2, 6)).probs
-    dist2 = _table_distortion(marg2, hs.g1, d2)
+    dist2 = decoder_distortion(marg2, hs.g1, d2)
     marg1 = marginalize(law, (0, 2, 1, 3, 7)).probs
-    dist1 = _table_distortion(marg1, hs.g2, d1)
+    dist1 = decoder_distortion(marg1, hs.g2, d1)
     return HybridEvaluation(report, (dist1, dist2))
 
 
@@ -191,14 +189,10 @@ def bayes_hybrid_decoders(
         d2.recon_alphabet,
     )
     law = one_shot_hybrid_law(stub, ch, src)
-    # cost1[u2, s1, u1, y1, recon] for estimating s2
-    m2 = marginalize(law, (1, 3, 0, 2, 6)).probs
-    cost1 = np.einsum("sabcd,sr->abcdr", m2, d2.table)
-    g1 = np.argmin(cost1, axis=-1)
-    m1 = marginalize(law, (0, 2, 1, 3, 7)).probs
-    cost2 = np.einsum("sabcd,sr->abcdr", m1, d1.table)
-    g2 = np.argmin(cost2, axis=-1)
-    return g1.astype(np.int64), g2.astype(np.int64)
+    # g1(u2, s1, u1, y1) estimates s2; g2 mirrors
+    g1 = bayes_decoder(marginalize(law, (1, 3, 0, 2, 6)).probs, d2)
+    g2 = bayes_decoder(marginalize(law, (0, 2, 1, 3, 7)).probs, d1)
+    return g1, g2
 
 
 def lift_hybrid(hs: HybridScheme, ch: TwoWayChannel, src: JointSource) -> Configuration:
@@ -261,18 +255,6 @@ def lift_hybrid(hs: HybridScheme, ch: TwoWayChannel, src: JointSource) -> Config
 # ---------------------------------------------------------------------------
 
 
-def _stationary_reduced(sys: MarkovSystem, cfg: Configuration, residual_tol: float):
-    if cfg.prev_law is not None:
-        res = prev_law_residual(sys)
-        if res > 1e-8:
-            raise ValueError(
-                f"configuration's previous-block law is not stationary (residual {res:.3e})"
-            )
-        return prev_to_reduced(sys.reduced_shape, cfg.prev_law.probs)
-    pi, _, _, _ = _solve_stationary(sys.kernel, residual_tol, 1e-13, 100_000)
-    return pi
-
-
 def eval_adaptive(
     cfg: Configuration,
     ch: TwoWayChannel,
@@ -290,7 +272,11 @@ def eval_adaptive(
     each inequality by the same constant and so preserves margins.
     """
     sys = build_chain(cfg, ch, src)
-    pi = _stationary_reduced(sys, cfg, residual_tol=1e-10)
+    pi, res = stationary_vector(sys)
+    if res > PREV_LAW_TOL:
+        raise ValueError(
+            f"configuration's previous-block law is not stationary (residual {res:.3e})"
+        )
     if not simplify:
         m = pair_marginal(sys, pi, (4, 6))
         lhs1 = mutual_information(m, (0,), (1,))
@@ -408,10 +394,7 @@ def embed_adaptive_scheme(scheme: AdaptiveChannelScheme) -> Configuration:
 def adaptive_scheme_stationary(scheme: AdaptiveChannelScheme, ch: TwoWayChannel) -> JointPmf:
     """Stationary (prev_v1, prev_v2, prev_io1, prev_io2) law of the scheme."""
     cfg = embed_adaptive_scheme(scheme)
-    unit_src = JointSource(
-        Alphabet(1, "unit"), Alphabet(1, "unit"), JointPmf((Alphabet(1),) * 2, np.ones((1, 1)))
-    )
-    prev = stationary_prev_law(cfg, ch, unit_src)
+    prev = stationary_prev_law(cfg, ch, _UNIT_SOURCE)
     probs = prev.probs.reshape(scheme.v1.size, scheme.v2.size, cfg.io1_size, cfg.io2_size)
     axes = (
         Alphabet(scheme.v1.size, "prev_v1"),
@@ -435,12 +418,10 @@ def eval_sscc(
     information the other terminal's (x, y, prev_v, prev_io) view carries
     about prev_v_j under the scheme's stationary chain.
     """
-    cfg = embed_adaptive_scheme(scheme)
-    unit_src = JointSource(
-        Alphabet(1, "unit"), Alphabet(1, "unit"), JointPmf((Alphabet(1),) * 2, np.ones((1, 1)))
-    )
-    sys = build_chain(cfg, ch, unit_src)
-    pi = _stationary_reduced(sys, cfg, residual_tol=1e-10)
+    sys = build_chain(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE)
+    pi, res = stationary_vector(sys)
+    if res > PREV_LAW_TOL:
+        raise ValueError(f"scheme's prev_vw_law is not stationary (residual {res:.3e})")
     m = pair_marginal(sys, pi, (6, 11, 13, 7, 9))
     rhs1 = mutual_information(m, (0,), (1, 2, 3, 4))
     m = pair_marginal(sys, pi, (7, 10, 12, 6, 8))
@@ -578,53 +559,20 @@ def _lattice_levels(k: int, grid: int) -> int:
     return levels
 
 
-def _plogp(v: np.ndarray) -> float:
-    m = v[v > 0]
-    return float(np.sum(m * np.log2(m)))
-
-
 def _pair_rates(chp: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> tuple[float, float]:
     """(I(X1;Y2|X2), I(X2;Y1|X1)) for independent input distributions."""
     j = p1[:, None, None, None] * p2[None, :, None, None] * chp
     # I(X1;Y2|X2) = H(X1,X2) + H(Y2,X2) - H(X1,Y2,X2) - H(X2)
-    h_x1x2 = -_plogp(j.sum(axis=(2, 3)))
-    h_x2 = -_plogp(j.sum(axis=(0, 2, 3)))
-    h_y2x2 = -_plogp(j.sum(axis=(0, 2)))
-    h_x1y2x2 = -_plogp(j.sum(axis=2))
+    h_x1x2 = -_plogp_sum(j.sum(axis=(2, 3)))
+    h_x2 = -_plogp_sum(j.sum(axis=(0, 2, 3)))
+    h_y2x2 = -_plogp_sum(j.sum(axis=(0, 2)))
+    h_x1y2x2 = -_plogp_sum(j.sum(axis=2))
     i1 = h_x1x2 + h_y2x2 - h_x1y2x2 - h_x2
-    h_x1 = -_plogp(j.sum(axis=(1, 2, 3)))
-    h_y1x1 = -_plogp(j.sum(axis=(1, 3)))
-    h_x2y1x1 = -_plogp(j.sum(axis=3))
+    h_x1 = -_plogp_sum(j.sum(axis=(1, 2, 3)))
+    h_y1x1 = -_plogp_sum(j.sum(axis=(1, 3)))
+    h_x2y1x1 = -_plogp_sum(j.sum(axis=3))
     i2 = h_x1x2 + h_y1x1 - h_x2y1x1 - h_x1
     return max(i1, 0.0), max(i2, 0.0)
-
-
-def _hull_upper_right(points: np.ndarray) -> np.ndarray:
-    """Vertices of the concave upper-right frontier, sorted by rising r1."""
-    pts = np.unique(np.round(points, 12), axis=0)
-    order = np.lexsort((-pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    # Pareto-max filter (scan from the right keeps the staircase)
-    keep = []
-    best2 = -np.inf
-    for p in pts[::-1]:
-        if p[1] > best2 + 1e-15:
-            keep.append(p)
-            best2 = p[1]
-    pts = np.asarray(keep[::-1])
-    if len(pts) <= 2:
-        return pts
-    hull: list[np.ndarray] = []
-    for p in pts:
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            if cross >= 0:  # b is under the chord a-p: not a vertex of the concave hull
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return np.asarray(hull)
 
 
 def _segment_symmetric_max(a: np.ndarray, b: np.ndarray) -> float:
@@ -693,7 +641,10 @@ def shannon_nonadaptive_bound(
         symmetric_max = float(np.max(np.minimum(cloud[:, 0], cloud[:, 1])))
         frontier_pool = cloud
     else:
-        hull = _hull_upper_right(cloud)
+        from .region import convexify  # region imports this module
+
+        # upper-right frontier: the lower-left hull of the negated cloud
+        hull = -np.asarray(convexify(-np.round(cloud, 12))[::-1])
         symmetric_max = max(min(float(p[0]), float(p[1])) for p in hull)
         for a, b in zip(hull[:-1], hull[1:]):
             symmetric_max = max(symmetric_max, _segment_symmetric_max(a, b))

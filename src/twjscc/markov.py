@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .coded_channel import Configuration, fresh_law, io_index
-from .models import DistortionMeasure, JointSource, TwoWayChannel
+from .models import DistortionMeasure, JointSource, TwoWayChannel, decoder_distortion
 from .probability import Alphabet, JointPmf
 
 # Axis order of the full per-block state law.
@@ -30,7 +30,9 @@ Z_AXES = (
 )
 
 DEFAULT_STATE_CAP = 2 ** 24
-RESIDUAL_TOL = 1e-10
+RESIDUAL_TOL = 1e-10  # largest residual a solve may return
+SOLVE_TARGET = 1e-13  # residual at which power iteration stops
+SOLVE_MAX_ITER = 100_000
 
 
 @dataclass
@@ -43,6 +45,7 @@ class MarkovSystem:
     reduced_shape: tuple[int, ...]
     kernel: sp.csr_matrix
     fresh: np.ndarray  # flat law of (s1, s2, u1, u2)
+    # cached by stationary_vector / solve_stationary
     reduced_stationary: np.ndarray | None = None
     residual: float | None = None
     stationary_unique: bool | None = None
@@ -204,19 +207,37 @@ def _solve_stationary(kernel: sp.csr_matrix, tol: float, target: float, max_iter
     return best, best_res, unique, it
 
 
-def solve_stationary(
-    sys: MarkovSystem,
-    tol: float = RESIDUAL_TOL,
-    target: float = 1e-13,
-    max_iter: int = 100_000,
-) -> np.ndarray:
-    """Solve and cache the reduced stationary vector of the chain."""
-    pi, res, unique, it = _solve_stationary(sys.kernel, tol, target, max_iter)
-    sys.reduced_stationary = pi
+def solve_stationary(sys: MarkovSystem) -> np.ndarray:
+    """Solve the chain from the uniform start, ignoring any prev_law.
+
+    Negative solver noise is clipped and the vector renormalized on the
+    previous-block axes, so the law built from it is exactly normalized.
+    The vector and the solver diagnostics are cached on `sys`.
+    """
+    pi, res, unique, it = _solve_stationary(sys.kernel, RESIDUAL_TOL, SOLVE_TARGET, SOLVE_MAX_ITER)
+    prev = np.clip(reduced_to_prev(sys, pi), 0.0, None)
+    sys.reduced_stationary = prev_to_reduced(sys.reduced_shape, prev / prev.sum())
     sys.residual = res
     sys.stationary_unique = unique
     sys.iterations = it
-    return pi
+    return sys.reduced_stationary
+
+
+def stationary_vector(sys: MarkovSystem) -> tuple[np.ndarray, float]:
+    """The system's stationary reduced-state vector and its L1 residual.
+
+    With a prev_law in the configuration the vector is that law, whatever
+    its residual: each caller decides which residual it accepts.  Without
+    one the chain is solved (see solve_stationary).  Both are cached on
+    `sys`, and a vector already solved there is reused.
+    """
+    if sys.reduced_stationary is None:
+        if sys.cfg.prev_law is None:
+            solve_stationary(sys)
+        else:
+            pi = prev_to_reduced(sys.reduced_shape, sys.cfg.prev_law.probs)
+            sys.reduced_stationary, sys.residual = pi, _residual(sys, pi)
+    return sys.reduced_stationary, sys.residual
 
 
 def pair_law(sys: MarkovSystem, pi_reduced: np.ndarray) -> JointPmf:
@@ -318,20 +339,11 @@ def prev_axes_of(cfg: Configuration) -> tuple[Alphabet, ...]:
 
 
 def stationary_distribution(sys: MarkovSystem) -> JointPmf:
-    """Stationary 14-axis state law, solving the chain if not yet solved."""
-    if sys.reduced_stationary is None:
-        solve_stationary(sys)
-    return pair_law(sys, sys.reduced_stationary)
+    """Stationary 14-axis state law (see stationary_vector)."""
+    return pair_law(sys, stationary_vector(sys)[0])
 
 
-def stationary_prev_law(
-    cfg: Configuration,
-    ch: TwoWayChannel,
-    src: JointSource,
-    tol: float = RESIDUAL_TOL,
-    target: float = 1e-13,
-    max_iter: int = 100_000,
-) -> JointPmf:
+def stationary_prev_law(cfg: Configuration, ch: TwoWayChannel, src: JointSource) -> JointPmf:
     """Find a previous-block law that makes the system chain stationary.
 
     Only the codeword conditionals and the f tables of `cfg` matter; any
@@ -340,12 +352,11 @@ def stationary_prev_law(
     previous-block axes.
     """
     sys = build_chain(cfg, ch, src)
-    pi, res, _, _ = _solve_stationary(sys.kernel, tol, target, max_iter)
-    prev = reduced_to_prev(sys, pi)
-    # scrub solver noise so downstream constructors see exact normalization
-    prev = np.clip(prev, 0.0, None)
-    prev = prev / prev.sum()
-    return JointPmf(prev_axes_of(cfg), prev)
+    return JointPmf(prev_axes_of(cfg), reduced_to_prev(sys, solve_stationary(sys)))
+
+
+def _residual(sys: MarkovSystem, pi: np.ndarray) -> float:
+    return float(np.abs(sys.kernel.T @ pi - pi).sum())
 
 
 def prev_law_residual(sys: MarkovSystem, prev_law: JointPmf | None = None) -> float:
@@ -353,23 +364,12 @@ def prev_law_residual(sys: MarkovSystem, prev_law: JointPmf | None = None) -> fl
     law = prev_law if prev_law is not None else sys.cfg.prev_law
     if law is None:
         raise ValueError("no previous-block law supplied")
-    pi = prev_to_reduced(sys.reduced_shape, law.probs)
-    return float(np.abs(sys.kernel.T @ pi - pi).sum())
+    return _residual(sys, prev_to_reduced(sys.reduced_shape, law.probs))
 
 
 # Z-axis index groups used by evaluators and the reconstruction path.
 _RECON_KEEP_1 = (4, 6, 1, 3, 5, 7, 9, 13)  # prev_s1, prev_u1, then g2's arguments
 _RECON_KEEP_2 = (5, 7, 0, 2, 4, 6, 8, 12)  # prev_s2, prev_u2, then g1's arguments
-
-
-def _recon_distortion(marg: np.ndarray, g: np.ndarray, d: DistortionMeasure) -> float:
-    idx = np.indices(marg.shape[2:], sparse=True)
-    total = 0.0
-    for ps in range(marg.shape[0]):
-        for pu in range(marg.shape[1]):
-            est = g[pu, idx[0], idx[1], idx[2], idx[3], idx[4], idx[5]]
-            total += float(np.sum(marg[ps, pu] * d.table[ps, est]))
-    return total
 
 
 def reconstruction_distortions(
@@ -383,16 +383,13 @@ def reconstruction_distortions(
     Terminal 2 rebuilds terminal 1's previous-block source through g2 (fed
     the true previous codeword of terminal 1), and symmetrically; the
     distortion for source j is measured against the previous-block source.
+    The law defaults to the system's stationary vector.
     """
     if pi_reduced is None:
-        if sys.reduced_stationary is None:
-            raise ValueError("stationary distribution not solved")
-        pi_reduced = sys.reduced_stationary
+        pi_reduced, _ = stationary_vector(sys)
     marg1 = pair_marginal(sys, pi_reduced, _RECON_KEEP_1).probs
     marg2 = pair_marginal(sys, pi_reduced, _RECON_KEEP_2).probs
-    dist1 = _recon_distortion(marg1, sys.cfg.g2, d1)
-    dist2 = _recon_distortion(marg2, sys.cfg.g1, d2)
-    return dist1, dist2
+    return decoder_distortion(marg1, sys.cfg.g2, d1), decoder_distortion(marg2, sys.cfg.g1, d2)
 
 
 @dataclass(frozen=True)
@@ -420,9 +417,8 @@ def check_configuration(
     if cfg.prev_law is None:
         raise ValueError("configuration has no previous-block law to check")
     sys = build_chain(cfg, ch, src)
-    residual = prev_law_residual(sys)
-    pi = prev_to_reduced(sys.reduced_shape, cfg.prev_law.probs)
-    dist = reconstruction_distortions(sys, d1, d2, pi_reduced=pi)
+    _, residual = stationary_vector(sys)
+    dist = reconstruction_distortions(sys, d1, d2)
     feasible = (
         residual <= residual_tol
         and dist[0] <= target1 + slack

@@ -68,6 +68,25 @@ class DistortionMeasure:
         return float(self.table.max())
 
 
+def decoder_distortion(marg: np.ndarray, table: np.ndarray, d: DistortionMeasure) -> float:
+    """E[d(source, table(args))], where marg holds the source on axis 0 and
+    the decoder table's arguments on the remaining axes."""
+    idx = np.indices(marg.shape[2:], sparse=True)
+    # this loop order fixes the float summation order; search_region compares
+    # distortions with ==, so another order can change the points it keeps
+    total = 0.0
+    for s in range(marg.shape[0]):
+        for a in range(marg.shape[1]):
+            total += float(np.sum(marg[s, a] * d.table[s, table[(a, *idx)]]))
+    return total
+
+
+def bayes_decoder(marg: np.ndarray, d: DistortionMeasure) -> np.ndarray:
+    """Decoder table minimizing decoder_distortion for the marginal `marg`;
+    ties break toward the lowest reconstruction index."""
+    return np.argmin(np.einsum("s...,sr->...r", marg, d.table), axis=-1).astype(np.int64)
+
+
 def _pack2(b1: int, b2: int) -> int:
     return 2 * b1 + b2
 

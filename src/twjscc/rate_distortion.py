@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import WZScheme
+from .conditions import WZScheme, _simplex_lattice
 from .models import DistortionMeasure, JointSource
-from .probability import Alphabet, ConditionalPmf, JointPmf
+from .probability import Alphabet, ConditionalPmf, JointPmf, _plogp_sum
 
 
 class InfeasibleDistortion(ValueError):
@@ -32,11 +32,6 @@ def _as_vector(source) -> np.ndarray:
     if arr.ndim != 1 or abs(arr.sum() - 1.0) > 1e-12 or np.any(arr < 0):
         raise ValueError("source must be a probability vector")
     return arr
-
-
-def _plogp(v: np.ndarray) -> float:
-    m = v[v > 0]
-    return float(np.sum(m * np.log2(m)))
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ def blahut_arimoto(
         q /= q.sum(axis=1, keepdims=True)
         joint = p[:, None] * q
         out = joint.sum(axis=0)
-        rate = -_plogp(out) + float(np.sum(joint[joint > 0] * np.log2(q[joint > 0])))
+        rate = -_plogp_sum(out) + float(np.sum(joint[joint > 0] * np.log2(q[joint > 0])))
         dist_val = float(np.sum(joint * dist))
         obj = rate + beta * dist_val
         history.append(obj)
@@ -90,7 +85,7 @@ def _min_distortion_rate(p: np.ndarray, dist: np.ndarray) -> float:
     argmin is unique for every source symbol)."""
     assign = np.argmin(dist, axis=1)
     out = np.bincount(assign, weights=p, minlength=dist.shape[1])
-    return -_plogp(out)
+    return -_plogp_sum(out)
 
 
 def _rd_point(source, d: DistortionMeasure, target: float, tol: float = 1e-9):
@@ -167,21 +162,6 @@ def rd_curve(source, d: DistortionMeasure, d_grid) -> RdCurve:
 # ---------------------------------------------------------------------------
 # Wyner-Ziv with decoder side information
 # ---------------------------------------------------------------------------
-
-
-def _simplex_lattice(k: int, levels: int) -> np.ndarray:
-    if k == 1:
-        return np.ones((1, 1))
-    rows = []
-    for cuts in itertools.combinations(range(levels + k - 1), k - 1):
-        prev = -1
-        counts = []
-        for c in cuts:
-            counts.append(c - prev - 1)
-            prev = c
-        counts.append(levels + k - 2 - prev)
-        rows.append(counts)
-    return np.asarray(rows, dtype=np.float64) / levels
 
 
 @dataclass(frozen=True)

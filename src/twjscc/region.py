@@ -27,15 +27,15 @@ from .conditions import (
     lift_sscc,
 )
 from .markov import (
-    _solve_stationary,
+    _RECON_KEEP_1,
+    _RECON_KEEP_2,
     build_chain,
+    check_configuration,
     pair_marginal,
-    prev_law_residual,
-    prev_to_reduced,
-    reconstruction_distortions,
     stationary_prev_law,
+    stationary_vector,
 )
-from .models import DistortionMeasure, JointSource, TwoWayChannel
+from .models import DistortionMeasure, JointSource, TwoWayChannel, bayes_decoder
 from .probability import Alphabet, ConditionalPmf
 
 
@@ -62,17 +62,9 @@ def _bayes_reconstructions(cfg: Configuration, ch: TwoWayChannel, src: JointSour
     """Replace both g tables with the optimal deterministic reconstructions
     under the configuration's own stationary pair law."""
     sys = build_chain(cfg, ch, src)
-    if cfg.prev_law is not None:
-        pi = prev_to_reduced(sys.reduced_shape, cfg.prev_law.probs)
-    else:
-        pi, _, _, _ = _solve_stationary(sys.kernel, 1e-10, 1e-13, 100_000)
-    # estimate prev_s1 from g2's arguments (prev_u1, s2, u2, prev_s2, prev_u2, prev_io2, y2)
-    m1 = pair_marginal(sys, pi, (4, 6, 1, 3, 5, 7, 9, 13)).probs
-    cost = np.einsum("sabcdefg,sr->abcdefgr", m1, d1.table)
-    g2 = np.argmin(cost, axis=-1).astype(np.int64)
-    m2 = pair_marginal(sys, pi, (5, 7, 0, 2, 4, 6, 8, 12)).probs
-    cost = np.einsum("sabcdefg,sr->abcdefgr", m2, d2.table)
-    g1 = np.argmin(cost, axis=-1).astype(np.int64)
+    pi, _ = stationary_vector(sys)
+    g2 = bayes_decoder(pair_marginal(sys, pi, _RECON_KEEP_1).probs, d1)
+    g1 = bayes_decoder(pair_marginal(sys, pi, _RECON_KEEP_2).probs, d2)
     return dataclasses.replace(cfg, g1=g1, g2=g2, recon1=d1.recon_alphabet, recon2=d2.recon_alphabet)
 
 
@@ -254,17 +246,15 @@ def search_region(
             continue
         if not (report.satisfied or report.boundary):
             continue
-        sys = build_chain(cfg, ch, src)
-        pi = prev_to_reduced(sys.reduced_shape, cfg.prev_law.probs)
-        dist = reconstruction_distortions(sys, d1, d2, pi_reduced=pi)
+        check = check_configuration(cfg, ch, src, d1, d2, np.inf, np.inf)
         points.append(
             RegionPoint(
-                d1=dist[0],
-                d2=dist[1],
+                d1=check.distortions[0],
+                d2=check.distortions[1],
                 certificate=cfg,
                 report=report,
                 boundary=report.boundary,
-                stationary_residual=prev_law_residual(sys),
+                stationary_residual=check.stationary_residual,
             )
         )
         points = _pareto_min(points)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coded_channel import Configuration, fresh_law, io_index
-from .markov import build_chain, pair_law, prev_law_residual, prev_to_reduced
+from .markov import build_chain, pair_law, stationary_vector
 from .models import DistortionMeasure, JointSource, TwoWayChannel
 from .probability import marginalize, typical_count_bounds
 
@@ -224,8 +224,7 @@ class SimContext:
             raise ValueError("simulation needs a configuration with a previous-block law")
         self.cfg, self.ch, self.src = cfg, ch, src
         sys = build_chain(cfg, ch, src)
-        self.residual = prev_law_residual(sys)
-        pi0 = prev_to_reduced(sys.reduced_shape, cfg.prev_law.probs)
+        pi0, self.residual = stationary_vector(sys)
         z = pair_law(sys, pi0)
         self.z_shape = z.shape
 

@@ -45,9 +45,6 @@ from util import (
     random_wz_scheme,
 )
 
-_claim_stats = {"applicable": 0, "violations": 0}
-
-
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
     print(f"\nACCEPTANCE {num}: {status} - {desc}" + (f" ({detail})" if detail else ""))
@@ -75,17 +72,25 @@ def test_criterion_2_correlated_source_rates():
             ok, f"H(S1|S2)={h12:.9f}, R_wz(0)={wz.rate:.6f}")
 
 
-def test_criterion_3_uncoded_pipeline_lossless():
+@pytest.fixture(scope="module")
+def uncoded_bmc_run():
+    """Criterion 3's uncoded BMC pipeline and its 500-trial simulation report.
+
+    Criterion 8's correct-decoding gate counts these trials too, so both
+    tests share one run whatever order they are selected in.
+    """
     ch = tw.preset_bmc()
     src = tw.preset_example2_source()
     d = tw.hamming(src.s1)
     cfg = uncoded_configuration(ch, src, d, d)
-    feas = check_configuration(cfg, ch, src, d, d, 0.0, 0.0)
     params = SimParams(n=64, blocks=3, eps=0.3, eps1=0.15, rate1=0.0, rate2=0.0,
                        seed=7, trials=500)
-    rep = run_simulation(cfg, ch, src, d, d, params)
-    _claim_stats["applicable"] += rep.claim_applicable
-    _claim_stats["violations"] += rep.claim_violations
+    return cfg, ch, src, d, run_simulation(cfg, ch, src, d, d, params)
+
+
+def test_criterion_3_uncoded_pipeline_lossless(uncoded_bmc_run):
+    cfg, ch, src, d, rep = uncoded_bmc_run
+    feas = check_configuration(cfg, ch, src, d, d, 0.0, 0.0)
     ok = (
         feas.feasible
         and rep.distortion1 == 0.0
@@ -209,7 +214,9 @@ def test_criterion_7_rate_distortion_oracle():
                "within 1e-4", ok, f"worst={worst:.2e}")
 
 
-def test_criterion_8_simulator_error_trend():
+def test_criterion_8_simulator_error_trend(uncoded_bmc_run):
+    rep3 = uncoded_bmc_run[-1]
+    applicable, violations = rep3.claim_applicable, rep3.claim_violations
     ch = tw.preset_crossed_bitpipes()
     src = tw.preset_independent_bernoulli(0.5, 0.5)
     d = tw.hamming(src.s1)
@@ -221,18 +228,18 @@ def test_criterion_8_simulator_error_trend():
                            seed=3, trials=500)
         rep = run_simulation(cfg, ch, src, d, d, params)
         totals[n] = rep.total_error_events
-        _claim_stats["applicable"] += rep.claim_applicable
-        _claim_stats["violations"] += rep.claim_violations
+        applicable += rep.claim_applicable
+        violations += rep.claim_violations
     ok = (
         margin >= 0.1
         and totals[256] < totals[64]
-        and _claim_stats["violations"] == 0
-        and _claim_stats["applicable"] > 0
+        and violations == 0
+        and applicable > 0
     )
     _report(8, "error events strictly decrease from n=64 to n=256 at margin >= 0.1, and the "
                "correct-decoding implication held in every applicable trial", ok,
             f"margin={margin:.3f}, events {totals[64]} -> {totals[256]}, "
-            f"claim {_claim_stats['violations']}/{_claim_stats['applicable']} violations")
+            f"claim {violations}/{applicable} violations")
 
 
 def test_criterion_9_paired_input_channel_machinery():

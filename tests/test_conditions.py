@@ -236,6 +236,20 @@ class TestSeparateCoding:
         assert rep.rhs2 == pytest.approx(1.0, abs=1e-9)
         assert rep.satisfied
 
+    def test_nonstationary_prev_vw_law_rejected(self):
+        ch = tw.preset_crossed_bitpipes()
+        v = Alphabet(2, "v")
+        gamma = np.ascontiguousarray(np.broadcast_to(np.arange(2)[:, None, None], (2, 2, 4)))
+        scheme = AdaptiveChannelScheme(
+            v, v, np.full(2, 0.5), np.full(2, 0.5), gamma, gamma,
+            ch.x1, ch.x2, ch.y1, ch.y2,
+        )
+        law = adaptive_scheme_stationary(scheme, ch)
+        # uniform mass on previous channel pairs that disagree with prev_v
+        bad = tw.JointPmf(law.axes, np.full(law.shape, 1.0 / law.probs.size))
+        with pytest.raises(ValueError, match="not stationary"):
+            eval_sscc(dataclasses.replace(scheme, prev_vw_law=bad), 0.5, 0.5, ch)
+
     def test_zero_rate_always_satisfied_when_rhs_positive(self):
         rng = np.random.default_rng(15)
         ch = tw.preset_crossed_bitpipes()

@@ -16,6 +16,7 @@ from twjscc.markov import (
     solve_stationary,
     stationary_distribution,
     stationary_prev_law,
+    stationary_vector,
 )
 from twjscc.probability import Alphabet, ConditionalPmf, JointPmf, marginalize
 from twjscc.region import identity_hybrid_configuration, uncoded_configuration
@@ -123,6 +124,25 @@ class TestStationary:
             sys = build_chain(cfg, ch, src)
             solve_stationary(sys)
             assert sys.residual <= 1e-10
+
+    def test_stationary_vector_reads_prev_law_else_solves(self):
+        rng = np.random.default_rng(12)
+        ch = random_binary_channel(rng)
+        src = random_joint_source(rng)
+        cfg = random_configuration(rng, ch, src)
+        solved = build_chain(cfg, ch, src)
+        pi, res = stationary_vector(solved)
+        prev = stationary_prev_law(cfg, ch, src)
+        assert res <= 1e-10 and np.all(pi >= 0)
+        assert np.array_equal(reduced_to_prev(solved, pi), prev.probs)
+        assert stationary_vector(solved)[0] is pi
+        # a supplied law is returned as is, with its residual, stationary or not
+        law = np.full(pi.shape, 1.0 / pi.size)
+        cfg = dataclasses.replace(cfg, prev_law=JointPmf(prev.axes, reduced_to_prev(solved, law)))
+        given = build_chain(cfg, ch, src)
+        pi, res = stationary_vector(given)
+        assert np.array_equal(pi, law)
+        assert res == prev_law_residual(given) > 1e-3
 
     def test_full_state_law_round_trip(self, bmc_setup):
         ch, src, d = bmc_setup
