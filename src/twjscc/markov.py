@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .coded_channel import Configuration, fresh_law, io_index
 from .models import DistortionMeasure, JointSource, TwoWayChannel, decoder_distortion
@@ -35,6 +34,53 @@ SOLVE_TARGET = 1e-13  # residual at which power iteration stops
 SOLVE_MAX_ITER = 100_000
 
 
+class FactoredKernel:
+    """Transition law of the reduced chain, held as its three factors.
+
+    From the previous state `prev`, the fresh tuple `a` = (s1, s2, u1, u2)
+    is drawn from `psu`, the inputs are fixed by the encoder tables as
+    `x1n[prev, a]` and `x2n[prev, a]`, and the outputs are drawn from the
+    channel law, so the successor (a, x1, x2, y1, y2) has probability
+    psu[a] * chan[x1, x2, y1, y2].
+    """
+
+    def __init__(self, x1n: np.ndarray, x2n: np.ndarray, psu: np.ndarray, chan: np.ndarray):
+        self.x1n, self.x2n = x1n, x2n  # (n_states, fresh tuples)
+        self.psu = psu  # flat law of (s1, s2, u1, u2)
+        self.chan = chan  # (nx1, nx2, ny1, ny2)
+        nx1, nx2 = chan.shape[:2]
+        # (fresh tuple, x1, x2) cell of each (state, fresh tuple) pair
+        self._cells = ((np.arange(psu.size) * nx1 + x1n) * nx2 + x2n).ravel()
+
+    @property
+    def n_states(self) -> int:
+        return self.x1n.shape[0]
+
+    @property
+    def nnz(self) -> int:
+        """Number of (state, successor) pairs with positive probability."""
+        nx1, nx2 = self.chan.shape[:2]
+        pos = self.psu[:, None, None, None, None] * self.chan > 0
+        per_cell = pos.reshape(self.psu.size, nx1, nx2, -1).sum(axis=-1)
+        return int(per_cell[np.arange(self.psu.size), self.x1n, self.x2n].sum())
+
+    def push(self, pi: np.ndarray) -> np.ndarray:
+        """The row vector pi K."""
+        nx1, nx2 = self.chan.shape[:2]
+        w = np.bincount(self._cells, weights=(pi[:, None] * self.psu).ravel(),
+                        minlength=self.psu.size * nx1 * nx2)
+        return (w.reshape(self.psu.size, nx1, nx2, 1, 1) * self.chan).ravel()
+
+    def dense(self) -> np.ndarray:
+        """The (n_states, n_states) transition matrix."""
+        n, na = self.x1n.shape
+        nx1, nx2, ny1, ny2 = self.chan.shape
+        out = np.zeros((n, na, nx1, nx2, ny1 * ny2))
+        probs = self.psu[:, None] * self.chan[self.x1n, self.x2n].reshape(n, na, -1)
+        out[np.arange(n)[:, None], np.arange(na), self.x1n, self.x2n] = probs
+        return out.reshape(n, n)
+
+
 @dataclass
 class MarkovSystem:
     """Reduced-state chain for one configuration over one channel/source."""
@@ -43,8 +89,7 @@ class MarkovSystem:
     channel: TwoWayChannel
     source: JointSource
     reduced_shape: tuple[int, ...]
-    kernel: sp.csr_matrix
-    fresh: np.ndarray  # flat law of (s1, s2, u1, u2)
+    kernel: FactoredKernel
     # cached by stationary_vector / solve_stationary
     reduced_stationary: np.ndarray | None = None
     residual: float | None = None
@@ -53,18 +98,12 @@ class MarkovSystem:
 
     @property
     def n_states(self) -> int:
-        return self.kernel.shape[0]
+        return self.kernel.n_states
 
     @property
     def z_axes(self) -> tuple[Alphabet, ...]:
         c = self.cfg
-        return (
-            c.s1, c.s2, c.u1, c.u2,
-            Alphabet(c.s1.size, "prev_s1"), Alphabet(c.s2.size, "prev_s2"),
-            Alphabet(c.u1.size, "prev_u1"), Alphabet(c.u2.size, "prev_u2"),
-            Alphabet(c.io1_size, "prev_io1"), Alphabet(c.io2_size, "prev_io2"),
-            c.x1, c.x2, c.y1, c.y2,
-        )
+        return (c.s1, c.s2, c.u1, c.u2) + prev_axes_of(c) + (c.x1, c.x2, c.y1, c.y2)
 
 
 def build_chain(
@@ -73,67 +112,41 @@ def build_chain(
     src: JointSource,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> MarkovSystem:
-    """Assemble the sparse row-stochastic transition kernel.
+    """Assemble the factored row-stochastic transition kernel.
 
     From a state (s', u', x', y'), the successor draws a fresh (s, u) pair,
     sets x_j deterministically through f_j fed with the copied previous
     components, and draws (y1, y2) from the channel.
     """
     cfg.check_against(ch, src)
-    ns1, ns2 = cfg.s1.size, cfg.s2.size
-    nu1, nu2 = cfg.u1.size, cfg.u2.size
-    nx1, nx2 = ch.x1.size, ch.x2.size
-    ny1, ny2 = ch.y1.size, ch.y2.size
-    shape8 = (ns1, ns2, nu1, nu2, nx1, nx2, ny1, ny2)
+    fresh_shape = (cfg.s1.size, cfg.s2.size, cfg.u1.size, cfg.u2.size)
+    chan = ch.law.probs  # (nx1, nx2, ny1, ny2)
+    shape8 = fresh_shape + chan.shape
     n_states = int(np.prod(shape8, dtype=np.int64))
     if n_states > state_cap:
         raise ValueError(f"state space of {n_states} reduced states exceeds cap {state_cap}")
-    na = ns1 * ns2 * nu1 * nu2
-    nxy = nx1 * nx2 * ny1 * ny2
+    psu = fresh_law(cfg, src).reshape(-1)
 
-    psu = fresh_law(cfg, src).reshape(na)
+    # (n_states, fresh tuples) tables of the deterministic channel inputs,
+    # previous state along the rows.  The state index is unraveled 1-D:
+    # numpy 2.4.6 unravels a large (n, 1) index wrongly (seen at n = 12288).
+    prev = np.unravel_index(np.arange(n_states), shape8)
+    s1p, s2p, u1p, u2p, x1p, x2p, y1p, y2p = (c[:, None] for c in prev)
+    s1a, s2a, u1a, u2a = np.unravel_index(np.arange(psu.size), fresh_shape)
+    x1n = cfg.f1[s1a, u1a, s1p, u1p, io_index(x1p, y1p, chan.shape[2])]
+    x2n = cfg.f2[s2a, u2a, s2p, u2p, io_index(x2p, y2p, chan.shape[3])]
 
-    prev = np.arange(n_states)
-    s1p, s2p, u1p, u2p, x1p, x2p, y1p, y2p = np.unravel_index(prev, shape8)
-    io1p = io_index(x1p, y1p, ny1)
-    io2p = io_index(x2p, y2p, ny2)
-
-    a = np.arange(na)
-    s1a, s2a, u1a, u2a = np.unravel_index(a, (ns1, ns2, nu1, nu2))
-
-    # (n_states, na) tables of the deterministic channel inputs.
-    x1n = cfg.f1[s1a[None, :], u1a[None, :], s1p[:, None], u1p[:, None], io1p[:, None]]
-    x2n = cfg.f2[s2a[None, :], u2a[None, :], s2p[:, None], u2p[:, None], io2p[:, None]]
-
-    chan = ch.law.probs  # (nx1, nx2, ny1, ny2)
-    probs = psu[None, :, None, None] * chan[x1n, x2n]  # (n_states, na, ny1, ny2)
-
-    y1g = np.arange(ny1)[None, None, :, None]
-    y2g = np.arange(ny2)[None, None, None, :]
-    cols = (
-        ((a[None, :, None, None] * nx1 + x1n[:, :, None, None]) * nx2 + x2n[:, :, None, None])
-        * ny1
-        + y1g
-    ) * ny2 + y2g
-    cols = np.broadcast_to(cols, probs.shape)
-    rows = np.broadcast_to(prev[:, None, None, None], probs.shape)
-
-    mask = probs > 0
-    kernel = sp.coo_matrix(
-        (probs[mask], (rows[mask], cols[mask])), shape=(n_states, n_states)
-    ).tocsr()
-
-    row_sums = np.asarray(kernel.sum(axis=1)).ravel()
+    row_sums = chan.sum(axis=(2, 3))[x1n, x2n] @ psu
     if np.any(np.abs(row_sums - 1.0) > 1e-12):
         raise AssertionError("kernel rows failed to normalize")
 
-    return MarkovSystem(cfg, ch, src, shape8, kernel, psu)
+    return MarkovSystem(cfg, ch, src, shape8, FactoredKernel(x1n, x2n, psu, chan))
 
 
-def _null_space_solve(kernel: sp.csr_matrix, hint: np.ndarray):
+def _null_space_solve(kernel, hint: np.ndarray):
     """Dense fixed-point solve; returns (pi, unique_flag) or (None, None)."""
-    n = kernel.shape[0]
-    a = kernel.toarray().T - np.eye(n)
+    n = kernel.n_states
+    a = kernel.dense().T - np.eye(n)
     basis = scipy.linalg.null_space(a, rcond=1e-9)
     if basis.shape[1] == 0:
         return None, None
@@ -152,27 +165,24 @@ def _null_space_solve(kernel: sp.csr_matrix, hint: np.ndarray):
     return pi / total, unique
 
 
-def _solve_stationary(kernel: sp.csr_matrix, tol: float, target: float, max_iter: int):
+def _solve_stationary(kernel, tol: float, target: float, max_iter: int):
     """Power iteration from the uniform start with lazy/null-space fallbacks.
 
-    Returns (pi, residual, unique_flag_or_None, iterations).  The residual
-    is the L1 norm of pi K - pi for the returned vector.
+    `kernel` offers `n_states`, `push` (pi -> pi K) and `dense`, as
+    FactoredKernel does.  Returns (pi, residual, unique_flag_or_None,
+    iterations).  The residual is the L1 norm of pi K - pi for the
+    returned vector.
     """
-    n = kernel.shape[0]
-    kt = kernel.T.tocsr()
-
-    def residual_of(v: np.ndarray) -> float:
-        return float(np.abs(kt @ v - v).sum())
-
+    n = kernel.n_states
     pi = np.full(n, 1.0 / n)
     best = pi
-    best_res = residual_of(pi)
+    best_res = _residual(kernel, pi)
     lazy = False
     stall = 0
     it = 0
     while it < max_iter and best_res > target:
         it += 1
-        nxt = kt @ pi
+        nxt = kernel.push(pi)
         if lazy:
             nxt = 0.5 * (nxt + pi)
         nxt /= nxt.sum()
@@ -192,12 +202,12 @@ def _solve_stationary(kernel: sp.csr_matrix, tol: float, target: float, max_iter
         elif lazy and stall >= 2000:
             break
 
-    best_res = residual_of(best)
+    best_res = _residual(kernel, best)
     unique = None
     if best_res > target and n <= 4096:
         pi_ns, unique = _null_space_solve(kernel, best)
         if pi_ns is not None:
-            res_ns = residual_of(pi_ns)
+            res_ns = _residual(kernel, pi_ns)
             if res_ns < best_res:
                 best, best_res = pi_ns, res_ns
     if best_res > tol:
@@ -236,7 +246,7 @@ def stationary_vector(sys: MarkovSystem) -> tuple[np.ndarray, float]:
             solve_stationary(sys)
         else:
             pi = prev_to_reduced(sys.reduced_shape, sys.cfg.prev_law.probs)
-            sys.reduced_stationary, sys.residual = pi, _residual(sys, pi)
+            sys.reduced_stationary, sys.residual = pi, _residual(sys.kernel, pi)
     return sys.reduced_stationary, sys.residual
 
 
@@ -251,63 +261,51 @@ def pair_law(sys: MarkovSystem, pi_reduced: np.ndarray) -> JointPmf:
         raise ValueError(
             f"full state space of {n ** 2} entries is too large to materialize"
         )
-    pair = sys.kernel.multiply(pi_reduced[:, None]).toarray()
-    shape8 = sys.reduced_shape
-    t = pair.reshape(shape8 + shape8)
+    pair = sys.kernel.dense()
+    pair *= pi_reduced[:, None]
+    t = pair.reshape(sys.reduced_shape * 2)
     # prev axes 0..7 = (s1', s2', u1', u2', x1', x2', y1', y2'); cur axes 8..15.
     perm = (8, 9, 10, 11, 0, 1, 2, 3, 4, 6, 5, 7, 12, 13, 14, 15)
     t = np.ascontiguousarray(np.transpose(t, perm))
-    ns1, ns2, nu1, nu2, nx1, nx2, ny1, ny2 = shape8
-    z_shape = (
-        ns1, ns2, nu1, nu2,
-        ns1, ns2, nu1, nu2,
-        nx1 * ny1, nx2 * ny2,
-        nx1, nx2, ny1, ny2,
-    )
-    return JointPmf(sys.z_axes, t.reshape(z_shape))
+    return JointPmf(sys.z_axes, t.reshape([a.size for a in sys.z_axes]))
 
 
 def pair_marginal(sys: MarkovSystem, pi_reduced: np.ndarray, keep: tuple[int, ...]) -> JointPmf:
     """Marginal of the consecutive-pair state law over selected state axes.
 
-    Works directly on the sparse kernel, so it scales to systems whose full
-    pair tensor would be too large to materialize.  Axis indices follow
-    Z_AXES; the result axes follow the order of `keep`.
+    Sums the weights pi[prev] psu[a] over the (state, fresh tuple) grid into
+    cells of the kept previous/fresh axes and the current inputs, then
+    spreads them over the channel outputs, so it never forms the pair
+    tensor.  Axis indices follow Z_AXES; the result axes follow the order
+    of `keep`.
     """
+    if len(set(keep)) != len(keep) or not set(keep) <= set(range(14)):
+        raise ValueError(f"state axes {keep} repeat or lie outside 0..13")
+    kern = sys.kernel
     shape8 = sys.reduced_shape
-    strides = np.ones(8, dtype=np.int64)
-    for k in range(6, -1, -1):
-        strides[k] = strides[k + 1] * shape8[k + 1]
-    coo = sys.kernel.tocoo()
-    weights = pi_reduced[coo.row] * coo.data
-
-    def coord(state: np.ndarray, k: int) -> np.ndarray:
-        return (state // strides[k]) % shape8[k]
-
-    ny1, ny2 = shape8[6], shape8[7]
+    nx1, nx2, ny1, ny2 = shape8[4:]
+    grid = shape8 + shape8[:4]  # previous reduced state, then the fresh tuple
+    g = np.indices(grid, sparse=True)
+    # coordinates of Z axes 0..9 on the grid: fresh, previous (s, u), previous io
+    coords = g[8:] + g[:4] + (g[4] * ny1 + g[6], g[5] * ny2 + g[7])
     axes = sys.z_axes
-
-    def component(z_axis: int) -> np.ndarray:
-        if 0 <= z_axis <= 3:
-            return coord(coo.col, z_axis)
-        if 4 <= z_axis <= 7:
-            return coord(coo.row, z_axis - 4)
-        if z_axis == 8:
-            return coord(coo.row, 4) * ny1 + coord(coo.row, 6)
-        if z_axis == 9:
-            return coord(coo.row, 5) * ny2 + coord(coo.row, 7)
-        if 10 <= z_axis <= 13:
-            return coord(coo.col, z_axis - 6)
-        raise ValueError(f"state axis {z_axis} out of range")
-
-    sizes = [axes[k].size for k in keep]
-    flat = np.zeros(len(weights), dtype=np.int64)
-    for k, size in zip(keep, sizes):
-        flat = flat * size + component(k)
-    probs = np.bincount(flat, weights=weights, minlength=int(np.prod(sizes)))
+    current = (10, 11, 12, 13)  # x1, x2, y1, y2 of the current state
+    outer = [k for k in keep if k not in current]
+    flat = 0
+    for k in outer:
+        flat = flat * axes[k].size + coords[k]
+    flat = (flat * nx1 + kern.x1n.reshape(grid)) * nx2 + kern.x2n.reshape(grid)
+    n_outer = int(np.prod([axes[k].size for k in outer], dtype=np.int64))
+    w = np.bincount(flat.ravel(), weights=(pi_reduced[:, None] * kern.psu).ravel(),
+                    minlength=n_outer * nx1 * nx2)
+    t = w.reshape(n_outer, nx1, nx2, 1, 1) * kern.chan
+    t = t.sum(axis=tuple(1 + i for i, k in enumerate(current) if k not in keep))
+    order = outer + [k for k in current if k in keep]
+    t = t.reshape([axes[k].size for k in order])
+    probs = np.transpose(t, [order.index(k) for k in keep])
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    return JointPmf(tuple(axes[k] for k in keep), probs.reshape(sizes))
+    return JointPmf(tuple(axes[k] for k in keep), probs)
 
 
 def reduced_to_prev(sys_or_shape, reduced: np.ndarray) -> np.ndarray:
@@ -355,8 +353,9 @@ def stationary_prev_law(cfg: Configuration, ch: TwoWayChannel, src: JointSource)
     return JointPmf(prev_axes_of(cfg), reduced_to_prev(sys, solve_stationary(sys)))
 
 
-def _residual(sys: MarkovSystem, pi: np.ndarray) -> float:
-    return float(np.abs(sys.kernel.T @ pi - pi).sum())
+def _residual(kernel, pi: np.ndarray) -> float:
+    """L1 norm of pi K - pi."""
+    return float(np.abs(kernel.push(pi) - pi).sum())
 
 
 def prev_law_residual(sys: MarkovSystem, prev_law: JointPmf | None = None) -> float:
@@ -364,7 +363,7 @@ def prev_law_residual(sys: MarkovSystem, prev_law: JointPmf | None = None) -> fl
     law = prev_law if prev_law is not None else sys.cfg.prev_law
     if law is None:
         raise ValueError("no previous-block law supplied")
-    return _residual(sys, prev_to_reduced(sys.reduced_shape, law.probs))
+    return _residual(sys.kernel, prev_to_reduced(sys.reduced_shape, law.probs))
 
 
 # Z-axis index groups used by evaluators and the reconstruction path.

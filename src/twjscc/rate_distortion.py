@@ -9,7 +9,6 @@ plus local refinement is preferred over alternating minimization).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,15 +172,12 @@ class WzResult:
 
 
 def _wz_candidates(base_rows: np.ndarray, lattice: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-row local lattices combined over all source symbols."""
+    """Per-row local lattices combined over all source symbols, in the
+    row-major order of the choice of one lattice point per row."""
     ns = base_rows.shape[0]
-    local = [(1.0 - alpha) * base_rows[s][None, :] + alpha * lattice for s in range(ns)]
-    combos = list(itertools.product(*[range(len(l)) for l in local]))
-    out = np.empty((len(combos), ns, lattice.shape[1]))
-    for i, combo in enumerate(combos):
-        for s, j in enumerate(combo):
-            out[i, s] = local[s][j]
-    return out
+    local = (1.0 - alpha) * base_rows[:, None, :] + alpha * lattice[None, :, :]
+    choice = np.indices((len(lattice),) * ns).reshape(ns, -1).T  # (combos, ns)
+    return local[np.arange(ns), choice]
 
 
 def _wz_evaluate(cands: np.ndarray, ps: np.ndarray, dist: np.ndarray):

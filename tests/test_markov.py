@@ -6,6 +6,7 @@ import pytest
 import twjscc as tw
 from twjscc.coded_channel import fresh_law
 from twjscc.markov import (
+    _solve_stationary,
     build_chain,
     check_configuration,
     pair_marginal,
@@ -44,14 +45,14 @@ class TestKernel:
         d = tw.hamming(src.s1)
         cfg = lift_hybrid(bsc_codeword_scheme(ch, src, 0.3, d, d), ch, src)
         sys = build_chain(cfg, ch, src)
-        per_row = np.diff(sys.kernel.indptr)
+        per_row = np.count_nonzero(sys.kernel.dense(), axis=1)
         assert np.all(per_row == 16)
 
     def test_rows_sum_to_one(self, bmc_setup):
         ch, src, d = bmc_setup
         cfg = uncoded_configuration(ch, src, d, d)
         sys = build_chain(cfg, ch, src)
-        assert np.allclose(np.asarray(sys.kernel.sum(axis=1)).ravel(), 1.0, atol=1e-12)
+        assert np.allclose(sys.kernel.dense().sum(axis=1), 1.0, atol=1e-12)
 
     def test_successor_cap_structural(self):
         # nonzeros per row never exceed (fresh draws) x (output pairs)
@@ -61,7 +62,22 @@ class TestKernel:
         cfg = random_configuration(rng, ch, src)
         sys = build_chain(cfg, ch, src)
         cap = 16 * 4
-        assert np.max(np.diff(sys.kernel.indptr)) <= cap
+        assert np.max(np.count_nonzero(sys.kernel.dense(), axis=1)) <= cap
+
+    def test_input_tables_on_large_system(self):
+        # 16384 states: every input-table entry read back from f1/f2 with
+        # scalar coordinates
+        rng = np.random.default_rng(4)
+        ch = tw.preset_dueck()
+        src = tw.preset_independent_bernoulli(0.89, 0.89)
+        cfg = random_configuration(rng, ch, src)
+        sys = build_chain(cfg, ch, src)
+        ny1, ny2 = ch.y1.size, ch.y2.size
+        for prev in rng.choice(sys.n_states, size=300, replace=False):
+            s1p, s2p, u1p, u2p, x1p, x2p, y1p, y2p = np.unravel_index(prev, sys.reduced_shape)
+            for a, (s1, s2, u1, u2) in enumerate(np.ndindex(2, 2, 2, 2)):
+                assert sys.kernel.x1n[prev, a] == cfg.f1[s1, u1, s1p, u1p, x1p * ny1 + y1p]
+                assert sys.kernel.x2n[prev, a] == cfg.f2[s2, u2, s2p, u2p, x2p * ny2 + y2p]
 
     def test_state_cap_enforced(self, bmc_setup):
         ch, src, d = bmc_setup
@@ -154,7 +170,7 @@ class TestStationary:
         assert np.allclose(marginalize(z, (0, 1, 2, 3)).probs, fresh_law(cfg, src), atol=1e-12)
 
     def test_sparse_marginals_agree_with_dense_pair_law(self):
-        # dense pair tensor and sparse scatter are independent index paths;
+        # dense pair tensor and the factored bincount are independent index paths;
         # they must produce identical marginals
         rng = np.random.default_rng(8)
         ch = random_binary_channel(rng)
@@ -171,14 +187,26 @@ class TestStationary:
             assert np.abs(dense - sparse).max() <= 1e-13
 
 
+class DenseKernel:
+    """A hand-written transition matrix with the operator interface the
+    solver reads (n_states, push, dense)."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.n_states = self.matrix.shape[0]
+
+    def push(self, pi):
+        return pi @ self.matrix
+
+    def dense(self):
+        return self.matrix
+
+
 class TestSolverPaths:
     def test_periodic_chain_needs_lazy_iteration(self):
         # A<->B two-cycle fed by transient C: plain iteration oscillates,
         # the half-lazy kernel settles on the cycle's stationary law
-        import scipy.sparse as sp
-        from twjscc.markov import _solve_stationary
-
-        k = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        k = DenseKernel([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         pi, res, unique, _ = _solve_stationary(k, tol=1e-10, target=1e-13, max_iter=50_000)
         assert res <= 1e-10
         assert np.allclose(pi, [0.5, 0.5, 0.0], atol=1e-9)
@@ -186,24 +214,18 @@ class TestSolverPaths:
     def test_null_space_fallback_on_slow_chain(self):
         # spectral gap far too small for three iterations from the uniform
         # start: the dense solve must recover the exact fixed point
-        import scipy.sparse as sp
-        from twjscc.markov import _solve_stationary
-
         a, b = 1e-6, 3e-6
-        k = sp.csr_matrix(np.array([[1 - a, a], [b, 1 - b]]))
+        k = DenseKernel([[1 - a, a], [b, 1 - b]])
         pi, res, unique, _ = _solve_stationary(k, tol=1e-10, target=1e-13, max_iter=3)
         assert res <= 1e-10
         assert unique is True
         assert np.allclose(pi, [0.75, 0.25], atol=1e-6)
 
     def test_non_uniqueness_flagged_in_fallback(self):
-        import scipy.sparse as sp
-        from twjscc.markov import _solve_stationary
-
         a, b = 1e-6, 3e-6
         block = np.array([[1 - a, a], [b, 1 - b]])
         other = np.array([[1 - b, b], [a, 1 - a]])
-        k = sp.csr_matrix(np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), other]]))
+        k = DenseKernel(np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), other]]))
         pi, res, unique, _ = _solve_stationary(k, tol=1e-10, target=1e-13, max_iter=3)
         assert res <= 1e-10
         assert unique is False

@@ -1,0 +1,87 @@
+"""Property tests of the factored transition operator on random small systems."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import twjscc as tw
+from twjscc.coded_channel import fresh_law, io_index
+from twjscc.markov import RESIDUAL_TOL, build_chain, pair_law, pair_marginal, solve_stationary
+from twjscc.probability import ConditionalPmf, marginalize
+
+from util import random_binary_channel, random_configuration, random_joint_source
+
+
+def with_zeros(rng, ch):
+    """The channel with some transitions removed (each input pair keeps at
+    least one output pair), so that the kernel has zero entries."""
+    law = ch.law.probs * (rng.random(ch.law.probs.shape) < 0.6)
+    law = law.reshape(4, 4)
+    dead = law.sum(axis=1) == 0
+    law[dead, rng.integers(4, size=dead.sum())] = 1.0
+    law = (law / law.sum(axis=1, keepdims=True)).reshape(ch.law.probs.shape)
+    return tw.TwoWayChannel(ch.x1, ch.x2, ch.y1, ch.y2,
+                            ConditionalPmf(ch.law.given_axes, ch.law.out_axes, law))
+
+
+@st.composite
+def systems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ch = random_binary_channel(rng)
+    if draw(st.booleans()):
+        ch = with_zeros(rng, ch)
+    src = random_joint_source(rng)
+    cfg = random_configuration(rng, ch, src, draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    return build_chain(cfg, ch, src), rng
+
+
+def loop_kernel(sys):
+    """The transition matrix by explicit loops over (state, fresh tuple, y1, y2)."""
+    cfg, chan = sys.cfg, sys.channel.law.probs
+    shape8 = sys.reduced_shape
+    ny1, ny2 = shape8[6], shape8[7]
+    psu = fresh_law(cfg, sys.source)
+    out = np.zeros((sys.n_states, sys.n_states))
+    for prev in range(sys.n_states):
+        s1p, s2p, u1p, u2p, x1p, x2p, y1p, y2p = np.unravel_index(prev, shape8)
+        io1p, io2p = io_index(x1p, y1p, ny1), io_index(x2p, y2p, ny2)
+        for s1, s2, u1, u2 in np.ndindex(psu.shape):
+            x1 = cfg.f1[s1, u1, s1p, u1p, io1p]
+            x2 = cfg.f2[s2, u2, s2p, u2p, io2p]
+            for y1, y2 in np.ndindex(ny1, ny2):
+                nxt = np.ravel_multi_index((s1, s2, u1, u2, x1, x2, y1, y2), shape8)
+                out[prev, nxt] += psu[s1, s2, u1, u2] * chan[x1, x2, y1, y2]
+    return out
+
+
+@settings(deadline=None, max_examples=30)
+@given(systems())
+def test_dense_form_matches_loop_kernel(case):
+    sys, _ = case
+    dense = sys.kernel.dense()
+    assert np.array_equal(dense, loop_kernel(sys))
+    assert sys.kernel.nnz == np.count_nonzero(dense > 0)
+
+
+@settings(deadline=None)
+@given(systems())
+def test_push_is_row_vector_times_dense(case):
+    sys, rng = case
+    pi = rng.dirichlet(np.ones(sys.n_states))
+    assert np.abs(sys.kernel.push(pi) - pi @ sys.kernel.dense()).max() <= 1e-15
+
+
+@settings(deadline=None)
+@given(systems(), st.lists(st.integers(0, 13), min_size=1, max_size=6, unique=True))
+def test_pair_marginal_matches_marginalized_pair_law(case, keep):
+    sys, rng = case
+    pi = rng.dirichlet(np.ones(sys.n_states))
+    dense = marginalize(pair_law(sys, pi), tuple(keep)).probs
+    assert np.abs(pair_marginal(sys, pi, tuple(keep)).probs - dense).max() <= 1e-13
+
+
+@settings(deadline=None)
+@given(systems())
+def test_solved_vector_is_fixed_point(case):
+    sys, _ = case
+    pi = solve_stationary(sys)
+    assert np.abs(pi @ sys.kernel.dense() - pi).sum() <= RESIDUAL_TOL

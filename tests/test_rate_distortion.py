@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import twjscc as tw
+from twjscc.conditions import _simplex_lattice
 from twjscc.probability import Alphabet, bernoulli, binary_entropy, conditional_entropy
 from twjscc.rate_distortion import (
     InfeasibleDistortion,
+    _wz_candidates,
     blahut_arimoto,
     rd_curve,
     rd_function,
@@ -144,6 +148,29 @@ class TestWzFunction:
             src = tw.JointSource(sa, sa, tw.JointPmf((sa, sa), law))
             res = wz_function(src, 1, tw.hamming(sa), 0.0)
             assert res.rate == pytest.approx(conditional_entropy(src.law, 0, 1), abs=1e-3)
+
+
+class TestWzCandidates:
+    @staticmethod
+    def loop_candidates(base_rows, lattice, alpha):
+        # one lattice point per source row, combinations in itertools.product order
+        local = [(1.0 - alpha) * row[None, :] + alpha * lattice for row in base_rows]
+        combos = list(itertools.product(range(len(lattice)), repeat=len(base_rows)))
+        out = np.empty((len(combos), len(base_rows), lattice.shape[1]))
+        for i, combo in enumerate(combos):
+            for s, j in enumerate(combo):
+                out[i, s] = local[s][j]
+        return out
+
+    @pytest.mark.parametrize("nt, levels, ns", [(3, 15, 2), (3, 8, 2), (4, 5, 3), (2, 7, 1)])
+    def test_matches_loop_reference_bit_for_bit(self, nt, levels, ns):
+        rng = np.random.default_rng(levels)
+        lattice = _simplex_lattice(nt, levels)
+        base = rng.dirichlet(np.ones(nt), size=ns)
+        for alpha in (1.0, 0.1, 0.01):
+            got = _wz_candidates(base, lattice, alpha)
+            assert np.array_equal(got, self.loop_candidates(base, lattice, alpha))
+            assert got.flags.c_contiguous
 
 
 class TestWzCurve:
