@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import serialization as ser
 from .conditions import eval_adaptive, eval_hybrid, eval_sscc, shannon_nonadaptive_bound, wz_scheme_rate
 from .models import hamming
-from .rate_distortion import InfeasibleDistortion, rd_curve, rd_function, wz_function
+from .rate_distortion import InfeasibleDistortion, rd_curve, rd_function, wz_curve, wz_function
 from .region import convexify, search_region, uncoded_configuration
 from .probability import JointPmf, marginalize
 from .simulate import SimParams, run_simulation
@@ -142,6 +142,19 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _emit_curve(curve, out: str | None) -> int:
+    """Print a rate-distortion curve as CSV, and write it to `out` if given."""
+    rows = [
+        [dd, rr, it, res]
+        for (dd, rr), it, res in zip(curve.points, curve.iterations, curve.residuals)
+    ]
+    text = _csv_text(["D", "R", "iterations", "residual"], rows)
+    if out:
+        ser.write_atomic(out, text)
+    print(text)
+    return 0
+
+
 def _marginal_pmf(src, which: int) -> JointPmf:
     return marginalize(src.law, (0,) if which == 1 else (1,))
 
@@ -205,17 +218,7 @@ def execute(spec: RunSpec) -> int:
         marg = _marginal_pmf(src, opt["which"])
         d = ser.resolve_distortion(opt["dist"], marg.axes[0])
         if opt.get("curve"):
-            grid = [float(x) for x in opt["curve"].split(",")]
-            curve = rd_curve(marg, d, grid)
-            rows = [
-                [dd, rr, it, res]
-                for (dd, rr), it, res in zip(curve.points, curve.iterations, curve.residuals)
-            ]
-            text = _csv_text(["D", "R", "iterations", "residual"], rows)
-            if opt.get("out"):
-                ser.write_atomic(opt["out"], text)
-            print(text)
-            return 0
+            return _emit_curve(rd_curve(marg, d, opt["curve"].split(",")), opt.get("out"))
         if opt.get("D") is None:
             raise ValueError("rd needs --D or --curve")
         rate = rd_function(marg, d, opt["D"])
@@ -228,19 +231,7 @@ def execute(spec: RunSpec) -> int:
         alpha = src.s1 if which == 1 else src.s2
         d = ser.resolve_distortion(opt["dist"], alpha)
         if opt.get("curve"):
-            from .rate_distortion import wz_curve
-
-            grid = [float(x) for x in opt["curve"].split(",")]
-            curve = wz_curve(src, which, d, grid)
-            rows = [
-                [dd, rr, it, res]
-                for (dd, rr), it, res in zip(curve.points, curve.iterations, curve.residuals)
-            ]
-            text = _csv_text(["D", "R", "iterations", "residual"], rows)
-            if opt.get("out"):
-                ser.write_atomic(opt["out"], text)
-            print(text)
-            return 0
+            return _emit_curve(wz_curve(src, which, d, opt["curve"].split(",")), opt.get("out"))
         if opt.get("D") is None:
             raise ValueError("wz-rd needs --D or --curve")
         res = wz_function(src, which, d, opt["D"])

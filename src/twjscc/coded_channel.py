@@ -16,19 +16,10 @@ import numpy as np
 from .models import JointSource, TwoWayChannel
 from .probability import Alphabet, ConditionalPmf, JointPmf
 
-# Axis order of a previous-block law: the two sources, the two codewords,
-# and the two flattened input/output pairs.
-PREV_AXES = ("prev_s1", "prev_s2", "prev_u1", "prev_u2", "prev_io1", "prev_io2")
-
 
 def io_index(x: np.ndarray | int, y: np.ndarray | int, y_size: int):
     """Flatten a channel (input, output) pair to one symbol."""
     return x * y_size + y
-
-
-def io_split(io: np.ndarray | int, y_size: int):
-    """Inverse of io_index: recover (x, y) from a flattened io symbol."""
-    return io // y_size, io % y_size
 
 
 def _check_table(name: str, table: np.ndarray, shape: tuple[int, ...], out_size: int) -> np.ndarray:
@@ -81,7 +72,7 @@ class Configuration:
                 raise ValueError(f"{nm} output alphabet does not match u")
         nio1, nio2 = self.io1_size, self.io2_size
         if self.prev_law is not None:
-            expect = (s1.size, s2.size, self.u1.size, self.u2.size, nio1, nio2)
+            expect = tuple(a.size for a in self.prev_axes)
             if self.prev_law.shape != expect:
                 raise ValueError(f"prev_law shape {self.prev_law.shape}, expected {expect}")
         object.__setattr__(
@@ -114,6 +105,20 @@ class Configuration:
     @property
     def io2_size(self) -> int:
         return self.x2.size * self.y2.size
+
+    @property
+    def prev_axes(self) -> tuple[Alphabet, ...]:
+        """Axes of a previous-block law, which are also the system chain's
+        state: the two sources, the two codewords and the two flattened
+        input/output pairs."""
+        return (
+            Alphabet(self.s1.size, "prev_s1"),
+            Alphabet(self.s2.size, "prev_s2"),
+            Alphabet(self.u1.size, "prev_u1"),
+            Alphabet(self.u2.size, "prev_u2"),
+            Alphabet(self.io1_size, "prev_io1"),
+            Alphabet(self.io2_size, "prev_io2"),
+        )
 
     def check_against(self, ch: TwoWayChannel, src: JointSource) -> None:
         """Raise when the configuration's alphabets disagree with a model pair."""
@@ -158,33 +163,10 @@ def coded_channel_law(cfg: Configuration, ch: TwoWayChannel) -> ConditionalPmf:
         raise ValueError("configuration input alphabets do not match channel")
     if cfg.y1.size != ch.y1.size or cfg.y2.size != ch.y2.size:
         raise ValueError("configuration output alphabets do not match channel")
-    shape10 = (
-        cfg.s1.size,
-        cfg.s2.size,
-        cfg.u1.size,
-        cfg.u2.size,
-        cfg.s1.size,
-        cfg.s2.size,
-        cfg.u1.size,
-        cfg.u2.size,
-        cfg.io1_size,
-        cfg.io2_size,
-    )
-    idx = np.indices(shape10, sparse=True)
+    given = (Alphabet(cfg.s1.size, "s1"), Alphabet(cfg.s2.size, "s2"), cfg.u1, cfg.u2) + cfg.prev_axes
+    idx = np.indices([a.size for a in given], sparse=True)
     x1 = cfg.f1[idx[0], idx[2], idx[4], idx[6], idx[8]]
     x2 = cfg.f2[idx[1], idx[3], idx[5], idx[7], idx[9]]
     x1, x2 = np.broadcast_arrays(x1, x2)
     probs = ch.law.probs[x1, x2]
-    given = (
-        Alphabet(shape10[0], "s1"),
-        Alphabet(shape10[1], "s2"),
-        cfg.u1,
-        cfg.u2,
-        Alphabet(shape10[4], "prev_s1"),
-        Alphabet(shape10[5], "prev_s2"),
-        Alphabet(shape10[6], "prev_u1"),
-        Alphabet(shape10[7], "prev_u2"),
-        Alphabet(shape10[8], "prev_io1"),
-        Alphabet(shape10[9], "prev_io2"),
-    )
     return ConditionalPmf(given, (ch.y1, ch.y2), probs)

@@ -20,7 +20,6 @@ from .coded_channel import Configuration
 from .markov import (
     build_chain,
     pair_marginal,
-    prev_axes_of,
     stationary_prev_law,
     stationary_vector,
 )
@@ -361,23 +360,12 @@ def embed_adaptive_scheme(scheme: AdaptiveChannelScheme) -> Configuration:
         raise ValueError("gamma table shapes do not match scheme alphabets")
     pu1 = ConditionalPmf((unit,), (scheme.v1,), scheme.pv1[None, :])
     pu2 = ConditionalPmf((unit,), (scheme.v2,), scheme.pv2[None, :])
-    prev = None
-    if scheme.prev_vw_law is not None:
-        expect = (nv1, nv2, nio1, nio2)
-        if scheme.prev_vw_law.shape != expect:
-            raise ValueError(f"prev_vw_law shape {scheme.prev_vw_law.shape}, expected {expect}")
-        axes = (
-            Alphabet(1, "prev_s1"), Alphabet(1, "prev_s2"),
-            Alphabet(nv1, "prev_u1"), Alphabet(nv2, "prev_u2"),
-            Alphabet(nio1, "prev_io1"), Alphabet(nio2, "prev_io2"),
-        )
-        prev = JointPmf(axes, scheme.prev_vw_law.probs.reshape(1, 1, nv1, nv2, nio1, nio2))
-    return Configuration(
+    cfg = Configuration(
         u1=scheme.v1,
         u2=scheme.v2,
         pu1_given_s1=pu1,
         pu2_given_s2=pu2,
-        prev_law=prev,
+        prev_law=None,
         f1=np.ascontiguousarray(scheme.gamma1[None, :, None, :, :]),
         f2=np.ascontiguousarray(scheme.gamma2[None, :, None, :, :]),
         g1=np.zeros((nv2, 1, nv1, 1, nv1, nio1, scheme.y1.size), dtype=np.int64),
@@ -389,6 +377,13 @@ def embed_adaptive_scheme(scheme: AdaptiveChannelScheme) -> Configuration:
         recon1=unit,
         recon2=unit,
     )
+    if scheme.prev_vw_law is None:
+        return cfg
+    expect = (nv1, nv2, nio1, nio2)
+    if scheme.prev_vw_law.shape != expect:
+        raise ValueError(f"prev_vw_law shape {scheme.prev_vw_law.shape}, expected {expect}")
+    prev = scheme.prev_vw_law.probs.reshape(1, 1, nv1, nv2, nio1, nio2)
+    return dataclasses.replace(cfg, prev_law=JointPmf(cfg.prev_axes, prev))
 
 
 def adaptive_scheme_stationary(scheme: AdaptiveChannelScheme, ch: TwoWayChannel) -> JointPmf:
@@ -525,7 +520,7 @@ def lift_sscc(
         recon1=wz1.shat,
         recon2=wz2.shat,
     )
-    prev = JointPmf(prev_axes_of(cfg), prev_probs)
+    prev = JointPmf(cfg.prev_axes, prev_probs)
     return dataclasses.replace(cfg, prev_law=prev)
 
 

@@ -4,9 +4,10 @@ The full per-block state has 14 components: the fresh (s1, s2, u1, u2),
 the previous block's (s, u) pairs, the previous flattened channel
 input/output pairs, and the current (x1, x2, y1, y2).  Because the
 previous-block components are verbatim copies of the prior step, the chain
-is represented internally on the reduced state (s1, s2, u1, u2, x1, x2,
-y1, y2); the 14-axis law is recovered as the law of two consecutive
-reduced states.
+is represented internally on the reduced state (s1, s2, u1, u2, io1, io2),
+laid out as a previous-block law (`Configuration.prev_axes`), so a
+stationary vector is that law raveled; the 14-axis law is recovered as the
+law of two consecutive reduced states.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .coded_channel import Configuration, fresh_law, io_index
+from .coded_channel import Configuration, fresh_law
 from .models import DistortionMeasure, JointSource, TwoWayChannel, decoder_distortion
 from .probability import Alphabet, JointPmf
 
@@ -40,8 +41,8 @@ class FactoredKernel:
     From the previous state `prev`, the fresh tuple `a` = (s1, s2, u1, u2)
     is drawn from `psu`, the inputs are fixed by the encoder tables as
     `x1n[prev, a]` and `x2n[prev, a]`, and the outputs are drawn from the
-    channel law, so the successor (a, x1, x2, y1, y2) has probability
-    psu[a] * chan[x1, x2, y1, y2].
+    channel law, so the successor (a, io1, io2) = (a, x1, y1, x2, y2) has
+    probability psu[a] * chan[x1, x2, y1, y2].
     """
 
     def __init__(self, x1n: np.ndarray, x2n: np.ndarray, psu: np.ndarray, chan: np.ndarray):
@@ -69,15 +70,16 @@ class FactoredKernel:
         nx1, nx2 = self.chan.shape[:2]
         w = np.bincount(self._cells, weights=(pi[:, None] * self.psu).ravel(),
                         minlength=self.psu.size * nx1 * nx2)
-        return (w.reshape(self.psu.size, nx1, nx2, 1, 1) * self.chan).ravel()
+        chan_io = self.chan.transpose(0, 2, 1, 3)  # (x1, y1, x2, y2)
+        return (w.reshape(self.psu.size, nx1, 1, nx2, 1) * chan_io).ravel()
 
     def dense(self) -> np.ndarray:
         """The (n_states, n_states) transition matrix."""
         n, na = self.x1n.shape
         nx1, nx2, ny1, ny2 = self.chan.shape
-        out = np.zeros((n, na, nx1, nx2, ny1 * ny2))
-        probs = self.psu[:, None] * self.chan[self.x1n, self.x2n].reshape(n, na, -1)
-        out[np.arange(n)[:, None], np.arange(na), self.x1n, self.x2n] = probs
+        out = np.zeros((n, na, nx1, ny1, nx2, ny2))
+        probs = self.psu[:, None, None] * self.chan[self.x1n, self.x2n]
+        out[np.arange(n)[:, None], np.arange(na), self.x1n, :, self.x2n] = probs
         return out.reshape(n, n)
 
 
@@ -88,7 +90,7 @@ class MarkovSystem:
     cfg: Configuration
     channel: TwoWayChannel
     source: JointSource
-    reduced_shape: tuple[int, ...]
+    reduced_shape: tuple[int, ...]  # (s1, s2, u1, u2, io1, io2), the prev_law shape
     kernel: FactoredKernel
     # cached by stationary_vector / solve_stationary
     reduced_stationary: np.ndarray | None = None
@@ -103,7 +105,7 @@ class MarkovSystem:
     @property
     def z_axes(self) -> tuple[Alphabet, ...]:
         c = self.cfg
-        return (c.s1, c.s2, c.u1, c.u2) + prev_axes_of(c) + (c.x1, c.x2, c.y1, c.y2)
+        return (c.s1, c.s2, c.u1, c.u2) + c.prev_axes + (c.x1, c.x2, c.y1, c.y2)
 
 
 def build_chain(
@@ -114,33 +116,33 @@ def build_chain(
 ) -> MarkovSystem:
     """Assemble the factored row-stochastic transition kernel.
 
-    From a state (s', u', x', y'), the successor draws a fresh (s, u) pair,
+    From a state (s', u', io'), the successor draws a fresh (s, u) pair,
     sets x_j deterministically through f_j fed with the copied previous
     components, and draws (y1, y2) from the channel.
     """
     cfg.check_against(ch, src)
-    fresh_shape = (cfg.s1.size, cfg.s2.size, cfg.u1.size, cfg.u2.size)
-    chan = ch.law.probs  # (nx1, nx2, ny1, ny2)
-    shape8 = fresh_shape + chan.shape
-    n_states = int(np.prod(shape8, dtype=np.int64))
+    state_shape = tuple(a.size for a in cfg.prev_axes)
+    n_states = int(np.prod(state_shape, dtype=np.int64))
     if n_states > state_cap:
         raise ValueError(f"state space of {n_states} reduced states exceeds cap {state_cap}")
-    psu = fresh_law(cfg, src).reshape(-1)
+    chan = ch.law.probs  # (nx1, nx2, ny1, ny2)
+    fresh = fresh_law(cfg, src)
+    psu = fresh.reshape(-1)
 
     # (n_states, fresh tuples) tables of the deterministic channel inputs,
     # previous state along the rows.  The state index is unraveled 1-D:
     # numpy 2.4.6 unravels a large (n, 1) index wrongly (seen at n = 12288).
-    prev = np.unravel_index(np.arange(n_states), shape8)
-    s1p, s2p, u1p, u2p, x1p, x2p, y1p, y2p = (c[:, None] for c in prev)
-    s1a, s2a, u1a, u2a = np.unravel_index(np.arange(psu.size), fresh_shape)
-    x1n = cfg.f1[s1a, u1a, s1p, u1p, io_index(x1p, y1p, chan.shape[2])]
-    x2n = cfg.f2[s2a, u2a, s2p, u2p, io_index(x2p, y2p, chan.shape[3])]
+    prev = np.unravel_index(np.arange(n_states), state_shape)
+    s1p, s2p, u1p, u2p, io1p, io2p = (c[:, None] for c in prev)
+    s1a, s2a, u1a, u2a = np.unravel_index(np.arange(psu.size), fresh.shape)
+    x1n = cfg.f1[s1a, u1a, s1p, u1p, io1p]
+    x2n = cfg.f2[s2a, u2a, s2p, u2p, io2p]
 
     row_sums = chan.sum(axis=(2, 3))[x1n, x2n] @ psu
     if np.any(np.abs(row_sums - 1.0) > 1e-12):
         raise AssertionError("kernel rows failed to normalize")
 
-    return MarkovSystem(cfg, ch, src, shape8, FactoredKernel(x1n, x2n, psu, chan))
+    return MarkovSystem(cfg, ch, src, state_shape, FactoredKernel(x1n, x2n, psu, chan))
 
 
 def _null_space_solve(kernel, hint: np.ndarray):
@@ -220,13 +222,13 @@ def _solve_stationary(kernel, tol: float, target: float, max_iter: int):
 def solve_stationary(sys: MarkovSystem) -> np.ndarray:
     """Solve the chain from the uniform start, ignoring any prev_law.
 
-    Negative solver noise is clipped and the vector renormalized on the
-    previous-block axes, so the law built from it is exactly normalized.
-    The vector and the solver diagnostics are cached on `sys`.
+    Negative solver noise is clipped and the vector renormalized, so the
+    previous-block law read from it is exactly normalized.  The vector and
+    the solver diagnostics are cached on `sys`.
     """
     pi, res, unique, it = _solve_stationary(sys.kernel, RESIDUAL_TOL, SOLVE_TARGET, SOLVE_MAX_ITER)
-    prev = np.clip(reduced_to_prev(sys, pi), 0.0, None)
-    sys.reduced_stationary = prev_to_reduced(sys.reduced_shape, prev / prev.sum())
+    pi = np.clip(pi, 0.0, None)
+    sys.reduced_stationary = pi / pi.sum()
     sys.residual = res
     sys.stationary_unique = unique
     sys.iterations = it
@@ -236,16 +238,16 @@ def solve_stationary(sys: MarkovSystem) -> np.ndarray:
 def stationary_vector(sys: MarkovSystem) -> tuple[np.ndarray, float]:
     """The system's stationary reduced-state vector and its L1 residual.
 
-    With a prev_law in the configuration the vector is that law, whatever
-    its residual: each caller decides which residual it accepts.  Without
-    one the chain is solved (see solve_stationary).  Both are cached on
-    `sys`, and a vector already solved there is reused.
+    With a prev_law in the configuration the vector is that law raveled,
+    whatever its residual: each caller decides which residual it accepts.
+    Without one the chain is solved (see solve_stationary).  Both are
+    cached on `sys`, and a vector already solved there is reused.
     """
     if sys.reduced_stationary is None:
         if sys.cfg.prev_law is None:
             solve_stationary(sys)
         else:
-            pi = prev_to_reduced(sys.reduced_shape, sys.cfg.prev_law.probs)
+            pi = sys.cfg.prev_law.probs.reshape(-1)
             sys.reduced_stationary, sys.residual = pi, _residual(sys.kernel, pi)
     return sys.reduced_stationary, sys.residual
 
@@ -263,11 +265,11 @@ def pair_law(sys: MarkovSystem, pi_reduced: np.ndarray) -> JointPmf:
         )
     pair = sys.kernel.dense()
     pair *= pi_reduced[:, None]
-    t = pair.reshape(sys.reduced_shape * 2)
-    # prev axes 0..7 = (s1', s2', u1', u2', x1', x2', y1', y2'); cur axes 8..15.
-    perm = (8, 9, 10, 11, 0, 1, 2, 3, 4, 6, 5, 7, 12, 13, 14, 15)
-    t = np.ascontiguousarray(np.transpose(t, perm))
-    return JointPmf(sys.z_axes, t.reshape([a.size for a in sys.z_axes]))
+    nx1, nx2, ny1, ny2 = sys.kernel.chan.shape
+    t = pair.reshape(sys.reduced_shape + sys.reduced_shape[:4] + (nx1, ny1, nx2, ny2))
+    # previous state on axes 0..5, current (s1, s2, u1, u2, x1, y1, x2, y2) on 6..13
+    perm = (6, 7, 8, 9, 0, 1, 2, 3, 4, 5, 10, 12, 11, 13)
+    return JointPmf(sys.z_axes, np.ascontiguousarray(np.transpose(t, perm)))
 
 
 def pair_marginal(sys: MarkovSystem, pi_reduced: np.ndarray, keep: tuple[int, ...]) -> JointPmf:
@@ -282,12 +284,10 @@ def pair_marginal(sys: MarkovSystem, pi_reduced: np.ndarray, keep: tuple[int, ..
     if len(set(keep)) != len(keep) or not set(keep) <= set(range(14)):
         raise ValueError(f"state axes {keep} repeat or lie outside 0..13")
     kern = sys.kernel
-    shape8 = sys.reduced_shape
-    nx1, nx2, ny1, ny2 = shape8[4:]
-    grid = shape8 + shape8[:4]  # previous reduced state, then the fresh tuple
+    nx1, nx2 = kern.chan.shape[:2]
+    grid = sys.reduced_shape + sys.reduced_shape[:4]  # previous state, then the fresh tuple
     g = np.indices(grid, sparse=True)
-    # coordinates of Z axes 0..9 on the grid: fresh, previous (s, u), previous io
-    coords = g[8:] + g[:4] + (g[4] * ny1 + g[6], g[5] * ny2 + g[7])
+    coords = g[6:] + g[:6]  # coordinates of Z axes 0..9 on the grid
     axes = sys.z_axes
     current = (10, 11, 12, 13)  # x1, x2, y1, y2 of the current state
     outer = [k for k in keep if k not in current]
@@ -308,34 +308,6 @@ def pair_marginal(sys: MarkovSystem, pi_reduced: np.ndarray, keep: tuple[int, ..
     return JointPmf(tuple(axes[k] for k in keep), probs)
 
 
-def reduced_to_prev(sys_or_shape, reduced: np.ndarray) -> np.ndarray:
-    """Reshape a reduced-state law into previous-block axes (s, u, io pairs)."""
-    shape8 = sys_or_shape.reduced_shape if isinstance(sys_or_shape, MarkovSystem) else sys_or_shape
-    ns1, ns2, nu1, nu2, nx1, nx2, ny1, ny2 = shape8
-    t = reduced.reshape(shape8)
-    t = np.ascontiguousarray(np.transpose(t, (0, 1, 2, 3, 4, 6, 5, 7)))
-    return t.reshape(ns1, ns2, nu1, nu2, nx1 * ny1, nx2 * ny2)
-
-
-def prev_to_reduced(shape8: tuple[int, ...], prev: np.ndarray) -> np.ndarray:
-    """Inverse of reduced_to_prev; returns a flat reduced-state vector."""
-    ns1, ns2, nu1, nu2, nx1, nx2, ny1, ny2 = shape8
-    t = prev.reshape(ns1, ns2, nu1, nu2, nx1, ny1, nx2, ny2)
-    t = np.transpose(t, (0, 1, 2, 3, 4, 6, 5, 7))
-    return np.ascontiguousarray(t).reshape(-1)
-
-
-def prev_axes_of(cfg: Configuration) -> tuple[Alphabet, ...]:
-    return (
-        Alphabet(cfg.s1.size, "prev_s1"),
-        Alphabet(cfg.s2.size, "prev_s2"),
-        Alphabet(cfg.u1.size, "prev_u1"),
-        Alphabet(cfg.u2.size, "prev_u2"),
-        Alphabet(cfg.io1_size, "prev_io1"),
-        Alphabet(cfg.io2_size, "prev_io2"),
-    )
-
-
 def stationary_distribution(sys: MarkovSystem) -> JointPmf:
     """Stationary 14-axis state law (see stationary_vector)."""
     return pair_law(sys, stationary_vector(sys)[0])
@@ -346,11 +318,11 @@ def stationary_prev_law(cfg: Configuration, ch: TwoWayChannel, src: JointSource)
 
     Only the codeword conditionals and the f tables of `cfg` matter; any
     prev_law already present is ignored.  The result is the reduced chain's
-    fixed point reached from the uniform start, reshaped onto the
-    previous-block axes.
+    fixed point reached from the uniform start, which is laid out on the
+    previous-block axes already.
     """
     sys = build_chain(cfg, ch, src)
-    return JointPmf(prev_axes_of(cfg), reduced_to_prev(sys, solve_stationary(sys)))
+    return JointPmf(cfg.prev_axes, solve_stationary(sys).reshape(sys.reduced_shape))
 
 
 def _residual(kernel, pi: np.ndarray) -> float:
@@ -363,7 +335,7 @@ def prev_law_residual(sys: MarkovSystem, prev_law: JointPmf | None = None) -> fl
     law = prev_law if prev_law is not None else sys.cfg.prev_law
     if law is None:
         raise ValueError("no previous-block law supplied")
-    return _residual(sys.kernel, prev_to_reduced(sys.reduced_shape, law.probs))
+    return _residual(sys.kernel, law.probs.reshape(-1))
 
 
 # Z-axis index groups used by evaluators and the reconstruction path.

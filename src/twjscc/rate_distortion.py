@@ -143,19 +143,24 @@ class RdCurve:
     residuals: tuple[float, ...]
 
 
-def rd_curve(source, d: DistortionMeasure, d_grid) -> RdCurve:
-    """Pointwise curve with isotonic clipping of floating-point bumps."""
-    grid = sorted(float(x) for x in d_grid)
+def _isotonic_curve(d_grid, point) -> RdCurve:
+    """Curve over the sorted grid, each rate clipped to the one before it
+    to remove floating-point bumps; `point(target)` returns (rate,
+    iterations, residual)."""
     pts, its, ress = [], [], []
-    prev_rate = np.inf
-    for target in grid:
-        rate, it, res = _rd_point(source, d, target)
-        rate = min(rate, prev_rate)
-        prev_rate = rate
+    rate = np.inf
+    for target in sorted(float(x) for x in d_grid):
+        r, it, res = point(target)
+        rate = min(r, rate)
         pts.append((target, rate))
         its.append(it)
         ress.append(res)
     return RdCurve(tuple(pts), tuple(its), tuple(ress))
+
+
+def rd_curve(source, d: DistortionMeasure, d_grid) -> RdCurve:
+    """Pointwise curve with isotonic clipping of floating-point bumps."""
+    return _isotonic_curve(d_grid, lambda target: _rd_point(source, d, target))
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +294,9 @@ def wz_curve(
     d_grid,
     **kwargs,
 ) -> RdCurve:
-    grid = sorted(float(x) for x in d_grid)
-    pts, its, ress = [], [], []
-    prev_rate = np.inf
-    for target in grid:
+    """Wyner-Ziv curve with the isotonic clipping of rd_curve."""
+    def point(target):
         res = wz_function(src, which, d, target, **kwargs)
-        rate = min(res.rate, prev_rate)
-        prev_rate = rate
-        pts.append((target, rate))
-        its.append(res.evaluations)
-        ress.append(abs(res.distortion - target))
-    return RdCurve(tuple(pts), tuple(its), tuple(ress))
+        return res.rate, res.evaluations, abs(res.distortion - target)
+
+    return _isotonic_curve(d_grid, point)

@@ -8,6 +8,7 @@ index convention used by the in-memory tables).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -93,17 +94,14 @@ def _load(path: str, kind: str) -> dict:
     return doc
 
 
-def channel_doc(ch: TwoWayChannel) -> dict:
-    return {
+def save_channel(ch: TwoWayChannel, path: str | None = None) -> str:
+    doc = {
         "version": VERSION,
         "kind": "channel",
         "x1": ch.x1.size, "x2": ch.x2.size, "y1": ch.y1.size, "y2": ch.y2.size,
         "law": ch.law.probs.tolist(),
     }
-
-
-def save_channel(ch: TwoWayChannel, path: str | None = None) -> str:
-    return _dump(channel_doc(ch), path)
+    return _dump(doc, path)
 
 
 def load_channel(path: str) -> TwoWayChannel:
@@ -114,17 +112,14 @@ def load_channel(path: str) -> TwoWayChannel:
     return TwoWayChannel(x1, x2, y1, y2, law)
 
 
-def source_doc(src: JointSource) -> dict:
-    return {
+def save_source(src: JointSource, path: str | None = None) -> str:
+    doc = {
         "version": VERSION,
         "kind": "source",
         "s1": src.s1.size, "s2": src.s2.size,
         "law": src.law.probs.tolist(),
     }
-
-
-def save_source(src: JointSource, path: str | None = None) -> str:
-    return _dump(source_doc(src), path)
+    return _dump(doc, path)
 
 
 def load_source(path: str) -> JointSource:
@@ -133,18 +128,15 @@ def load_source(path: str) -> JointSource:
     return JointSource(s1, s2, JointPmf((s1, s2), np.asarray(doc["law"], dtype=np.float64)))
 
 
-def distortion_doc(d: DistortionMeasure) -> dict:
-    return {
+def save_distortion(d: DistortionMeasure, path: str | None = None) -> str:
+    doc = {
         "version": VERSION,
         "kind": "distortion",
         "source": d.source_alphabet.size,
         "recon": d.recon_alphabet.size,
         "table": d.table.tolist(),
     }
-
-
-def save_distortion(d: DistortionMeasure, path: str | None = None) -> str:
-    return _dump(distortion_doc(d), path)
+    return _dump(doc, path)
 
 
 def load_distortion(path: str) -> DistortionMeasure:
@@ -156,10 +148,10 @@ def load_distortion(path: str) -> DistortionMeasure:
     )
 
 
-def configuration_doc(cfg: Configuration) -> dict:
+def save_configuration(cfg: Configuration, path: str | None = None) -> str:
     if cfg.prev_law is None:
         raise ValueError("cannot serialize a configuration without its previous-block law")
-    return {
+    doc = {
         "version": VERSION,
         "kind": "configuration",
         "s1": cfg.s1.size, "s2": cfg.s2.size,
@@ -175,10 +167,7 @@ def configuration_doc(cfg: Configuration) -> dict:
         "g1": cfg.g1.ravel().tolist(),
         "g2": cfg.g2.ravel().tolist(),
     }
-
-
-def save_configuration(cfg: Configuration, path: str | None = None) -> str:
-    return _dump(configuration_doc(cfg), path)
+    return _dump(doc, path)
 
 
 def load_configuration(path: str) -> Configuration:
@@ -188,20 +177,16 @@ def load_configuration(path: str) -> Configuration:
     x1, x2 = Alphabet(doc["x1"], "x1"), Alphabet(doc["x2"], "x2")
     y1, y2 = Alphabet(doc["y1"], "y1"), Alphabet(doc["y2"], "y2")
     nio1, nio2 = x1.size * y1.size, x2.size * y2.size
-    prev_axes = (
-        Alphabet(s1.size, "prev_s1"), Alphabet(s2.size, "prev_s2"),
-        Alphabet(u1.size, "prev_u1"), Alphabet(u2.size, "prev_u2"),
-        Alphabet(nio1, "prev_io1"), Alphabet(nio2, "prev_io2"),
-    )
+
     def table(key, shape):
         return np.asarray(doc[key], dtype=np.int64).reshape(shape)
 
-    return Configuration(
+    cfg = Configuration(
         u1=u1,
         u2=u2,
         pu1_given_s1=ConditionalPmf((s1,), (u1,), np.asarray(doc["pu1_given_s1"], dtype=np.float64)),
         pu2_given_s2=ConditionalPmf((s2,), (u2,), np.asarray(doc["pu2_given_s2"], dtype=np.float64)),
-        prev_law=JointPmf(prev_axes, np.asarray(doc["prev_law"], dtype=np.float64)),
+        prev_law=None,
         f1=table("f1", (s1.size, u1.size, s1.size, u1.size, nio1)),
         f2=table("f2", (s2.size, u2.size, s2.size, u2.size, nio2)),
         g1=table("g1", (u2.size, s1.size, u1.size, s1.size, u1.size, nio1, y1.size)),
@@ -210,10 +195,12 @@ def load_configuration(path: str) -> Configuration:
         recon1=Alphabet(doc["recon1"], "recon1"),
         recon2=Alphabet(doc["recon2"], "recon2"),
     )
+    prev = JointPmf(cfg.prev_axes, np.asarray(doc["prev_law"], dtype=np.float64))
+    return dataclasses.replace(cfg, prev_law=prev)
 
 
-def hybrid_doc(hs: HybridScheme) -> dict:
-    return {
+def save_hybrid_scheme(hs: HybridScheme, path: str | None = None) -> str:
+    doc = {
         "version": VERSION,
         "kind": "hybrid_scheme",
         "s1": hs.s1.size, "s2": hs.s2.size,
@@ -227,10 +214,7 @@ def hybrid_doc(hs: HybridScheme) -> dict:
         "g1": np.asarray(hs.g1).ravel().tolist(),
         "g2": np.asarray(hs.g2).ravel().tolist(),
     }
-
-
-def save_hybrid_scheme(hs: HybridScheme, path: str | None = None) -> str:
-    return _dump(hybrid_doc(hs), path)
+    return _dump(doc, path)
 
 
 def load_hybrid_scheme(path: str) -> HybridScheme:
@@ -249,7 +233,7 @@ def load_hybrid_scheme(path: str) -> HybridScheme:
     )
 
 
-def adaptive_scheme_doc(scheme: AdaptiveChannelScheme) -> dict:
+def save_adaptive_scheme(scheme: AdaptiveChannelScheme, path: str | None = None) -> str:
     doc = {
         "version": VERSION,
         "kind": "adaptive_scheme",
@@ -263,11 +247,7 @@ def adaptive_scheme_doc(scheme: AdaptiveChannelScheme) -> dict:
     }
     if scheme.prev_vw_law is not None:
         doc["prev_vw_law"] = scheme.prev_vw_law.probs.tolist()
-    return doc
-
-
-def save_adaptive_scheme(scheme: AdaptiveChannelScheme, path: str | None = None) -> str:
-    return _dump(adaptive_scheme_doc(scheme), path)
+    return _dump(doc, path)
 
 
 def load_adaptive_scheme(path: str) -> AdaptiveChannelScheme:
@@ -294,8 +274,8 @@ def load_adaptive_scheme(path: str) -> AdaptiveChannelScheme:
     )
 
 
-def wz_scheme_doc(scheme: WZScheme) -> dict:
-    return {
+def save_wz_scheme(scheme: WZScheme, path: str | None = None) -> str:
+    doc = {
         "version": VERSION,
         "kind": "wz_scheme",
         "s": scheme.p_t_given_s.given_axes[0].size,
@@ -305,10 +285,7 @@ def wz_scheme_doc(scheme: WZScheme) -> dict:
         "p_t_given_s": scheme.p_t_given_s.probs.tolist(),
         "h": np.asarray(scheme.h).ravel().tolist(),
     }
-
-
-def save_wz_scheme(scheme: WZScheme, path: str | None = None) -> str:
-    return _dump(wz_scheme_doc(scheme), path)
+    return _dump(doc, path)
 
 
 def load_wz_scheme(path: str) -> WZScheme:

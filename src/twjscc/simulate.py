@@ -22,6 +22,9 @@ from .markov import build_chain, pair_law, stationary_vector
 from .models import DistortionMeasure, JointSource, TwoWayChannel
 from .probability import marginalize, typical_count_bounds
 
+MAX_CODEBOOK = 2 ** 16  # largest codebook a simulation may draw
+MAX_N = 1024  # longest block length
+
 
 def codebook_size(n: int, rate: float) -> int:
     """Number of codewords for a block length and rate: 2^ceil(n * rate)."""
@@ -41,22 +44,20 @@ class SimParams:
     seed: int = 0
     trials: int = 1
     freeze_boundary: bool = False  # reuse one init/termination draw across trials
-    max_codebook: int = 2 ** 16
-    max_n: int = 1024
 
     def __post_init__(self):
         if not (self.eps > self.eps1 > 0):
             raise ValueError("need eps > eps1 > 0")
-        if not 1 <= self.n <= self.max_n:
-            raise ValueError(f"block length must be in [1, {self.max_n}]")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"block length must be in [1, {MAX_N}]")
         if self.blocks < 1 or self.trials < 1:
             raise ValueError("blocks and trials must be >= 1")
         if self.rate1 < 0 or self.rate2 < 0:
             raise ValueError("rates must be nonnegative")
         for r in (self.rate1, self.rate2):
             m = codebook_size(self.n, r)
-            if m > self.max_codebook:
-                raise ValueError(f"codebook size {m} exceeds cap {self.max_codebook}")
+            if m > MAX_CODEBOOK:
+                raise ValueError(f"codebook size {m} exceeds cap {MAX_CODEBOOK}")
             if m * self.n > 2 ** 26:
                 raise ValueError("codebook size times block length exceeds the work cap")
 
@@ -262,7 +263,7 @@ class SimContext:
     def sample_channel(self, rng, x1, x2):
         rows = self.chan_cdf[x1 * self.ch.x2.size + x2]
         r = rng.random(len(x1))
-        y_flat = (rows < r[:, None]).sum(axis=1)
+        y_flat = (rows <= r[:, None]).sum(axis=1)
         return y_flat // self.ch.y2.size, y_flat % self.ch.y2.size
 
 

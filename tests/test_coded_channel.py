@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import twjscc as tw
-from twjscc.coded_channel import coded_channel_law, input_law, io_index, io_split
+from twjscc.coded_channel import coded_channel_law, input_law
 from twjscc.probability import conditional_mutual_information, marginalize, mutual_information
 from twjscc.region import uncoded_configuration
 
@@ -15,13 +15,6 @@ def bmc_uncoded():
     src = tw.preset_example2_source()
     d = tw.hamming(src.s1)
     return ch, src, uncoded_configuration(ch, src, d, d)
-
-
-class TestIoIndexing:
-    def test_round_trip(self):
-        for x in range(3):
-            for y in range(4):
-                assert io_split(io_index(x, y, 4), 4) == (x, y)
 
 
 class TestCodedChannelLaw:

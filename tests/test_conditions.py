@@ -18,7 +18,7 @@ from twjscc.conditions import (
     shannon_nonadaptive_bound,
     wz_scheme_rate,
 )
-from twjscc.markov import build_chain, pair_marginal, prev_to_reduced, reconstruction_distortions
+from twjscc.markov import build_chain, pair_marginal, reconstruction_distortions
 from twjscc.probability import Alphabet, ConditionalPmf, binary_entropy, mutual_information
 from twjscc.region import uncoded_configuration
 
@@ -128,7 +128,7 @@ class TestLiftHybrid:
             hyb = eval_hybrid(hs, ch, src, d, d)
             cfg = lift_hybrid(hs, ch, src)
             sys = build_chain(cfg, ch, src)
-            pi = prev_to_reduced(sys.reduced_shape, cfg.prev_law.probs)
+            pi = cfg.prev_law.probs.ravel()
             lifted = reconstruction_distortions(sys, d, d, pi_reduced=pi)
             assert lifted[0] == pytest.approx(hyb.distortions[0], abs=1e-9)
             assert lifted[1] == pytest.approx(hyb.distortions[1], abs=1e-9)
@@ -156,7 +156,7 @@ class TestLiftHybrid:
             hs = random_hybrid_scheme(rng, src, ch, d, d)
             cfg = lift_hybrid(hs, ch, src)
             sys = build_chain(cfg, ch, src)
-            pi = prev_to_reduced(sys.reduced_shape, cfg.prev_law.probs)
+            pi = cfg.prev_law.probs.ravel()
             marg = pair_marginal(sys, pi, (4, 5, 6, 7, 10, 11, 12, 13)).probs
             want = one_shot_hybrid_law(hs, ch, src).probs
             assert np.abs(marg - want).sum() <= 1e-9
@@ -188,7 +188,7 @@ class TestEvalAdaptive:
         d = tw.hamming(src.s1)
         cfg = lift_hybrid(random_hybrid_scheme(rng, src, ch, d, d), ch, src)
         sys = build_chain(cfg, ch, src)
-        pi = prev_to_reduced(sys.reduced_shape, cfg.prev_law.probs)
+        pi = cfg.prev_law.probs.ravel()
         groups = [(13,), (11, 13), (5, 7, 11, 13), (1, 3, 5, 7, 9, 11, 13)]
         vals = []
         for g in groups:
@@ -303,7 +303,7 @@ class TestSeparateCoding:
         wz2 = random_wz_scheme(rng, src, 2)
         cfg = lift_sscc(scheme, wz1, wz2, src)
         sys = build_chain(cfg, ch, src)
-        pi = prev_to_reduced(sys.reduced_shape, cfg.prev_law.probs)
+        pi = cfg.prev_law.probs.ravel()
         lifted = reconstruction_distortions(sys, d, d, pi_reduced=pi)
         # expected: E[d(S1, h(S2, T1))] under the one-shot law, and mirrored
         def expected(wz, which):

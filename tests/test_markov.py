@@ -11,9 +11,7 @@ from twjscc.markov import (
     check_configuration,
     pair_marginal,
     prev_law_residual,
-    prev_to_reduced,
     reconstruction_distortions,
-    reduced_to_prev,
     solve_stationary,
     stationary_distribution,
     stationary_prev_law,
@@ -72,12 +70,11 @@ class TestKernel:
         src = tw.preset_independent_bernoulli(0.89, 0.89)
         cfg = random_configuration(rng, ch, src)
         sys = build_chain(cfg, ch, src)
-        ny1, ny2 = ch.y1.size, ch.y2.size
         for prev in rng.choice(sys.n_states, size=300, replace=False):
-            s1p, s2p, u1p, u2p, x1p, x2p, y1p, y2p = np.unravel_index(prev, sys.reduced_shape)
+            s1p, s2p, u1p, u2p, io1p, io2p = np.unravel_index(prev, sys.reduced_shape)
             for a, (s1, s2, u1, u2) in enumerate(np.ndindex(2, 2, 2, 2)):
-                assert sys.kernel.x1n[prev, a] == cfg.f1[s1, u1, s1p, u1p, x1p * ny1 + y1p]
-                assert sys.kernel.x2n[prev, a] == cfg.f2[s2, u2, s2p, u2p, x2p * ny2 + y2p]
+                assert sys.kernel.x1n[prev, a] == cfg.f1[s1, u1, s1p, u1p, io1p]
+                assert sys.kernel.x2n[prev, a] == cfg.f2[s2, u2, s2p, u2p, io2p]
 
     def test_state_cap_enforced(self, bmc_setup):
         ch, src, d = bmc_setup
@@ -93,7 +90,7 @@ class TestKernel:
         sys = build_chain(cfg, ch, src)
         pi = solve_stationary(sys)
         prev_curr = pair_marginal(sys, pi, (4, 5, 6, 7, 8, 9)).probs
-        assert np.allclose(prev_curr, reduced_to_prev(sys, pi), atol=1e-12)
+        assert np.allclose(prev_curr, pi.reshape(sys.reduced_shape), atol=1e-12)
 
 
 class TestStationary:
@@ -110,7 +107,7 @@ class TestStationary:
             for s2 in range(2):
                 x1, x2 = s1, s2
                 y = x1 * x2
-                expected[s1, s2, 0, 0, x1, x2, y, y] += psu[s1, s2, 0, 0]
+                expected[s1, s2, 0, 0, x1 * 2 + y, x2 * 2 + y] += psu[s1, s2, 0, 0]
         assert np.abs(pi - expected.reshape(-1)).sum() <= 1e-12
 
     def test_single_state_chain(self):
@@ -150,15 +147,27 @@ class TestStationary:
         pi, res = stationary_vector(solved)
         prev = stationary_prev_law(cfg, ch, src)
         assert res <= 1e-10 and np.all(pi >= 0)
-        assert np.array_equal(reduced_to_prev(solved, pi), prev.probs)
+        assert np.array_equal(pi.reshape(prev.shape), prev.probs)
         assert stationary_vector(solved)[0] is pi
         # a supplied law is returned as is, with its residual, stationary or not
         law = np.full(pi.shape, 1.0 / pi.size)
-        cfg = dataclasses.replace(cfg, prev_law=JointPmf(prev.axes, reduced_to_prev(solved, law)))
+        cfg = dataclasses.replace(cfg, prev_law=JointPmf(prev.axes, law.reshape(prev.shape)))
         given = build_chain(cfg, ch, src)
         pi, res = stationary_vector(given)
         assert np.array_equal(pi, law)
         assert res == prev_law_residual(given) > 1e-3
+
+    def test_state_layout_is_prev_law(self):
+        # the chain's states are the cells of the previous-block law
+        rng = np.random.default_rng(5)
+        ch = random_binary_channel(rng)
+        src = random_joint_source(rng)
+        cfg = random_configuration(rng, ch, src, 1, 2)
+        cfg = dataclasses.replace(cfg, prev_law=stationary_prev_law(cfg, ch, src))
+        sys = build_chain(cfg, ch, src)
+        assert sys.reduced_shape == cfg.prev_law.shape
+        assert np.array_equal(stationary_vector(sys)[0], cfg.prev_law.probs.ravel())
+        assert sys.z_axes[4:10] == cfg.prev_law.axes == cfg.prev_axes
 
     def test_full_state_law_round_trip(self, bmc_setup):
         ch, src, d = bmc_setup
@@ -255,7 +264,7 @@ class TestStationaryPrevLaw:
             sys = build_chain(cfg, ch, src)
             assert prev_law_residual(sys) <= 1e-10
             # the stationary previous-block marginal reproduces the law itself
-            pi = prev_to_reduced(sys.reduced_shape, prev.probs)
+            pi = prev.probs.ravel()
             marg = pair_marginal(sys, pi, (4, 5, 6, 7, 8, 9)).probs
             assert np.abs(marg - prev.probs).sum() <= 1e-9
 
@@ -298,7 +307,7 @@ class TestReconstruction:
         ch, src, d = bmc_setup
         cfg = uncoded_configuration(ch, src, d, d)
         sys = build_chain(cfg, ch, src)
-        pi = prev_to_reduced(sys.reduced_shape, cfg.prev_law.probs)
+        pi = cfg.prev_law.probs.ravel()
         assert reconstruction_distortions(sys, d, d, pi_reduced=pi) == (0.0, 0.0)
 
     def test_constant_reconstruction_distortion(self, bmc_setup):
@@ -310,7 +319,7 @@ class TestReconstruction:
             g2=np.zeros_like(cfg.g2),
         )
         sys = build_chain(cz, ch, src)
-        pi = prev_to_reduced(sys.reduced_shape, cz.prev_law.probs)
+        pi = cz.prev_law.probs.ravel()
         dist = reconstruction_distortions(sys, d, d, pi_reduced=pi)
         # constant guess 0 misses whenever the previous source letter is 1
         assert dist[0] == pytest.approx(2 / 3, abs=1e-12)

@@ -37,18 +37,18 @@ def systems(draw):
 def loop_kernel(sys):
     """The transition matrix by explicit loops over (state, fresh tuple, y1, y2)."""
     cfg, chan = sys.cfg, sys.channel.law.probs
-    shape8 = sys.reduced_shape
-    ny1, ny2 = shape8[6], shape8[7]
+    shape = sys.reduced_shape
+    ny1, ny2 = chan.shape[2:]
     psu = fresh_law(cfg, sys.source)
     out = np.zeros((sys.n_states, sys.n_states))
     for prev in range(sys.n_states):
-        s1p, s2p, u1p, u2p, x1p, x2p, y1p, y2p = np.unravel_index(prev, shape8)
-        io1p, io2p = io_index(x1p, y1p, ny1), io_index(x2p, y2p, ny2)
+        s1p, s2p, u1p, u2p, io1p, io2p = np.unravel_index(prev, shape)
         for s1, s2, u1, u2 in np.ndindex(psu.shape):
             x1 = cfg.f1[s1, u1, s1p, u1p, io1p]
             x2 = cfg.f2[s2, u2, s2p, u2p, io2p]
             for y1, y2 in np.ndindex(ny1, ny2):
-                nxt = np.ravel_multi_index((s1, s2, u1, u2, x1, x2, y1, y2), shape8)
+                io1, io2 = io_index(x1, y1, ny1), io_index(x2, y2, ny2)
+                nxt = np.ravel_multi_index((s1, s2, u1, u2, io1, io2), shape)
                 out[prev, nxt] += psu[s1, s2, u1, u2] * chan[x1, x2, y1, y2]
     return out
 

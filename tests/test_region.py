@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import twjscc as tw
-from twjscc.markov import build_chain, prev_law_residual, prev_to_reduced, reconstruction_distortions
+from twjscc.markov import build_chain, prev_law_residual, reconstruction_distortions
 from twjscc.region import convexify, search_region
 
 
@@ -44,7 +44,7 @@ class TestSearchRegion:
             assert p.report.satisfied or p.boundary
             sys = build_chain(p.certificate, ch, src)
             assert prev_law_residual(sys) <= 1e-10
-            pi = prev_to_reduced(sys.reduced_shape, p.certificate.prev_law.probs)
+            pi = p.certificate.prev_law.probs.ravel()
             dist = reconstruction_distortions(sys, d, d, pi_reduced=pi)
             assert dist[0] == pytest.approx(p.d1, abs=1e-12)
             assert dist[1] == pytest.approx(p.d2, abs=1e-12)

@@ -1,8 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import twjscc as tw
-from twjscc.conditions import lift_hybrid
+from twjscc.coded_channel import fresh_law
+from twjscc.conditions import (
+    _UNIT_SOURCE,
+    AdaptiveChannelScheme,
+    adaptive_scheme_stationary,
+    embed_adaptive_scheme,
+    lift_hybrid,
+)
 from twjscc.probability import Alphabet, ConditionalPmf
 from twjscc.region import uncoded_configuration
 from twjscc.simulate import (
@@ -98,6 +107,13 @@ class _TopDraw:
         return np.full(size, 1.0 - 2.0 ** -53)
 
 
+class _ZeroDraw:
+    """Generator stand-in whose every uniform draw is 0.0."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
 class TestSampling:
     def test_top_draw_stays_in_alphabet(self):
         # uniform laws on 14 cells: the cumulative sums end at
@@ -120,6 +136,31 @@ class TestSampling:
         for seqs, shape in ((books.init_prev, cfg.prev_law.shape),
                             (books.termination, (2, 7, 1, 1))):
             assert all(np.all(np.asarray(s) == k - 1) for s, k in zip(seqs, shape))
+
+    def test_zero_draw_skips_zero_probability_cells(self):
+        # example2 puts no mass on the source pair (0, 0), and crossed pipes
+        # none on the outputs (0, 0) for inputs other than (0, 0); a draw of
+        # 0.0 lands on the first cell of positive probability
+        ch = tw.preset_crossed_bitpipes()
+        src = tw.preset_example2_source()
+        d = tw.hamming(src.s1)
+        cfg = uncoded_configuration(ch, src, d, d)
+        ctx = SimContext(cfg, ch, src)
+        zero = _ZeroDraw()
+        s1, s2 = ctx.sample_source(zero, 3)
+        assert np.all(src.law.probs[s1, s2] > 0)
+        x1, x2 = np.array([0, 1, 1]), np.array([1, 0, 1])
+        y1, y2 = ctx.sample_channel(zero, x1, x2)
+        assert np.all(ch.law.probs[x1, x2, y1, y2] > 0)
+        params = SimParams(n=3, blocks=1, eps=0.3, eps1=0.1, rate1=0.0, rate2=0.0)
+        books = generate_codebooks(cfg, src, params, zero)
+        assert np.all(cfg.prev_law.probs[books.init_prev] > 0)
+        assert np.all(fresh_law(cfg, src)[books.termination] > 0)
+        # a codeword letter of probability 0: u1 copies s1, which is always 1
+        src1 = tw.preset_independent_bernoulli(1.0, 0.5)
+        cfg1 = lift_hybrid(bsc_codeword_scheme(ch, src1, 0.0, d, d), ch, src1)
+        books = generate_codebooks(cfg1, src1, params, zero)
+        assert np.all(books.u1 == 1) and np.all(books.u2 == 0)
 
 
 class TestEncode:
@@ -294,6 +335,24 @@ class TestRunSimulation:
             assert rep.err_typicality <= rep.trials * 4
             assert all(c <= rep.trials * 3 for c in rep.err_cover)
             assert all(c <= rep.trials * 3 for c in rep.err_confusion)
+
+    def test_decoder_succeeds_on_identity_channel_scheme(self):
+        # each terminal sends its codeword letter uncoded over crossed pipes,
+        # so the other terminal sees it in the next block and the decoder's
+        # typicality test picks the sent index well above chance (1/256)
+        ch = tw.preset_crossed_bitpipes()
+        v = Alphabet(2, "v")
+        gamma = np.broadcast_to(np.arange(2)[:, None, None], (2, 2, 4))  # x = v
+        scheme = AdaptiveChannelScheme(v, v, np.full(2, 0.5), np.full(2, 0.5), gamma, gamma,
+                                       ch.x1, ch.x2, ch.y1, ch.y2)
+        scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
+        cfg = embed_adaptive_scheme(scheme)
+        d = tw.hamming(Alphabet(1))
+        params = SimParams(n=256, blocks=3, eps=0.5, eps1=0.2, rate1=8 / 256, rate2=8 / 256,
+                           seed=1, trials=5)
+        rep = run_simulation(cfg, ch, _UNIT_SOURCE, d, d, params)
+        assert rep.decode_accuracy >= 0.25
+        assert rep.claim_violations == 0
 
     def test_jscc_rate_reported(self, bmc_example2):
         ch, src, d, cfg = bmc_example2
