@@ -253,10 +253,11 @@ def execute(spec: RunSpec) -> int:
         src = ser.resolve_source(opt["source"])
         d1 = ser.resolve_distortion(opt["dist1"], src.s1)
         d2 = ser.resolve_distortion(opt["dist2"], src.s2)
-        aux = None
-        if opt.get("aux1") and opt.get("aux2"):
-            aux = (opt["aux1"], opt["aux2"])
-        points = search_region(ch, src, d1, d2, budget=opt["budget"], seed=opt["seed"], aux_sizes=aux)
+        aux = (opt.get("aux1"), opt.get("aux2"))
+        if aux.count(None) == 1:
+            raise ValueError("search-region takes --aux1 and --aux2 together or neither")
+        points = search_region(ch, src, d1, d2, budget=opt["budget"], seed=opt["seed"],
+                               aux_sizes=None if None in aux else aux)
         cert_paths = []
         if opt.get("cert_dir"):
             import os

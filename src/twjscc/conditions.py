@@ -42,6 +42,8 @@ from .probability import (
 
 DEFAULT_TOL = 1e-9
 PREV_LAW_TOL = 1e-8  # largest residual accepted from a supplied previous-block law
+SHANNON_REFINE_ROUNDS = 2  # local refinements of the non-adaptive bound's input grid
+SHANNON_FRONTIER_WEIGHTS = 41  # weighted-sum directions of its frontier sweep
 
 _UNIT_SOURCE = JointSource(
     Alphabet(1, "unit"), Alphabet(1, "unit"), JointPmf((Alphabet(1),) * 2, np.ones((1, 1)))
@@ -318,7 +320,7 @@ class AdaptiveChannelScheme:
     x2: Alphabet
     y1: Alphabet
     y2: Alphabet
-    prev_vw_law: JointPmf | None = None  # axes (prev_v1, prev_v2, prev_io1, prev_io2)
+    prev_vw_law: JointPmf | None = None  # on prev_axes
 
     def __post_init__(self):
         for nm, pv, v in (("pv1", self.pv1, self.v1), ("pv2", self.pv2, self.v2)):
@@ -328,6 +330,17 @@ class AdaptiveChannelScheme:
             if abs(arr.sum() - 1.0) > 1e-12 or np.any(arr < 0):
                 raise ValueError(f"{nm} is not a probability vector")
             object.__setattr__(self, nm, arr)
+
+    @property
+    def prev_axes(self) -> tuple[Alphabet, ...]:
+        """Axes of `prev_vw_law`: the two codewords and the two flattened
+        input/output pairs of the previous block."""
+        return (
+            Alphabet(self.v1.size, "prev_v1"),
+            Alphabet(self.v2.size, "prev_v2"),
+            Alphabet(self.x1.size * self.y1.size, "prev_io1"),
+            Alphabet(self.x2.size * self.y2.size, "prev_io2"),
+        )
 
 
 @dataclass(frozen=True)
@@ -379,25 +392,18 @@ def embed_adaptive_scheme(scheme: AdaptiveChannelScheme) -> Configuration:
     )
     if scheme.prev_vw_law is None:
         return cfg
-    expect = (nv1, nv2, nio1, nio2)
+    expect = tuple(a.size for a in scheme.prev_axes)
     if scheme.prev_vw_law.shape != expect:
         raise ValueError(f"prev_vw_law shape {scheme.prev_vw_law.shape}, expected {expect}")
-    prev = scheme.prev_vw_law.probs.reshape(1, 1, nv1, nv2, nio1, nio2)
+    prev = scheme.prev_vw_law.probs.reshape(1, 1, *expect)
     return dataclasses.replace(cfg, prev_law=JointPmf(cfg.prev_axes, prev))
 
 
 def adaptive_scheme_stationary(scheme: AdaptiveChannelScheme, ch: TwoWayChannel) -> JointPmf:
-    """Stationary (prev_v1, prev_v2, prev_io1, prev_io2) law of the scheme."""
-    cfg = embed_adaptive_scheme(scheme)
-    prev = stationary_prev_law(cfg, ch, _UNIT_SOURCE)
-    probs = prev.probs.reshape(scheme.v1.size, scheme.v2.size, cfg.io1_size, cfg.io2_size)
-    axes = (
-        Alphabet(scheme.v1.size, "prev_v1"),
-        Alphabet(scheme.v2.size, "prev_v2"),
-        Alphabet(cfg.io1_size, "prev_io1"),
-        Alphabet(cfg.io2_size, "prev_io2"),
-    )
-    return JointPmf(axes, probs)
+    """Stationary law of the scheme on its `prev_axes`."""
+    prev = stationary_prev_law(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE)
+    axes = scheme.prev_axes
+    return JointPmf(axes, prev.probs.reshape(tuple(a.size for a in axes)))
 
 
 def eval_sscc(
@@ -585,8 +591,6 @@ def shannon_nonadaptive_bound(
     ch: TwoWayChannel,
     q_size: int = 4,
     grid: int = 21,
-    refine_rounds: int = 2,
-    frontier_weights: int = 41,
 ) -> dict:
     """Optimize the non-adaptive random-coding rate pair over product inputs.
 
@@ -618,7 +622,7 @@ def shannon_nonadaptive_bound(
     best1 = lat1[best_idx // len(lat2)]
     best2 = lat2[best_idx % len(lat2)]
 
-    for r in range(1, refine_rounds + 1):
+    for r in range(1, SHANNON_REFINE_ROUNDS + 1):
         alpha = 10.0 ** (-r)
         c1 = (1 - alpha) * best1[None, :] + alpha * lat1
         c2 = (1 - alpha) * best2[None, :] + alpha * lat2
@@ -646,7 +650,7 @@ def shannon_nonadaptive_bound(
         frontier_pool = hull
 
     frontier = []
-    for lam in np.linspace(0.0, 1.0, frontier_weights):
+    for lam in np.linspace(0.0, 1.0, SHANNON_FRONTIER_WEIGHTS):
         scores = lam * frontier_pool[:, 0] + (1 - lam) * frontier_pool[:, 1]
         frontier.append(tuple(frontier_pool[int(np.argmax(scores))]))
     frontier = sorted(set((round(a, 12), round(b, 12)) for a, b in frontier))

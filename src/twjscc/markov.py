@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .coded_channel import Configuration, fresh_law
 from .models import DistortionMeasure, JointSource, TwoWayChannel, decoder_distortion
@@ -33,6 +32,7 @@ DEFAULT_STATE_CAP = 2 ** 24
 RESIDUAL_TOL = 1e-10  # largest residual a solve may return
 SOLVE_TARGET = 1e-13  # residual at which power iteration stops
 SOLVE_MAX_ITER = 100_000
+DISTORTION_SLACK = 1e-9  # floating-point slack of check_configuration's targets
 
 
 class FactoredKernel:
@@ -57,13 +57,20 @@ class FactoredKernel:
     def n_states(self) -> int:
         return self.x1n.shape[0]
 
+    def _live(self) -> np.ndarray:
+        """(fresh tuple, x1, y1, x2, y2) cells with psu[a] * chan > 0."""
+        return self.psu[:, None, None, None, None] * self.chan.transpose(0, 2, 1, 3) > 0
+
     @property
     def nnz(self) -> int:
         """Number of (state, successor) pairs with positive probability."""
-        nx1, nx2 = self.chan.shape[:2]
-        pos = self.psu[:, None, None, None, None] * self.chan > 0
-        per_cell = pos.reshape(self.psu.size, nx1, nx2, -1).sum(axis=-1)
-        return int(per_cell[np.arange(self.psu.size), self.x1n, self.x2n].sum())
+        return int(self._live().sum(axis=(2, 4)).ravel()[self._cells].sum())
+
+    def predecessors(self, mask: np.ndarray) -> np.ndarray:
+        """States with a positive-probability successor in the boolean `mask`."""
+        live = self._live()
+        hit = (live & mask.reshape(live.shape)).any(axis=(2, 4))  # (fresh tuple, x1, x2)
+        return hit.ravel()[self._cells].reshape(self.x1n.shape).any(axis=1)
 
     def push(self, pi: np.ndarray) -> np.ndarray:
         """The row vector pi K."""
@@ -95,7 +102,7 @@ class MarkovSystem:
     # cached by stationary_vector / solve_stationary
     reduced_stationary: np.ndarray | None = None
     residual: float | None = None
-    stationary_unique: bool | None = None
+    stationary_unique: bool | None = None  # None when the vector is a supplied prev_law
     iterations: int = 0
 
     @property
@@ -145,35 +152,15 @@ def build_chain(
     return MarkovSystem(cfg, ch, src, state_shape, FactoredKernel(x1n, x2n, psu, chan))
 
 
-def _null_space_solve(kernel, hint: np.ndarray):
-    """Dense fixed-point solve; returns (pi, unique_flag) or (None, None)."""
-    n = kernel.n_states
-    a = kernel.dense().T - np.eye(n)
-    basis = scipy.linalg.null_space(a, rcond=1e-9)
-    if basis.shape[1] == 0:
-        return None, None
-    unique = basis.shape[1] == 1
-    coeff = basis.T @ hint
-    pi = basis @ coeff
-    if pi.sum() < 0:
-        pi = -pi
-    pi = np.clip(pi, 0.0, None)
-    total = pi.sum()
-    if total <= 0:
-        pi = np.clip(basis[:, 0] * np.sign(basis[:, 0].sum() or 1.0), 0.0, None)
-        total = pi.sum()
-        if total <= 0:
-            return None, None
-    return pi / total, unique
+def _solve_stationary(kernel):
+    """Power iteration from the uniform start, with a half-lazy fallback.
 
-
-def _solve_stationary(kernel, tol: float, target: float, max_iter: int):
-    """Power iteration from the uniform start with lazy/null-space fallbacks.
-
-    `kernel` offers `n_states`, `push` (pi -> pi K) and `dense`, as
-    FactoredKernel does.  Returns (pi, residual, unique_flag_or_None,
-    iterations).  The residual is the L1 norm of pi K - pi for the
-    returned vector.
+    `kernel` offers `n_states`, `push` (pi -> pi K) and `predecessors`, as
+    FactoredKernel does.  Returns (pi, residual, unique, iterations), where
+    the residual is the L1 norm of pi K - pi for the returned vector, and
+    raises RuntimeError when it exceeds RESIDUAL_TOL.  The law is unique
+    iff every state reaches r = argmax pi: r is recurrent, so a second
+    closed class would be a set of states that never reach it.
     """
     n = kernel.n_states
     pi = np.full(n, 1.0 / n)
@@ -182,7 +169,7 @@ def _solve_stationary(kernel, tol: float, target: float, max_iter: int):
     lazy = False
     stall = 0
     it = 0
-    while it < max_iter and best_res > target:
+    while it < SOLVE_MAX_ITER and best_res > SOLVE_TARGET:
         it += 1
         nxt = kernel.push(pi)
         if lazy:
@@ -205,18 +192,18 @@ def _solve_stationary(kernel, tol: float, target: float, max_iter: int):
             break
 
     best_res = _residual(kernel, best)
-    unique = None
-    if best_res > target and n <= 4096:
-        pi_ns, unique = _null_space_solve(kernel, best)
-        if pi_ns is not None:
-            res_ns = _residual(kernel, pi_ns)
-            if res_ns < best_res:
-                best, best_res = pi_ns, res_ns
-    if best_res > tol:
+    if best_res > RESIDUAL_TOL:
         raise RuntimeError(
             f"stationary solve did not converge: residual {best_res:.3e} after {it} iterations"
         )
-    return best, best_res, unique, it
+    reach = np.zeros(n, dtype=bool)
+    reach[np.argmax(best)] = True
+    while not reach.all():
+        grown = reach | kernel.predecessors(reach)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    return best, best_res, bool(reach.all()), it
 
 
 def solve_stationary(sys: MarkovSystem) -> np.ndarray:
@@ -224,9 +211,10 @@ def solve_stationary(sys: MarkovSystem) -> np.ndarray:
 
     Negative solver noise is clipped and the vector renormalized, so the
     previous-block law read from it is exactly normalized.  The vector and
-    the solver diagnostics are cached on `sys`.
+    the solver diagnostics, the uniqueness verdict among them, are cached
+    on `sys`.
     """
-    pi, res, unique, it = _solve_stationary(sys.kernel, RESIDUAL_TOL, SOLVE_TARGET, SOLVE_MAX_ITER)
+    pi, res, unique, it = _solve_stationary(sys.kernel)
     pi = np.clip(pi, 0.0, None)
     sys.reduced_stationary = pi / pi.sum()
     sys.residual = res
@@ -380,8 +368,6 @@ def check_configuration(
     d2: DistortionMeasure,
     target1: float,
     target2: float,
-    residual_tol: float = RESIDUAL_TOL,
-    slack: float = 1e-9,
 ) -> ConfigurationCheck:
     """Decide whether cfg's own previous-block law is stationary and meets
     both distortion targets (with floating-point slack at the boundary)."""
@@ -391,8 +377,8 @@ def check_configuration(
     _, residual = stationary_vector(sys)
     dist = reconstruction_distortions(sys, d1, d2)
     feasible = (
-        residual <= residual_tol
-        and dist[0] <= target1 + slack
-        and dist[1] <= target2 + slack
+        residual <= RESIDUAL_TOL
+        and dist[0] <= target1 + DISTORTION_SLACK
+        and dist[1] <= target2 + DISTORTION_SLACK
     )
     return ConfigurationCheck(feasible, dist, residual)

@@ -3,8 +3,10 @@
 The plain function is computed by Blahut-Arimoto iterations with a
 bisection on the Lagrange multiplier; the side-information function is a
 deterministic brute-force search over test-channel conditionals on a
-simplex lattice (the objective is non-convex in the conditional, so a grid
-plus local refinement is preferred over alternating minimization).
+simplex lattice.  For a fixed decoder h the rate I(S; T | S_other) is convex
+in the conditional P(t | s), but the objective is non-convex jointly in
+(P(t | s), h), so a grid plus local refinement is preferred over
+alternating minimization.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ import numpy as np
 from .conditions import WZScheme, _simplex_lattice
 from .models import DistortionMeasure, JointSource
 from .probability import Alphabet, ConditionalPmf, JointPmf, _plogp_sum
+
+
+WZ_LEVELS = 15  # finest simplex lattice of the Wyner-Ziv search
+WZ_REFINE_ROUNDS = 2  # local refinements around the lattice's best point
+WZ_CHUNK = 20000  # candidates evaluated per batch
 
 
 class InfeasibleDistortion(ValueError):
@@ -217,10 +224,6 @@ def wz_function(
     which: int,
     d: DistortionMeasure,
     target: float,
-    t_size: int | None = None,
-    levels: int = 15,
-    refine_rounds: int = 2,
-    chunk: int = 20000,
 ) -> WzResult:
     """Minimum side-information coding rate for one source of the pair.
 
@@ -236,14 +239,12 @@ def wz_function(
         raise InfeasibleDistortion("negative distortion target")
     ps = src.law.probs if which == 1 else np.ascontiguousarray(src.law.probs.T)
     ns, nso = ps.shape
-    nt = t_size if t_size is not None else min(ns + 1, 8)
-    if nt > 8:
-        raise ValueError("auxiliary alphabet capped at 8")
+    nt = min(ns + 1, 8)
     if d.source_alphabet.size != ns:
         raise ValueError("distortion table does not match the compressed source")
     dist = d.table
 
-    lat_levels = levels
+    lat_levels = WZ_LEVELS
     while len(_simplex_lattice(nt, lat_levels)) ** ns > 300_000 and lat_levels > 2:
         lat_levels -= 1
     lattice = _simplex_lattice(nt, lat_levels)
@@ -254,8 +255,8 @@ def wz_function(
 
     def consider(cands: np.ndarray):
         nonlocal best, evaluations
-        for lo in range(0, len(cands), chunk):
-            batch = cands[lo : lo + chunk]
+        for lo in range(0, len(cands), WZ_CHUNK):
+            batch = cands[lo : lo + WZ_CHUNK]
             obj, d_ach, h = _wz_evaluate(batch, ps, dist)
             evaluations += len(batch)
             ok = d_ach <= target + 1e-12
@@ -272,7 +273,7 @@ def wz_function(
         raise InfeasibleDistortion(
             f"no test channel meets distortion {target} (minimum achievable {d_min})"
         )
-    for r in range(1, refine_rounds + 1):
+    for r in range(1, WZ_REFINE_ROUNDS + 1):
         consider(_wz_candidates(best[2], lattice, 10.0 ** (-r)))
 
     obj, d_ach, rows, h = best
@@ -292,11 +293,10 @@ def wz_curve(
     which: int,
     d: DistortionMeasure,
     d_grid,
-    **kwargs,
 ) -> RdCurve:
     """Wyner-Ziv curve with the isotonic clipping of rd_curve."""
     def point(target):
-        res = wz_function(src, which, d, target, **kwargs)
+        res = wz_function(src, which, d, target)
         return res.rate, res.evaluations, abs(res.distortion - target)
 
     return _isotonic_curve(d_grid, point)

@@ -256,22 +256,18 @@ def load_adaptive_scheme(path: str) -> AdaptiveChannelScheme:
     x1, x2 = Alphabet(doc["x1"], "x1"), Alphabet(doc["x2"], "x2")
     y1, y2 = Alphabet(doc["y1"], "y1"), Alphabet(doc["y2"], "y2")
     nio1, nio2 = x1.size * y1.size, x2.size * y2.size
-    prev = None
-    if "prev_vw_law" in doc:
-        axes = (
-            Alphabet(v1.size, "prev_v1"), Alphabet(v2.size, "prev_v2"),
-            Alphabet(nio1, "prev_io1"), Alphabet(nio2, "prev_io2"),
-        )
-        prev = JointPmf(axes, np.asarray(doc["prev_vw_law"], dtype=np.float64))
-    return AdaptiveChannelScheme(
+    scheme = AdaptiveChannelScheme(
         v1=v1, v2=v2,
         pv1=np.asarray(doc["pv1"], dtype=np.float64),
         pv2=np.asarray(doc["pv2"], dtype=np.float64),
         gamma1=np.asarray(doc["gamma1"], dtype=np.int64).reshape(v1.size, v1.size, nio1),
         gamma2=np.asarray(doc["gamma2"], dtype=np.int64).reshape(v2.size, v2.size, nio2),
         x1=x1, x2=x2, y1=y1, y2=y2,
-        prev_vw_law=prev,
     )
+    if "prev_vw_law" not in doc:
+        return scheme
+    prev = JointPmf(scheme.prev_axes, np.asarray(doc["prev_vw_law"], dtype=np.float64))
+    return dataclasses.replace(scheme, prev_vw_law=prev)
 
 
 def save_wz_scheme(scheme: WZScheme, path: str | None = None) -> str:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import twjscc as tw
+from twjscc import markov
 from twjscc.coded_channel import fresh_law
 from twjscc.markov import (
     _solve_stationary,
@@ -156,6 +157,7 @@ class TestStationary:
         pi, res = stationary_vector(given)
         assert np.array_equal(pi, law)
         assert res == prev_law_residual(given) > 1e-3
+        assert solved.stationary_unique is True and given.stationary_unique is None
 
     def test_state_layout_is_prev_law(self):
         # the chain's states are the cells of the previous-block law
@@ -198,7 +200,7 @@ class TestStationary:
 
 class DenseKernel:
     """A hand-written transition matrix with the operator interface the
-    solver reads (n_states, push, dense)."""
+    solver reads (n_states, push, predecessors)."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=np.float64)
@@ -207,8 +209,8 @@ class DenseKernel:
     def push(self, pi):
         return pi @ self.matrix
 
-    def dense(self):
-        return self.matrix
+    def predecessors(self, mask):
+        return (self.matrix[:, mask] > 0).any(axis=1)
 
 
 class TestSolverPaths:
@@ -216,28 +218,60 @@ class TestSolverPaths:
         # A<->B two-cycle fed by transient C: plain iteration oscillates,
         # the half-lazy kernel settles on the cycle's stationary law
         k = DenseKernel([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        pi, res, unique, _ = _solve_stationary(k, tol=1e-10, target=1e-13, max_iter=50_000)
+        pi, res, unique, _ = _solve_stationary(k)
         assert res <= 1e-10
         assert np.allclose(pi, [0.5, 0.5, 0.0], atol=1e-9)
+        assert unique is True
 
-    def test_null_space_fallback_on_slow_chain(self):
+    def test_slow_chain_fails_with_reason(self, monkeypatch):
         # spectral gap far too small for three iterations from the uniform
-        # start: the dense solve must recover the exact fixed point
+        # start: the solve must fail and say so, not return a poor vector
+        monkeypatch.setattr(markov, "SOLVE_MAX_ITER", 3)
         a, b = 1e-6, 3e-6
         k = DenseKernel([[1 - a, a], [b, 1 - b]])
-        pi, res, unique, _ = _solve_stationary(k, tol=1e-10, target=1e-13, max_iter=3)
-        assert res <= 1e-10
-        assert unique is True
-        assert np.allclose(pi, [0.75, 0.25], atol=1e-6)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _solve_stationary(k)
 
-    def test_non_uniqueness_flagged_in_fallback(self):
-        a, b = 1e-6, 3e-6
-        block = np.array([[1 - a, a], [b, 1 - b]])
-        other = np.array([[1 - b, b], [a, 1 - a]])
+    def test_non_uniqueness_flagged_on_block_diagonal_chain(self):
+        # two closed 2-state classes, each mixing fast: the solve converges
+        # and reachability finds the class that never reaches argmax pi
+        block = np.array([[0.3, 0.7], [0.6, 0.4]])
+        other = np.array([[0.8, 0.2], [0.5, 0.5]])
         k = DenseKernel(np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), other]]))
-        pi, res, unique, _ = _solve_stationary(k, tol=1e-10, target=1e-13, max_iter=3)
+        pi, res, unique, _ = _solve_stationary(k)
         assert res <= 1e-10
         assert unique is False
+
+
+class TestUniqueness:
+    def test_crossed_pipes_echo_has_several_closed_classes(self):
+        # x_j = previous y_j on crossed bit-pipes: (x1, x2) swaps every block,
+        # so (0, 0), (1, 1) and the {(0, 1), (1, 0)} cycle are closed classes
+        ch = tw.preset_crossed_bitpipes()
+        src = tw.preset_independent_bernoulli(0.5, 0.5)
+        d = tw.hamming(src.s1)
+        echo = np.ascontiguousarray(np.broadcast_to(np.arange(4) % 2, (2, 1, 2, 1, 4)))  # y = io % 2
+        cfg = dataclasses.replace(uncoded_configuration(ch, src, d, d), prev_law=None, f1=echo, f2=echo)
+        sys = build_chain(cfg, ch, src)
+        assert sys.n_states == 64
+        solve_stationary(sys)
+        assert sys.stationary_unique is False
+
+    def test_bmc_uncoded_is_unique(self, bmc_setup):
+        ch, src, d = bmc_setup
+        sys = build_chain(uncoded_configuration(ch, src, d, d), ch, src)
+        solve_stationary(sys)
+        assert sys.stationary_unique is True
+
+    def test_dueck_configuration_is_unique(self):
+        # case 0 of the benchmark's eval_dueck pool (pool seed 20010261)
+        ch = tw.preset_dueck()
+        src = tw.preset_independent_bernoulli(0.89, 0.89)
+        cfg = random_configuration(np.random.default_rng([20010261, 0]), ch, src)
+        sys = build_chain(cfg, ch, src)
+        assert sys.n_states == 16384
+        solve_stationary(sys)
+        assert sys.stationary_unique is True
 
 
 class TestStationaryPrevLaw:

@@ -1,12 +1,14 @@
 """Property tests of the factored transition operator on random small systems."""
 
+import dataclasses
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import twjscc as tw
 from twjscc.coded_channel import fresh_law, io_index
 from twjscc.markov import RESIDUAL_TOL, build_chain, pair_law, pair_marginal, solve_stationary
-from twjscc.probability import ConditionalPmf, marginalize
+from twjscc.probability import Alphabet, ConditionalPmf, marginalize
 
 from util import random_binary_channel, random_configuration, random_joint_source
 
@@ -32,6 +34,37 @@ def systems(draw):
     src = random_joint_source(rng)
     cfg = random_configuration(rng, ch, src, draw(st.integers(1, 2)), draw(st.integers(1, 2)))
     return build_chain(cfg, ch, src), rng
+
+
+@st.composite
+def io_memory_systems(draw):
+    """Systems with a deterministic channel and f tables that read only the
+    previous io: the inputs then follow a deterministic map, and every cycle
+    of it is a closed class, so the stationary law is often not unique."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xa, ya = Alphabet(2, "x"), Alphabet(2, "y")
+    law = np.zeros((4, 4))
+    law[np.arange(4), rng.integers(4, size=4)] = 1.0
+    ch = tw.TwoWayChannel(xa, xa, ya, ya, ConditionalPmf((xa, xa), (ya, ya), law.reshape(2, 2, 2, 2)))
+    src = random_joint_source(rng)
+    cfg = random_configuration(rng, ch, src, draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    f1, f2 = (np.ascontiguousarray(np.broadcast_to(rng.integers(2, size=4), f.shape))
+              for f in (cfg.f1, cfg.f2))
+    cfg = dataclasses.replace(cfg, f1=f1, f2=f2)
+    return build_chain(cfg, ch, src), rng
+
+
+def closed_classes(dense):
+    """Number of closed communicating classes of a transition matrix, from
+    the boolean transitive closure of its positive entries."""
+    reach = (dense > 0) | np.eye(len(dense), dtype=bool)
+    while True:
+        grown = (reach.astype(float) @ reach.astype(float)) > 0
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    recurrent = np.all(reach <= reach.T, axis=1)  # every state i reaches, reaches i
+    return len({reach[i].tobytes() for i in np.flatnonzero(recurrent)})
 
 
 def loop_kernel(sys):
@@ -85,3 +118,12 @@ def test_solved_vector_is_fixed_point(case):
     sys, _ = case
     pi = solve_stationary(sys)
     assert np.abs(pi @ sys.kernel.dense() - pi).sum() <= RESIDUAL_TOL
+
+
+@settings(deadline=None)
+@given(st.one_of(systems(), io_memory_systems()))
+def test_uniqueness_verdict_matches_closed_classes(case):
+    sys, _ = case
+    solve_stationary(sys)
+    event(f"stationary_unique={sys.stationary_unique}")
+    assert sys.stationary_unique == (closed_classes(sys.kernel.dense()) == 1)

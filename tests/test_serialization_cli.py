@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -80,6 +82,7 @@ class TestRoundTrips:
         back = ser.load_adaptive_scheme(path)
         assert np.array_equal(back.gamma1, scheme.gamma1)
         assert np.allclose(back.prev_vw_law.probs, scheme.prev_vw_law.probs)
+        assert back.prev_vw_law.axes == scheme.prev_vw_law.axes == scheme.prev_axes
 
     def test_wz_scheme(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -208,6 +211,12 @@ class TestExecute:
         for name in saved:
             ser.load_configuration(os.path.join(certs, name))
 
+    def test_search_region_lone_aux_size_exits_two(self, capsys):
+        code = main(["search-region", "--channel", "bmc", "--source", "example2",
+                     "--budget", "3", "--aux1", "3"])
+        assert code == 2
+        assert "--aux1 and --aux2" in capsys.readouterr().err
+
     def test_eval_adaptive_marginals_dump(self, tmp_path, capsys):
         ch = tw.preset_bmc()
         src = tw.preset_example2_source()
@@ -270,3 +279,11 @@ class TestExecute:
     def test_infeasible_wz_exits_one(self, capsys):
         code = main(["wz-rd", "--source", "example2", "--which", "1", "--D", "-0.5"])
         assert code == 1
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing the package must not pull it in
+    code = "import sys, twjscc; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
