@@ -39,54 +39,83 @@ class FactoredKernel:
     """Transition law of the reduced chain, held as its three factors.
 
     From the previous state `prev`, the fresh tuple `a` = (s1, s2, u1, u2)
-    is drawn from `psu`, the inputs are fixed by the encoder tables as
-    `x1n[prev, a]` and `x2n[prev, a]`, and the outputs are drawn from the
-    channel law, so the successor (a, io1, io2) = (a, x1, y1, x2, y2) has
-    probability psu[a] * chan[x1, x2, y1, y2].
+    is drawn from `psu`; terminal j's input is read from its table as
+    `tj[(s_j', u_j', io_j') of prev, (s_j, u_j) of a]`, and the outputs are
+    drawn from the channel law, so the successor (a, io1, io2) =
+    (a, x1, y1, x2, y2) has probability psu[a] * chan[x1, x2, y1, y2].
+    `push` reads only the states a vector occupies, `predecessors` the given rows.
     """
 
-    def __init__(self, x1n: np.ndarray, x2n: np.ndarray, psu: np.ndarray, chan: np.ndarray):
-        self.x1n, self.x2n = x1n, x2n  # (n_states, fresh tuples)
-        self.psu = psu  # flat law of (s1, s2, u1, u2)
+    def __init__(self, f1: np.ndarray, f2: np.ndarray, fresh: np.ndarray, chan: np.ndarray):
+        ns1, ns2, nu1, nu2 = fresh.shape
+        nx1, nx2, ny1, ny2 = chan.shape
+        self.state_shape = (ns1, ns2, nu1, nu2, nx1 * ny1, nx2 * ny2)
+        self.n_states = int(np.prod(self.state_shape, dtype=np.int64))
+        # tj[(s_j', u_j', io_j'), (s_j, u_j)] = fj[s_j, u_j, s_j', u_j', io_j']
+        self.t1, self.t2 = f1.reshape(ns1 * nu1, -1).T, f2.reshape(ns2 * nu2, -1).T
+        self.psu = fresh.reshape(-1)  # flat law of (s1, s2, u1, u2)
         self.chan = chan  # (nx1, nx2, ny1, ny2)
-        nx1, nx2 = chan.shape[:2]
-        # (fresh tuple, x1, x2) cell of each (state, fresh tuple) pair
-        self._cells = ((np.arange(psu.size) * nx1 + x1n) * nx2 + x2n).ravel()
+        s1, s2, u1, u2 = np.unravel_index(np.arange(self.psu.size), fresh.shape)
+        self._col1, self._col2 = s1 * nu1 + u1, s2 * nu2 + u2  # table column of each fresh tuple
+        self._gathered = (None, None)  # the last rows passed to `cells`, and their cells
 
-    @property
-    def n_states(self) -> int:
-        return self.x1n.shape[0]
+    def cells(self, rows: np.ndarray) -> np.ndarray:
+        """(fresh tuple, x1, x2) cell of each (state of `rows`, fresh tuple) pair;
+        those of the last `rows` are kept.  `rows` is ascending and 1-D: numpy
+        2.4.6 unravels a large (n, 1) index wrongly."""
+        if not np.array_equal(rows, self._gathered[0]):
+            s1, s2, u1, u2, io1, io2 = np.unravel_index(rows, self.state_shape)
+            _, _, nu1, nu2, nio1, nio2 = self.state_shape
+            nx1, nx2 = self.chan.shape[:2]
+            # the cell (a * nx1 + x1) * nx2 + x2 as a sum of per-terminal parts
+            part1 = (np.arange(self.psu.size) * nx1 + self.t1[:, self._col1]) * nx2
+            self._gathered = (rows, part1[(s1 * nu1 + u1) * nio1 + io1]
+                              + self.t2[:, self._col2][(s2 * nu2 + u2) * nio2 + io2])
+        return self._gathered[1]
+
+    def _input_counts(self) -> np.ndarray:
+        """(fresh tuple, x1, x2) array of the number of states with those inputs."""
+        nx1, nx2 = self.chan.shape[:2]
+        c1 = (self.t1[:, :, None] == np.arange(nx1)).sum(axis=0)[self._col1]
+        c2 = (self.t2[:, :, None] == np.arange(nx2)).sum(axis=0)[self._col2]
+        return c1[:, :, None] * c2[:, None, :]
 
     def _live(self) -> np.ndarray:
-        """(fresh tuple, x1, y1, x2, y2) cells with psu[a] * chan > 0."""
-        return self.psu[:, None, None, None, None] * self.chan.transpose(0, 2, 1, 3) > 0
+        """(fresh tuple, x1, y1, x2, y2) cells with psu[a] > 0 and chan > 0."""
+        return (self.psu > 0)[:, None, None, None, None] & (self.chan.transpose(0, 2, 1, 3) > 0)
 
     @property
     def nnz(self) -> int:
         """Number of (state, successor) pairs with positive probability."""
-        return int(self._live().sum(axis=(2, 4)).ravel()[self._cells].sum())
+        return int((self._input_counts() * self._live().sum(axis=(2, 4))).sum())
 
-    def predecessors(self, mask: np.ndarray) -> np.ndarray:
-        """States with a positive-probability successor in the boolean `mask`."""
+    def image(self) -> np.ndarray:
+        """Ascending states that some state reaches in one step."""
+        return np.flatnonzero(self._live() & (self._input_counts() > 0)[:, :, None, :, None])
+
+    def predecessors(self, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """States of `rows` with a positive-probability successor in the boolean `mask`."""
         live = self._live()
         hit = (live & mask.reshape(live.shape)).any(axis=(2, 4))  # (fresh tuple, x1, x2)
-        return hit.ravel()[self._cells].reshape(self.x1n.shape).any(axis=1)
+        return hit.ravel()[self.cells(rows)].any(axis=1)
 
     def push(self, pi: np.ndarray) -> np.ndarray:
-        """The row vector pi K."""
+        """The row vector pi K, summed over the nonzero entries of pi."""
+        rows = np.flatnonzero(pi != 0)  # faster than flatnonzero(pi) on floats
         nx1, nx2 = self.chan.shape[:2]
-        w = np.bincount(self._cells, weights=(pi[:, None] * self.psu).ravel(),
+        w = np.bincount(self.cells(rows).ravel(), weights=(pi[rows][:, None] * self.psu).ravel(),
                         minlength=self.psu.size * nx1 * nx2)
         chan_io = self.chan.transpose(0, 2, 1, 3)  # (x1, y1, x2, y2)
         return (w.reshape(self.psu.size, nx1, 1, nx2, 1) * chan_io).ravel()
 
     def dense(self) -> np.ndarray:
         """The (n_states, n_states) transition matrix."""
-        n, na = self.x1n.shape
+        n, na = self.n_states, self.psu.size
         nx1, nx2, ny1, ny2 = self.chan.shape
+        x1n, x2n = np.divmod(self.cells(np.arange(n)) % (nx1 * nx2), nx2)
         out = np.zeros((n, na, nx1, ny1, nx2, ny2))
-        probs = self.psu[:, None, None] * self.chan[self.x1n, self.x2n]
-        out[np.arange(n)[:, None], np.arange(na), self.x1n, :, self.x2n] = probs
+        probs = self.psu[:, None, None] * self.chan[x1n, x2n]
+        out[np.arange(n)[:, None], np.arange(na), x1n, :, x2n] = probs
         return out.reshape(n, n)
 
 
@@ -128,50 +157,41 @@ def build_chain(
     components, and draws (y1, y2) from the channel.
     """
     cfg.check_against(ch, src)
-    state_shape = tuple(a.size for a in cfg.prev_axes)
-    n_states = int(np.prod(state_shape, dtype=np.int64))
-    if n_states > state_cap:
-        raise ValueError(f"state space of {n_states} reduced states exceeds cap {state_cap}")
     chan = ch.law.probs  # (nx1, nx2, ny1, ny2)
-    fresh = fresh_law(cfg, src)
-    psu = fresh.reshape(-1)
+    kernel = FactoredKernel(cfg.f1, cfg.f2, fresh_law(cfg, src), chan)
+    if kernel.n_states > state_cap:
+        raise ValueError(f"state space of {kernel.n_states} reduced states exceeds cap {state_cap}")
 
-    # (n_states, fresh tuples) tables of the deterministic channel inputs,
-    # previous state along the rows.  The state index is unraveled 1-D:
-    # numpy 2.4.6 unravels a large (n, 1) index wrongly (seen at n = 12288).
-    prev = np.unravel_index(np.arange(n_states), state_shape)
-    s1p, s2p, u1p, u2p, io1p, io2p = (c[:, None] for c in prev)
-    s1a, s2a, u1a, u2a = np.unravel_index(np.arange(psu.size), fresh.shape)
-    x1n = cfg.f1[s1a, u1a, s1p, u1p, io1p]
-    x2n = cfg.f2[s2a, u2a, s2p, u2p, io2p]
-
-    row_sums = chan.sum(axis=(2, 3))[x1n, x2n] @ psu
-    if np.any(np.abs(row_sums - 1.0) > 1e-12):
+    # a row sums psu[a] times the channel row sums of the (x1, x2) it reaches
+    reached = ((kernel._input_counts() > 0) & (kernel.psu > 0)[:, None, None]).any(axis=0)
+    off = np.abs(chan.sum(axis=(2, 3)) - 1.0)[reached]
+    if abs(kernel.psu.sum() - 1.0) > 1e-12 or np.any(off > 1e-12):
         raise AssertionError("kernel rows failed to normalize")
 
-    return MarkovSystem(cfg, ch, src, state_shape, FactoredKernel(x1n, x2n, psu, chan))
+    return MarkovSystem(cfg, ch, src, kernel.state_shape, kernel)
 
 
 def _solve_stationary(kernel):
     """Power iteration from the uniform start, with a half-lazy fallback.
 
-    `kernel` offers `n_states`, `push` (pi -> pi K) and `predecessors`, as
-    FactoredKernel does.  Returns (pi, residual, unique, iterations), where
-    the residual is the L1 norm of pi K - pi for the returned vector, and
-    raises RuntimeError when it exceeds RESIDUAL_TOL.  The law is unique
-    iff every state reaches r = argmax pi: r is recurrent, so a second
-    closed class would be a set of states that never reach it.
+    `kernel` offers `n_states`, `push` (pi -> pi K), `image` and
+    `predecessors`, as FactoredKernel does.  Returns (pi, residual, unique,
+    iterations), where the residual is the L1 norm of pi K - pi for the
+    returned vector, and raises RuntimeError when it exceeds RESIDUAL_TOL.
+    The law is unique iff every state of the one-step image (so every
+    state) reaches r = argmax pi: r is recurrent, so a second closed class
+    would be a set of states that never reach it.
     """
     n = kernel.n_states
     pi = np.full(n, 1.0 / n)
-    best = pi
-    best_res = _residual(kernel, pi)
+    first = kernel.push(pi)  # the only push over every state
+    best, best_res = pi, float(np.abs(first - pi).sum())
     lazy = False
     stall = 0
     it = 0
     while it < SOLVE_MAX_ITER and best_res > SOLVE_TARGET:
         it += 1
-        nxt = kernel.push(pi)
+        nxt = first if it == 1 else kernel.push(pi)
         if lazy:
             nxt = 0.5 * (nxt + pi)
         nxt /= nxt.sum()
@@ -196,14 +216,15 @@ def _solve_stationary(kernel):
         raise RuntimeError(
             f"stationary solve did not converge: residual {best_res:.3e} after {it} iterations"
         )
-    reach = np.zeros(n, dtype=bool)
-    reach[np.argmax(best)] = True
-    while not reach.all():
-        grown = reach | kernel.predecessors(reach)
+    rows = kernel.image()
+    reach = np.arange(n) == np.argmax(best)
+    while not reach[rows].all():
+        grown = reach.copy()
+        grown[rows] |= kernel.predecessors(reach, rows)
         if np.array_equal(grown, reach):
             break
         reach = grown
-    return best, best_res, bool(reach.all()), it
+    return best, best_res, bool(reach[rows].all()), it
 
 
 def solve_stationary(sys: MarkovSystem) -> np.ndarray:
@@ -263,31 +284,33 @@ def pair_law(sys: MarkovSystem, pi_reduced: np.ndarray) -> JointPmf:
 def pair_marginal(sys: MarkovSystem, pi_reduced: np.ndarray, keep: tuple[int, ...]) -> JointPmf:
     """Marginal of the consecutive-pair state law over selected state axes.
 
-    Sums the weights pi[prev] psu[a] over the (state, fresh tuple) grid into
-    cells of the kept previous/fresh axes and the current inputs, then
-    spreads them over the channel outputs, so it never forms the pair
-    tensor.  Axis indices follow Z_AXES; the result axes follow the order
-    of `keep`.
+    Sums the weights pi[prev] psu[a] over the (state, fresh tuple) grid of
+    the nonzero entries of pi into cells of the kept previous/fresh axes and
+    the current inputs, then contracts them with the channel law summed over
+    the dropped outputs, so it never forms the pair tensor.  Axis indices
+    follow Z_AXES; the result axes follow the order of `keep`.
     """
     if len(set(keep)) != len(keep) or not set(keep) <= set(range(14)):
         raise ValueError(f"state axes {keep} repeat or lie outside 0..13")
     kern = sys.kernel
     nx1, nx2 = kern.chan.shape[:2]
-    grid = sys.reduced_shape + sys.reduced_shape[:4]  # previous state, then the fresh tuple
-    g = np.indices(grid, sparse=True)
-    coords = g[6:] + g[:6]  # coordinates of Z axes 0..9 on the grid
+    rows = np.flatnonzero(pi_reduced != 0)
+    prev = np.unravel_index(rows, sys.reduced_shape)
+    fresh = np.unravel_index(np.arange(kern.psu.size), sys.reduced_shape[:4])
+    coords = [c[None, :] for c in fresh] + [c[:, None] for c in prev]  # Z axes 0..9
     axes = sys.z_axes
     current = (10, 11, 12, 13)  # x1, x2, y1, y2 of the current state
     outer = [k for k in keep if k not in current]
     flat = 0
     for k in outer:
         flat = flat * axes[k].size + coords[k]
-    flat = (flat * nx1 + kern.x1n.reshape(grid)) * nx2 + kern.x2n.reshape(grid)
+    flat = flat * (nx1 * nx2) + kern.cells(rows) % (nx1 * nx2)
     n_outer = int(np.prod([axes[k].size for k in outer], dtype=np.int64))
-    w = np.bincount(flat.ravel(), weights=(pi_reduced[:, None] * kern.psu).ravel(),
+    w = np.bincount(flat.ravel(), weights=(pi_reduced[rows][:, None] * kern.psu).ravel(),
                     minlength=n_outer * nx1 * nx2)
-    t = w.reshape(n_outer, nx1, nx2, 1, 1) * kern.chan
-    t = t.sum(axis=tuple(1 + i for i, k in enumerate(current) if k not in keep))
+    kept = "".join(c for c, k in zip("abcd", current) if k in keep)  # of x1, x2, y1, y2
+    chan = kern.chan.sum(axis=tuple(2 + i for i, c in enumerate("cd") if c not in kept))
+    t = np.einsum(f"oab,ab{kept.lstrip('ab')}->o{kept}", w.reshape(n_outer, nx1, nx2), chan)
     order = outer + [k for k in current if k in keep]
     t = t.reshape([axes[k].size for k in order])
     probs = np.transpose(t, [order.index(k) for k in keep])

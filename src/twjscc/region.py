@@ -215,6 +215,8 @@ def search_region(
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
     aux1, aux2 = aux_sizes if aux_sizes is not None else (src.s1.size, src.s2.size)
+    if min(aux1, aux2) < 1:
+        raise ValueError(f"auxiliary alphabet sizes must be >= 1, got {aux1} and {aux2}")
 
     candidates: list[Configuration] = []
     for build in (uncoded_configuration, constant_codeword_hybrid_configuration,

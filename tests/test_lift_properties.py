@@ -1,0 +1,63 @@
+"""Property tests: lifted single-block schemes keep their single-block margins.
+
+Each lift solves the stationary previous-block law of the block-Markov
+chain (`stationary_prev_law`), and `eval_adaptive` reads the conditions off
+pair marginals of that law; the margins must equal the single-block ones.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import twjscc as tw
+from twjscc.conditions import (
+    adaptive_scheme_stationary,
+    eval_adaptive,
+    eval_hybrid,
+    eval_sscc,
+    lift_hybrid,
+    lift_sscc,
+    wz_scheme_rate,
+)
+
+from util import (
+    random_adaptive_scheme,
+    random_binary_channel,
+    random_hybrid_scheme,
+    random_joint_source,
+    random_wz_scheme,
+)
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seeds, st.booleans())
+def test_lift_hybrid_margins_equal_single_block(seed, bayes):
+    rng = np.random.default_rng(seed)
+    src = random_joint_source(rng)
+    ch = random_binary_channel(rng)
+    d = tw.hamming(src.s1)
+    hs = random_hybrid_scheme(rng, src, ch, d, d, bayes=bayes)
+    single = eval_hybrid(hs, ch, src, d, d).report
+    lifted = eval_adaptive(lift_hybrid(hs, ch, src), ch, src)
+    assert abs((lifted.rhs1 - lifted.lhs1) - (single.rhs1 - single.lhs1)) <= 1e-9
+    assert abs((lifted.rhs2 - lifted.lhs2) - (single.rhs2 - single.lhs2)) <= 1e-9
+
+
+@settings(deadline=None, max_examples=40)
+@given(seeds, st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+def test_lift_sscc_sides_equal_eval_sscc(seed, p1, p2):
+    # the WZ rates equal the lifted left sides when the sources are independent
+    rng = np.random.default_rng(seed)
+    src = tw.preset_independent_bernoulli(p1, p2)
+    ch = random_binary_channel(rng)
+    scheme = random_adaptive_scheme(rng, ch)
+    scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
+    wz1, wz2 = random_wz_scheme(rng, src, 1), random_wz_scheme(rng, src, 2)
+    single = eval_sscc(scheme, wz_scheme_rate(wz1, src, 1), wz_scheme_rate(wz2, src, 2), ch)
+    lifted = eval_adaptive(lift_sscc(scheme, wz1, wz2, src), ch, src)
+    for a, b in ((lifted.lhs1, single.lhs1), (lifted.rhs1, single.rhs1),
+                 (lifted.lhs2, single.lhs2), (lifted.rhs2, single.rhs2)):
+        assert abs(a - b) <= 1e-9

@@ -64,18 +64,21 @@ class TestKernel:
         assert np.max(np.count_nonzero(sys.kernel.dense(), axis=1)) <= cap
 
     def test_input_tables_on_large_system(self):
-        # 16384 states: every input-table entry read back from f1/f2 with
-        # scalar coordinates
+        # 16384 states gathered at once: every input of 300 of them read
+        # back from f1/f2 with scalar coordinates
         rng = np.random.default_rng(4)
         ch = tw.preset_dueck()
         src = tw.preset_independent_bernoulli(0.89, 0.89)
         cfg = random_configuration(rng, ch, src)
         sys = build_chain(cfg, ch, src)
+        nx1, nx2 = sys.kernel.chan.shape[:2]
+        cells = sys.kernel.cells(np.arange(sys.n_states))  # (a, x1, x2) cells
+        x1n, x2n = np.divmod(cells % (nx1 * nx2), nx2)
         for prev in rng.choice(sys.n_states, size=300, replace=False):
             s1p, s2p, u1p, u2p, io1p, io2p = np.unravel_index(prev, sys.reduced_shape)
             for a, (s1, s2, u1, u2) in enumerate(np.ndindex(2, 2, 2, 2)):
-                assert sys.kernel.x1n[prev, a] == cfg.f1[s1, u1, s1p, u1p, io1p]
-                assert sys.kernel.x2n[prev, a] == cfg.f2[s2, u2, s2p, u2p, io2p]
+                assert x1n[prev, a] == cfg.f1[s1, u1, s1p, u1p, io1p]
+                assert x2n[prev, a] == cfg.f2[s2, u2, s2p, u2p, io2p]
 
     def test_state_cap_enforced(self, bmc_setup):
         ch, src, d = bmc_setup
@@ -200,7 +203,7 @@ class TestStationary:
 
 class DenseKernel:
     """A hand-written transition matrix with the operator interface the
-    solver reads (n_states, push, predecessors)."""
+    solver reads (n_states, push, image, predecessors)."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=np.float64)
@@ -209,8 +212,11 @@ class DenseKernel:
     def push(self, pi):
         return pi @ self.matrix
 
-    def predecessors(self, mask):
-        return (self.matrix[:, mask] > 0).any(axis=1)
+    def image(self):
+        return np.flatnonzero((self.matrix > 0).any(axis=0))
+
+    def predecessors(self, mask, rows):
+        return (self.matrix[rows][:, mask] > 0).any(axis=1)
 
 
 class TestSolverPaths:

@@ -7,10 +7,24 @@ from hypothesis import event, given, settings, strategies as st
 
 import twjscc as tw
 from twjscc.coded_channel import fresh_law, io_index
-from twjscc.markov import RESIDUAL_TOL, build_chain, pair_law, pair_marginal, solve_stationary
+from twjscc.markov import (
+    RESIDUAL_TOL,
+    FactoredKernel,
+    build_chain,
+    pair_law,
+    pair_marginal,
+    solve_stationary,
+)
 from twjscc.probability import Alphabet, ConditionalPmf, marginalize
 
-from util import random_binary_channel, random_configuration, random_joint_source
+from util import (
+    all_rows_image,
+    all_rows_pair_marginal,
+    all_rows_push,
+    random_binary_channel,
+    random_configuration,
+    random_joint_source,
+)
 
 
 def with_zeros(rng, ch):
@@ -52,6 +66,32 @@ def io_memory_systems(draw):
               for f in (cfg.f1, cfg.f2))
     cfg = dataclasses.replace(cfg, f1=f1, f2=f2)
     return build_chain(cfg, ch, src), rng
+
+
+@st.composite
+def tiny_fresh_systems(draw):
+    """Systems in which one fresh tuple has probability about 1e-323: its
+    successors are reachable, yet pushing the uniform vector underflows to
+    0.0 on them."""
+    sys, rng = draw(systems())
+    psu = sys.kernel.psu.copy()
+    psu[draw(st.integers(0, psu.size - 1))] = 1e-323
+    psu /= psu.sum()
+    kernel = FactoredKernel(sys.cfg.f1, sys.cfg.f2, psu.reshape(sys.reduced_shape[:4]),
+                            sys.kernel.chan)
+    return dataclasses.replace(sys, kernel=kernel), rng
+
+
+@st.composite
+def vectors_with_zeros(draw, sys, rng):
+    """A nonnegative vector on a random set of states, or of one-step image
+    states; the first may carry mass off the image."""
+    n = sys.n_states
+    pool = np.arange(n) if draw(st.booleans()) else sys.kernel.image()
+    rows = pool[rng.random(pool.size) < draw(st.floats(0.0, 1.0))]
+    pi = np.zeros(n)
+    pi[np.append(rows, rng.choice(pool))] = rng.random(rows.size + 1) + 0.01
+    return pi
 
 
 def closed_classes(dense):
@@ -127,3 +167,32 @@ def test_uniqueness_verdict_matches_closed_classes(case):
     solve_stationary(sys)
     event(f"stationary_unique={sys.stationary_unique}")
     assert sys.stationary_unique == (closed_classes(sys.kernel.dense()) == 1)
+
+
+@settings(deadline=None)
+@given(systems(), st.data())
+def test_push_over_nonzero_rows_is_bit_equal_to_all_rows(case, data):
+    sys, rng = case
+    pi = data.draw(vectors_with_zeros(sys, rng))
+    assert np.array_equal(sys.kernel.push(pi), all_rows_push(sys, pi))
+
+
+@settings(deadline=None)
+@given(systems(), st.data(), st.lists(st.integers(0, 13), min_size=1, max_size=6, unique=True))
+def test_pair_marginal_over_nonzero_rows_is_bit_equal_to_all_rows(case, data, keep):
+    sys, rng = case
+    pi = data.draw(vectors_with_zeros(sys, rng))
+    probs = pair_marginal(sys, pi, tuple(keep)).probs
+    assert np.array_equal(probs, all_rows_pair_marginal(sys, pi, tuple(keep)))
+    # the weights spread over every channel cell before the sum
+    assert np.abs(probs - all_rows_pair_marginal(sys, pi, tuple(keep), spread=True)).max() <= 1e-13
+
+
+@settings(deadline=None)
+@given(st.one_of(systems(), io_memory_systems(), tiny_fresh_systems()))
+def test_image_is_every_one_step_successor(case):
+    sys, rng = case
+    image = sys.kernel.image()
+    assert np.array_equal(image, all_rows_image(sys))
+    pi = rng.random(sys.n_states)
+    assert np.isin(np.flatnonzero(sys.kernel.push(pi)), image).all()

@@ -73,6 +73,14 @@ class TestSearchRegion:
         with pytest.raises(ValueError):
             search_region(ch, src, d, d, budget=0, seed=0)
 
+    def test_auxiliary_size_below_one_rejected_before_random_candidates(self):
+        # budget 5 is spent on structured candidates alone
+        ch = tw.preset_bmc()
+        src = tw.preset_example2_source()
+        d = tw.hamming(src.s1)
+        with pytest.raises(ValueError, match="auxiliary alphabet sizes"):
+            search_region(ch, src, d, d, budget=5, seed=0, aux_sizes=(0, 2))
+
 
 class TestConvexify:
     def test_two_point_hull_keeps_both(self):

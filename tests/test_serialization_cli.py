@@ -217,6 +217,12 @@ class TestExecute:
         assert code == 2
         assert "--aux1 and --aux2" in capsys.readouterr().err
 
+    def test_search_region_aux_size_zero_exits_two(self, capsys):
+        code = main(["search-region", "--channel", "bmc", "--source", "example2",
+                     "--budget", "5", "--aux1", "0", "--aux2", "2"])
+        assert code == 2
+        assert "auxiliary alphabet sizes" in capsys.readouterr().err
+
     def test_eval_adaptive_marginals_dump(self, tmp_path, capsys):
         ch = tw.preset_bmc()
         src = tw.preset_example2_source()

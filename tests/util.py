@@ -93,3 +93,74 @@ def bsc_codeword_scheme(ch, src, q, d1, d2) -> HybridScheme:
     f = np.array([[0, 1], [0, 1]])
     g1, g2 = bayes_hybrid_decoders(pu1, pu2, f, f, ch, src, d1, d2)
     return HybridScheme(pu1, pu2, f, f, g1, g2, d1.recon_alphabet, d2.recon_alphabet)
+
+
+def all_rows_inputs(sys):
+    """x1, x2 of every state under every fresh tuple, as (states, fresh
+    tuples) tables read from f1/f2 over the whole state grid."""
+    cfg = sys.cfg
+    prev = np.unravel_index(np.arange(sys.n_states), sys.reduced_shape)
+    s1p, s2p, u1p, u2p, io1p, io2p = (c[:, None] for c in prev)
+    s1, s2, u1, u2 = np.unravel_index(np.arange(sys.kernel.psu.size), sys.reduced_shape[:4])
+    return cfg.f1[s1, u1, s1p, u1p, io1p], cfg.f2[s2, u2, s2p, u2p, io2p]
+
+
+def all_rows_image(sys) -> np.ndarray:
+    """Ascending states reached in one step from some state: the inputs of
+    every (state, fresh tuple) pair with psu > 0, then every output pair
+    with positive channel probability."""
+    x1n, x2n = all_rows_inputs(sys)
+    psu, chan = sys.kernel.psu, sys.kernel.chan
+    produced = np.zeros((psu.size,) + chan.shape[:2], dtype=bool)
+    produced[np.arange(psu.size), x1n, x2n] = True
+    produced &= (psu > 0)[:, None, None]
+    return np.flatnonzero(produced[:, :, None, :, None] & (chan.transpose(0, 2, 1, 3) > 0))
+
+
+def _all_rows_weights(sys, pi, outer):
+    """bincount of pi[prev] psu[a] over every (state, fresh tuple) pair into
+    (kept outer Z coordinates, x1, x2) cells."""
+    x1n, x2n = all_rows_inputs(sys)
+    nx1, nx2 = sys.kernel.chan.shape[:2]
+    grid = sys.reduced_shape + sys.reduced_shape[:4]
+    g = np.indices(grid, sparse=True)
+    coords = g[6:] + g[:6]
+    flat = 0
+    for k in outer:
+        flat = flat * sys.z_axes[k].size + coords[k]
+    flat = (flat * nx1 + x1n.reshape(grid)) * nx2 + x2n.reshape(grid)
+    n_outer = int(np.prod([sys.z_axes[k].size for k in outer], dtype=np.int64))
+    w = np.bincount(flat.ravel(), weights=(pi[:, None] * sys.kernel.psu).ravel(),
+                    minlength=n_outer * nx1 * nx2)
+    return w.reshape(n_outer, nx1, nx2)
+
+
+def all_rows_push(sys, pi) -> np.ndarray:
+    """pi K with the bincount over every (state, fresh tuple) pair."""
+    w = _all_rows_weights(sys, pi, [0, 1, 2, 3])
+    nx1, nx2 = w.shape[1:]
+    return (w.reshape(-1, nx1, 1, nx2, 1) * sys.kernel.chan.transpose(0, 2, 1, 3)).ravel()
+
+
+def all_rows_pair_marginal(sys, pi, keep, spread=False) -> np.ndarray:
+    """pair_marginal's probabilities with the bincount over every (state,
+    fresh tuple) pair.  The weights are contracted with the channel law
+    summed over the dropped outputs, or with spread=True multiplied into the
+    full (cells, x1, x2, y1, y2) tensor and summed over the dropped inputs
+    and outputs."""
+    current = (10, 11, 12, 13)
+    outer = [k for k in keep if k not in current]
+    w = _all_rows_weights(sys, pi, outer)
+    chan = sys.kernel.chan
+    if spread:
+        t = w[:, :, :, None, None] * chan
+        t = t.sum(axis=tuple(1 + i for i, k in enumerate(current) if k not in keep))
+    else:
+        xs = "".join(c for c, k in zip("ab", current[:2]) if k in keep)
+        ys = "".join(c for c, k in zip("cd", current[2:]) if k in keep)
+        chan = chan.sum(axis=tuple(2 + i for i, c in enumerate("cd") if c not in ys))
+        t = np.einsum(f"oab,ab{ys}->o{xs}{ys}", w, chan)
+    order = outer + [k for k in current if k in keep]
+    t = np.transpose(t.reshape([sys.z_axes[k].size for k in order]), [order.index(k) for k in keep])
+    t = np.clip(t, 0.0, None)
+    return t / t.sum()
