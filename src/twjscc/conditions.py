@@ -124,17 +124,21 @@ class HybridScheme:
         return self.pu2_given_s2.out_axes[0]
 
 
-def one_shot_hybrid_law(hs: HybridScheme, ch: TwoWayChannel, src: JointSource) -> JointPmf:
-    """Single-block law over (s1, s2, u1, u2, x1, x2, y1, y2)."""
-    t = (
-        src.law.probs[:, :, None, None]
-        * hs.pu1_given_s1.probs[:, None, :, None]
-        * hs.pu2_given_s2.probs[None, :, None, :]
-    )
-    e1 = np.eye(ch.x1.size)[hs.f1]  # (s1, u1, x1)
-    e2 = np.eye(ch.x2.size)[hs.f2]
+# Axes of the single-block law that the decoders are scored against.
+_HYBRID_KEEP_1 = (0, 2, 1, 3, 7)  # s1, then g2's arguments (u1, s2, u2, y2)
+_HYBRID_KEEP_2 = (1, 3, 0, 2, 6)  # s2, then g1's arguments (u2, s1, u1, y1)
+
+
+def one_shot_hybrid_law(pu1: ConditionalPmf, pu2: ConditionalPmf, f1: np.ndarray, f2: np.ndarray,
+                        ch: TwoWayChannel, src: JointSource) -> JointPmf:
+    """Single-block law over (s1, s2, u1, u2, x1, x2, y1, y2) of the encoder
+    half of a hybrid scheme: the codeword conditionals and x_j = f_j(s_j, u_j)."""
+    t = src.law.probs[:, :, None, None] * pu1.probs[:, None, :, None] * pu2.probs[None, :, None, :]
+    e1 = np.eye(ch.x1.size)[f1]  # (s1, u1, x1)
+    e2 = np.eye(ch.x2.size)[f2]
     full = np.einsum("abcd,acx,bdw,xwyz->abcdxwyz", t, e1, e2, ch.law.probs)
-    axes = (hs.s1, hs.s2, hs.u1, hs.u2, ch.x1, ch.x2, ch.y1, ch.y2)
+    axes = (pu1.given_axes[0], pu2.given_axes[0], pu1.out_axes[0], pu2.out_axes[0],
+            ch.x1, ch.x2, ch.y1, ch.y2)
     return JointPmf(axes, full)
 
 
@@ -153,7 +157,7 @@ def eval_hybrid(
     tol: float = DEFAULT_TOL,
 ) -> HybridEvaluation:
     """Evaluate the single-block conditions and the decoders' distortions."""
-    law = one_shot_hybrid_law(hs, ch, src)
+    law = one_shot_hybrid_law(hs.pu1_given_s1, hs.pu2_given_s2, hs.f1, hs.f2, ch, src)
     lhs1 = conditional_mutual_information(law, (0,), (2,), (1, 3))
     rhs1 = conditional_mutual_information(law, (2,), (7,), (1, 3))
     lhs2 = conditional_mutual_information(law, (1,), (3,), (0, 2))
@@ -161,10 +165,8 @@ def eval_hybrid(
     report = ConditionReport.from_values(lhs1, rhs1, lhs2, rhs2, tol)
 
     # terminal 1 rebuilds s2 via g1(u2, s1, u1, y1); terminal 2 mirrors
-    marg2 = marginalize(law, (1, 3, 0, 2, 6)).probs
-    dist2 = decoder_distortion(marg2, hs.g1, d2)
-    marg1 = marginalize(law, (0, 2, 1, 3, 7)).probs
-    dist1 = decoder_distortion(marg1, hs.g2, d1)
+    dist2 = decoder_distortion(marginalize(law, _HYBRID_KEEP_2).probs, hs.g1, d2)
+    dist1 = decoder_distortion(marginalize(law, _HYBRID_KEEP_1).probs, hs.g2, d1)
     return HybridEvaluation(report, (dist1, dist2))
 
 
@@ -182,17 +184,10 @@ def bayes_hybrid_decoders(
 
     Ties break toward the lowest reconstruction index.
     """
-    stub = HybridScheme(
-        pu1, pu2, f1, f2,
-        np.zeros((pu2.out_axes[0].size, pu1.given_axes[0].size, pu1.out_axes[0].size, ch.y1.size), dtype=np.int64),
-        np.zeros((pu1.out_axes[0].size, pu2.given_axes[0].size, pu2.out_axes[0].size, ch.y2.size), dtype=np.int64),
-        d1.recon_alphabet,
-        d2.recon_alphabet,
-    )
-    law = one_shot_hybrid_law(stub, ch, src)
+    law = one_shot_hybrid_law(pu1, pu2, f1, f2, ch, src)
     # g1(u2, s1, u1, y1) estimates s2; g2 mirrors
-    g1 = bayes_decoder(marginalize(law, (1, 3, 0, 2, 6)).probs, d2)
-    g2 = bayes_decoder(marginalize(law, (0, 2, 1, 3, 7)).probs, d1)
+    g1 = bayes_decoder(marginalize(law, _HYBRID_KEEP_2).probs, d2)
+    g2 = bayes_decoder(marginalize(law, _HYBRID_KEEP_1).probs, d1)
     return g1, g2
 
 

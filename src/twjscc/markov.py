@@ -108,16 +108,6 @@ class FactoredKernel:
         chan_io = self.chan.transpose(0, 2, 1, 3)  # (x1, y1, x2, y2)
         return (w.reshape(self.psu.size, nx1, 1, nx2, 1) * chan_io).ravel()
 
-    def dense(self) -> np.ndarray:
-        """The (n_states, n_states) transition matrix."""
-        n, na = self.n_states, self.psu.size
-        nx1, nx2, ny1, ny2 = self.chan.shape
-        x1n, x2n = np.divmod(self.cells(np.arange(n)) % (nx1 * nx2), nx2)
-        out = np.zeros((n, na, nx1, ny1, nx2, ny2))
-        probs = self.psu[:, None, None] * self.chan[x1n, x2n]
-        out[np.arange(n)[:, None], np.arange(na), x1n, :, x2n] = probs
-        return out.reshape(n, n)
-
 
 @dataclass
 class MarkovSystem:
@@ -126,7 +116,6 @@ class MarkovSystem:
     cfg: Configuration
     channel: TwoWayChannel
     source: JointSource
-    reduced_shape: tuple[int, ...]  # (s1, s2, u1, u2, io1, io2), the prev_law shape
     kernel: FactoredKernel
     # cached by stationary_vector / solve_stationary
     reduced_stationary: np.ndarray | None = None
@@ -137,6 +126,10 @@ class MarkovSystem:
     @property
     def n_states(self) -> int:
         return self.kernel.n_states
+
+    @property
+    def reduced_shape(self) -> tuple[int, ...]:  # (s1, s2, u1, u2, io1, io2), the prev_law shape
+        return self.kernel.state_shape
 
     @property
     def z_axes(self) -> tuple[Alphabet, ...]:
@@ -168,7 +161,7 @@ def build_chain(
     if abs(kernel.psu.sum() - 1.0) > 1e-12 or np.any(off > 1e-12):
         raise AssertionError("kernel rows failed to normalize")
 
-    return MarkovSystem(cfg, ch, src, kernel.state_shape, kernel)
+    return MarkovSystem(cfg, ch, src, kernel)
 
 
 def _solve_stationary(kernel):
@@ -244,17 +237,26 @@ def solve_stationary(sys: MarkovSystem) -> np.ndarray:
     return sys.reduced_stationary
 
 
+def _solve_unique(sys: MarkovSystem) -> np.ndarray:
+    """solve_stationary, refusing a chain whose stationary law is not unique."""
+    pi = solve_stationary(sys)
+    if not sys.stationary_unique:
+        raise ValueError("stationary law is not unique: some states never reach argmax pi")
+    return pi
+
+
 def stationary_vector(sys: MarkovSystem) -> tuple[np.ndarray, float]:
     """The system's stationary reduced-state vector and its L1 residual.
 
     With a prev_law in the configuration the vector is that law raveled,
     whatever its residual: each caller decides which residual it accepts.
-    Without one the chain is solved (see solve_stationary).  Both are
-    cached on `sys`, and a vector already solved there is reused.
+    Without one the chain is solved (see solve_stationary), and a chain
+    whose stationary law is not unique raises ValueError.  Both are cached
+    on `sys`, and a vector already solved there is reused.
     """
     if sys.reduced_stationary is None:
         if sys.cfg.prev_law is None:
-            solve_stationary(sys)
+            _solve_unique(sys)
         else:
             pi = sys.cfg.prev_law.probs.reshape(-1)
             sys.reduced_stationary, sys.residual = pi, _residual(sys.kernel, pi)
@@ -262,23 +264,15 @@ def stationary_vector(sys: MarkovSystem) -> tuple[np.ndarray, float]:
 
 
 def pair_law(sys: MarkovSystem, pi_reduced: np.ndarray) -> JointPmf:
-    """Joint law of two consecutive reduced states, as the 14-axis state pmf.
-
-    Materializes the dense pair tensor; refuse when the full state space
-    exceeds the materialization cap (use pair_marginal for large systems).
+    """Joint law of two consecutive reduced states, as the 14-axis state pmf:
+    the pair marginal over every state axis.  Refuses when the full state
+    space exceeds the materialization cap (use pair_marginal for large systems).
     """
-    n = sys.n_states
-    if n ** 2 > DEFAULT_STATE_CAP:
+    if sys.n_states ** 2 > DEFAULT_STATE_CAP:
         raise ValueError(
-            f"full state space of {n ** 2} entries is too large to materialize"
+            f"full state space of {sys.n_states ** 2} entries is too large to materialize"
         )
-    pair = sys.kernel.dense()
-    pair *= pi_reduced[:, None]
-    nx1, nx2, ny1, ny2 = sys.kernel.chan.shape
-    t = pair.reshape(sys.reduced_shape + sys.reduced_shape[:4] + (nx1, ny1, nx2, ny2))
-    # previous state on axes 0..5, current (s1, s2, u1, u2, x1, y1, x2, y2) on 6..13
-    perm = (6, 7, 8, 9, 0, 1, 2, 3, 4, 5, 10, 12, 11, 13)
-    return JointPmf(sys.z_axes, np.ascontiguousarray(np.transpose(t, perm)))
+    return pair_marginal(sys, pi_reduced, tuple(range(14)))
 
 
 def pair_marginal(sys: MarkovSystem, pi_reduced: np.ndarray, keep: tuple[int, ...]) -> JointPmf:
@@ -330,10 +324,11 @@ def stationary_prev_law(cfg: Configuration, ch: TwoWayChannel, src: JointSource)
     Only the codeword conditionals and the f tables of `cfg` matter; any
     prev_law already present is ignored.  The result is the reduced chain's
     fixed point reached from the uniform start, which is laid out on the
-    previous-block axes already.
+    previous-block axes already.  A chain whose stationary law is not
+    unique raises ValueError.
     """
     sys = build_chain(cfg, ch, src)
-    return JointPmf(cfg.prev_axes, solve_stationary(sys).reshape(sys.reduced_shape))
+    return JointPmf(cfg.prev_axes, _solve_unique(sys).reshape(sys.reduced_shape))
 
 
 def _residual(kernel, pi: np.ndarray) -> float:
@@ -349,9 +344,20 @@ def prev_law_residual(sys: MarkovSystem, prev_law: JointPmf | None = None) -> fl
     return _residual(sys.kernel, law.probs.reshape(-1))
 
 
-# Z-axis index groups used by evaluators and the reconstruction path.
+# Z-axis index groups of the decoder marginals.
 _RECON_KEEP_1 = (4, 6, 1, 3, 5, 7, 9, 13)  # prev_s1, prev_u1, then g2's arguments
 _RECON_KEEP_2 = (5, 7, 0, 2, 4, 6, 8, 12)  # prev_s2, prev_u2, then g1's arguments
+
+
+def decoder_marginals(sys: MarkovSystem,
+                      pi_reduced: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The laws the g-maps are scored against: (prev_s1, prev_u1, then g2's
+    arguments) and (prev_s2, prev_u2, then g1's arguments), under the
+    system's stationary vector unless another law is given."""
+    if pi_reduced is None:
+        pi_reduced, _ = stationary_vector(sys)
+    return (pair_marginal(sys, pi_reduced, _RECON_KEEP_1).probs,
+            pair_marginal(sys, pi_reduced, _RECON_KEEP_2).probs)
 
 
 def reconstruction_distortions(
@@ -367,10 +373,7 @@ def reconstruction_distortions(
     distortion for source j is measured against the previous-block source.
     The law defaults to the system's stationary vector.
     """
-    if pi_reduced is None:
-        pi_reduced, _ = stationary_vector(sys)
-    marg1 = pair_marginal(sys, pi_reduced, _RECON_KEEP_1).probs
-    marg2 = pair_marginal(sys, pi_reduced, _RECON_KEEP_2).probs
+    marg1, marg2 = decoder_marginals(sys, pi_reduced)
     return decoder_distortion(marg1, sys.cfg.g2, d1), decoder_distortion(marg2, sys.cfg.g1, d2)
 
 

@@ -87,10 +87,6 @@ def bayes_decoder(marg: np.ndarray, d: DistortionMeasure) -> np.ndarray:
     return np.argmin(np.einsum("s...,sr->...r", marg, d.table), axis=-1).astype(np.int64)
 
 
-def _pack2(b1: int, b2: int) -> int:
-    return 2 * b1 + b2
-
-
 def _pack3(b1: int, b2: int, b3: int) -> int:
     return 4 * b1 + 2 * b2 + b3
 

@@ -94,7 +94,7 @@ def _min_distortion_rate(p: np.ndarray, dist: np.ndarray) -> float:
     return -_plogp_sum(out)
 
 
-def _rd_point(source, d: DistortionMeasure, target: float, tol: float = 1e-9):
+def _rd_point(source, d: DistortionMeasure, target: float):
     p = _as_vector(source)
     dist = d.table
     d_min = float(np.sum(p * dist.min(axis=1)))

@@ -26,15 +26,7 @@ from .conditions import (
     lift_hybrid,
     lift_sscc,
 )
-from .markov import (
-    _RECON_KEEP_1,
-    _RECON_KEEP_2,
-    build_chain,
-    check_configuration,
-    pair_marginal,
-    stationary_prev_law,
-    stationary_vector,
-)
+from .markov import build_chain, check_configuration, decoder_marginals, stationary_prev_law
 from .models import DistortionMeasure, JointSource, TwoWayChannel, bayes_decoder
 from .probability import Alphabet, ConditionalPmf
 
@@ -61,10 +53,8 @@ def _bayes_reconstructions(cfg: Configuration, ch: TwoWayChannel, src: JointSour
                            d1: DistortionMeasure, d2: DistortionMeasure) -> Configuration:
     """Replace both g tables with the optimal deterministic reconstructions
     under the configuration's own stationary pair law."""
-    sys = build_chain(cfg, ch, src)
-    pi, _ = stationary_vector(sys)
-    g2 = bayes_decoder(pair_marginal(sys, pi, _RECON_KEEP_1).probs, d1)
-    g1 = bayes_decoder(pair_marginal(sys, pi, _RECON_KEEP_2).probs, d2)
+    marg1, marg2 = decoder_marginals(build_chain(cfg, ch, src))
+    g1, g2 = bayes_decoder(marg2, d2), bayes_decoder(marg1, d1)
     return dataclasses.replace(cfg, g1=g1, g2=g2, recon1=d1.recon_alphabet, recon2=d2.recon_alphabet)
 
 
@@ -179,7 +169,7 @@ def _random_candidate(rng: np.random.Generator, ch: TwoWayChannel, src: JointSou
     )
     try:
         prev = stationary_prev_law(cfg, ch, src)
-    except RuntimeError:
+    except (RuntimeError, ValueError):
         return None
     return dataclasses.replace(cfg, prev_law=prev)
 

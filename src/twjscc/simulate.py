@@ -232,20 +232,16 @@ class SimContext:
         psu = fresh_law(cfg, src)
         # decoder reference: own 7-tuple first, candidate codeword axis last
         dec_keep = {1: (0, 2, 4, 6, 8, 10, 12, 7), 2: (1, 3, 5, 7, 9, 11, 13, 6)}
+        dec = {j: marginalize(z, keep).probs for j, keep in dec_keep.items()}
+        self.own_shape = {j: m.shape[:-1] for j, m in dec.items()}
         self.refs = {
             ("enc", 1): psu.sum(axis=(1, 3)),
             ("enc", 2): psu.sum(axis=(0, 2)),
-            ("dec", 1): marginalize(z, dec_keep[1]).probs.reshape(-1, cfg.u2.size),
-            ("dec", 2): marginalize(z, dec_keep[2]).probs.reshape(-1, cfg.u1.size),
+            ("dec", 1): dec[1].reshape(-1, cfg.u2.size),
+            ("dec", 2): dec[2].reshape(-1, cfg.u1.size),
             "z": z.probs.reshape(-1),
         }
         self._bounds = {}
-        self.own_shape = {
-            1: (cfg.s1.size, cfg.u1.size, cfg.s1.size, cfg.u1.size,
-                cfg.io1_size, ch.x1.size, ch.y1.size),
-            2: (cfg.s2.size, cfg.u2.size, cfg.s2.size, cfg.u2.size,
-                cfg.io2_size, ch.x2.size, ch.y2.size),
-        }
         self.src_cdf = _cdf(src.law.probs.reshape(-1))
         nyy = ch.y1.size * ch.y2.size
         self.chan_cdf = _cdf(ch.law.probs.reshape(-1, nyy))

@@ -158,7 +158,7 @@ class TestLiftHybrid:
             sys = build_chain(cfg, ch, src)
             pi = cfg.prev_law.probs.ravel()
             marg = pair_marginal(sys, pi, (4, 5, 6, 7, 10, 11, 12, 13)).probs
-            want = one_shot_hybrid_law(hs, ch, src).probs
+            want = one_shot_hybrid_law(hs.pu1_given_s1, hs.pu2_given_s2, hs.f1, hs.f2, ch, src).probs
             assert np.abs(marg - want).sum() <= 1e-9
 
 

@@ -10,6 +10,7 @@ from twjscc.markov import (
     _solve_stationary,
     build_chain,
     check_configuration,
+    pair_law,
     pair_marginal,
     prev_law_residual,
     reconstruction_distortions,
@@ -21,7 +22,13 @@ from twjscc.markov import (
 from twjscc.probability import Alphabet, ConditionalPmf, JointPmf, marginalize
 from twjscc.region import identity_hybrid_configuration, uncoded_configuration
 
-from util import random_binary_channel, random_configuration, random_joint_source
+from util import (
+    dense_kernel,
+    dense_pair_law,
+    random_binary_channel,
+    random_configuration,
+    random_joint_source,
+)
 
 
 @pytest.fixture
@@ -44,14 +51,14 @@ class TestKernel:
         d = tw.hamming(src.s1)
         cfg = lift_hybrid(bsc_codeword_scheme(ch, src, 0.3, d, d), ch, src)
         sys = build_chain(cfg, ch, src)
-        per_row = np.count_nonzero(sys.kernel.dense(), axis=1)
+        per_row = np.count_nonzero(dense_kernel(sys.kernel), axis=1)
         assert np.all(per_row == 16)
 
     def test_rows_sum_to_one(self, bmc_setup):
         ch, src, d = bmc_setup
         cfg = uncoded_configuration(ch, src, d, d)
         sys = build_chain(cfg, ch, src)
-        assert np.allclose(sys.kernel.dense().sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(dense_kernel(sys.kernel).sum(axis=1), 1.0, atol=1e-12)
 
     def test_successor_cap_structural(self):
         # nonzeros per row never exceed (fresh draws) x (output pairs)
@@ -61,7 +68,7 @@ class TestKernel:
         cfg = random_configuration(rng, ch, src)
         sys = build_chain(cfg, ch, src)
         cap = 16 * 4
-        assert np.max(np.count_nonzero(sys.kernel.dense(), axis=1)) <= cap
+        assert np.max(np.count_nonzero(dense_kernel(sys.kernel), axis=1)) <= cap
 
     def test_input_tables_on_large_system(self):
         # 16384 states gathered at once: every input of 300 of them read
@@ -192,13 +199,32 @@ class TestStationary:
         cfg = random_configuration(rng, ch, src)
         sys = build_chain(cfg, ch, src)
         pi = solve_stationary(sys)
-        from twjscc.markov import pair_law
-
-        z = pair_law(sys, pi)
+        z = dense_pair_law(sys, pi)
         for keep in [(k,) for k in range(14)] + [(4, 6), (6, 1, 3, 5, 7, 9, 11, 13), (8, 13, 0)]:
             dense = marginalize(z, keep).probs
             sparse = pair_marginal(sys, pi, keep).probs
             assert np.abs(dense - sparse).max() <= 1e-13
+
+    def test_pair_law_is_the_dense_pair_tensor(self):
+        # the criterion-8 simulation set-up: crossed bit-pipes carry 0/1
+        # entries, so the all-axes pair marginal is the dense tensor bit for bit
+        from twjscc.conditions import lift_hybrid
+        from util import bsc_codeword_scheme
+
+        ch = tw.preset_crossed_bitpipes()
+        src = tw.preset_independent_bernoulli(0.5, 0.5)
+        d = tw.hamming(src.s1)
+        cfg = lift_hybrid(bsc_codeword_scheme(ch, src, 0.45, d, d), ch, src)
+        sys = build_chain(cfg, ch, src)
+        pi, _ = stationary_vector(sys)
+        assert np.array_equal(pair_law(sys, pi).probs, dense_pair_law(sys, pi).probs)
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            ch = random_binary_channel(rng)
+            src = random_joint_source(rng)
+            sys = build_chain(random_configuration(rng, ch, src), ch, src)
+            pi = solve_stationary(sys)
+            assert np.abs(pair_law(sys, pi).probs - dense_pair_law(sys, pi).probs).max() <= 1e-15
 
 
 class DenseKernel:
@@ -249,19 +275,36 @@ class TestSolverPaths:
         assert unique is False
 
 
+@pytest.fixture
+def echo_setup():
+    """x_j = previous y_j on crossed bit-pipes: (x1, x2) swaps every block,
+    so (0, 0), (1, 1) and the {(0, 1), (1, 0)} cycle are closed classes."""
+    ch = tw.preset_crossed_bitpipes()
+    src = tw.preset_independent_bernoulli(0.5, 0.5)
+    d = tw.hamming(src.s1)
+    echo = np.ascontiguousarray(np.broadcast_to(np.arange(4) % 2, (2, 1, 2, 1, 4)))  # y = io % 2
+    cfg = dataclasses.replace(uncoded_configuration(ch, src, d, d), prev_law=None, f1=echo, f2=echo)
+    return cfg, ch, src
+
+
 class TestUniqueness:
-    def test_crossed_pipes_echo_has_several_closed_classes(self):
-        # x_j = previous y_j on crossed bit-pipes: (x1, x2) swaps every block,
-        # so (0, 0), (1, 1) and the {(0, 1), (1, 0)} cycle are closed classes
-        ch = tw.preset_crossed_bitpipes()
-        src = tw.preset_independent_bernoulli(0.5, 0.5)
-        d = tw.hamming(src.s1)
-        echo = np.ascontiguousarray(np.broadcast_to(np.arange(4) % 2, (2, 1, 2, 1, 4)))  # y = io % 2
-        cfg = dataclasses.replace(uncoded_configuration(ch, src, d, d), prev_law=None, f1=echo, f2=echo)
+    def test_crossed_pipes_echo_has_several_closed_classes(self, echo_setup):
+        cfg, ch, src = echo_setup
         sys = build_chain(cfg, ch, src)
         assert sys.n_states == 64
         solve_stationary(sys)
         assert sys.stationary_unique is False
+
+    def test_non_unique_prev_law_refused(self, echo_setup):
+        with pytest.raises(ValueError, match="not unique"):
+            stationary_prev_law(*echo_setup)
+
+    def test_eval_adaptive_refuses_non_unique_chain(self, echo_setup):
+        # the solved law would be certified on the boundary with margin 0.0
+        from twjscc.conditions import eval_adaptive
+
+        with pytest.raises(ValueError, match="not unique"):
+            eval_adaptive(*echo_setup)
 
     def test_bmc_uncoded_is_unique(self, bmc_setup):
         ch, src, d = bmc_setup

@@ -9,7 +9,7 @@ from twjscc.conditions import (
     WZScheme,
     bayes_hybrid_decoders,
 )
-from twjscc.probability import Alphabet, ConditionalPmf
+from twjscc.probability import Alphabet, ConditionalPmf, JointPmf
 
 
 def random_binary_channel(rng) -> tw.TwoWayChannel:
@@ -164,3 +164,26 @@ def all_rows_pair_marginal(sys, pi, keep, spread=False) -> np.ndarray:
     t = np.transpose(t.reshape([sys.z_axes[k].size for k in order]), [order.index(k) for k in keep])
     t = np.clip(t, 0.0, None)
     return t / t.sum()
+
+
+def dense_kernel(kernel) -> np.ndarray:
+    """The (n_states, n_states) transition matrix of a FactoredKernel, from
+    its own input tables, fresh law and channel law."""
+    n, na = kernel.n_states, kernel.psu.size
+    nx1, nx2, ny1, ny2 = kernel.chan.shape
+    x1n, x2n = np.divmod(kernel.cells(np.arange(n)) % (nx1 * nx2), nx2)
+    out = np.zeros((n, na, nx1, ny1, nx2, ny2))
+    probs = kernel.psu[:, None, None] * kernel.chan[x1n, x2n]
+    out[np.arange(n)[:, None], np.arange(na), x1n, :, x2n] = probs
+    return out.reshape(n, n)
+
+
+def dense_pair_law(sys, pi) -> JointPmf:
+    """The 14-axis law of two consecutive reduced states from the dense
+    pair tensor pi[prev] K[prev, next]."""
+    nx1, nx2, ny1, ny2 = sys.kernel.chan.shape
+    pair = dense_kernel(sys.kernel) * pi[:, None]
+    t = pair.reshape(sys.reduced_shape + sys.reduced_shape[:4] + (nx1, ny1, nx2, ny2))
+    # previous state on axes 0..5, current (s1, s2, u1, u2, x1, y1, x2, y2) on 6..13
+    perm = (6, 7, 8, 9, 0, 1, 2, 3, 4, 5, 10, 12, 11, 13)
+    return JointPmf(sys.z_axes, np.ascontiguousarray(np.transpose(t, perm)))
