@@ -20,7 +20,7 @@ from .conditions import eval_adaptive, eval_hybrid, eval_sscc, shannon_nonadapti
 from .models import hamming
 from .rate_distortion import InfeasibleDistortion, rd_curve, rd_function, wz_curve, wz_function
 from .region import convexify, search_region, uncoded_configuration
-from .probability import JointPmf, marginalize
+from .probability import marginalize
 from .simulate import SimParams, run_simulation
 
 SIM_PRESETS = ("bmc-example2",)
@@ -155,10 +155,6 @@ def _emit_curve(curve, out: str | None) -> int:
     return 0
 
 
-def _marginal_pmf(src, which: int) -> JointPmf:
-    return marginalize(src.law, (0,) if which == 1 else (1,))
-
-
 def execute(spec: RunSpec) -> int:
     opt = dict(spec.options)
     cmd = spec.command
@@ -215,7 +211,7 @@ def execute(spec: RunSpec) -> int:
 
     if cmd == "rd":
         src = ser.resolve_source(opt["source"])
-        marg = _marginal_pmf(src, opt["which"])
+        marg = marginalize(src.law, (0,) if opt["which"] == 1 else (1,))
         d = ser.resolve_distortion(opt["dist"], marg.axes[0])
         if opt.get("curve"):
             return _emit_curve(rd_curve(marg, d, opt["curve"].split(",")), opt.get("out"))

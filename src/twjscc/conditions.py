@@ -154,7 +154,6 @@ def eval_hybrid(
     src: JointSource,
     d1: DistortionMeasure,
     d2: DistortionMeasure,
-    tol: float = DEFAULT_TOL,
 ) -> HybridEvaluation:
     """Evaluate the single-block conditions and the decoders' distortions."""
     law = one_shot_hybrid_law(hs.pu1_given_s1, hs.pu2_given_s2, hs.f1, hs.f2, ch, src)
@@ -162,7 +161,7 @@ def eval_hybrid(
     rhs1 = conditional_mutual_information(law, (2,), (7,), (1, 3))
     lhs2 = conditional_mutual_information(law, (1,), (3,), (0, 2))
     rhs2 = conditional_mutual_information(law, (3,), (6,), (0, 2))
-    report = ConditionReport.from_values(lhs1, rhs1, lhs2, rhs2, tol)
+    report = ConditionReport.from_values(lhs1, rhs1, lhs2, rhs2)
 
     # terminal 1 rebuilds s2 via g1(u2, s1, u1, y1); terminal 2 mirrors
     dist2 = decoder_distortion(marginalize(law, _HYBRID_KEEP_2).probs, hs.g1, d2)
@@ -406,7 +405,6 @@ def eval_sscc(
     rate1: float,
     rate2: float,
     ch: TwoWayChannel,
-    tol: float = DEFAULT_TOL,
 ) -> ConditionReport:
     """Compare supplied compression rates with the adaptive channel rates.
 
@@ -422,7 +420,7 @@ def eval_sscc(
     rhs1 = mutual_information(m, (0,), (1, 2, 3, 4))
     m = pair_marginal(sys, pi, (7, 10, 12, 6, 8))
     rhs2 = mutual_information(m, (0,), (1, 2, 3, 4))
-    return ConditionReport.from_values(rate1, rhs1, rate2, rhs2, tol)
+    return ConditionReport.from_values(rate1, rhs1, rate2, rhs2)
 
 
 def wz_scheme_rate(scheme: WZScheme, src: JointSource, which: int) -> float:

@@ -89,6 +89,10 @@ class FactoredKernel:
         """Number of (state, successor) pairs with positive probability."""
         return int((self._input_counts() * self._live().sum(axis=(2, 4))).sum())
 
+    def support(self, rows: np.ndarray) -> int:
+        """Number of (state of `rows`, successor) pairs with positive probability."""
+        return int(self._live().sum(axis=(2, 4)).ravel()[self.cells(rows)].sum())
+
     def image(self) -> np.ndarray:
         """Ascending states that some state reaches in one step."""
         return np.flatnonzero(self._live() & (self._input_counts() > 0)[:, :, None, :, None])
@@ -121,7 +125,6 @@ class MarkovSystem:
     reduced_stationary: np.ndarray | None = None
     residual: float | None = None
     stationary_unique: bool | None = None  # None when the vector is a supplied prev_law
-    iterations: int = 0
 
     @property
     def n_states(self) -> int:
@@ -168,9 +171,9 @@ def _solve_stationary(kernel):
     """Power iteration from the uniform start, with a half-lazy fallback.
 
     `kernel` offers `n_states`, `push` (pi -> pi K), `image` and
-    `predecessors`, as FactoredKernel does.  Returns (pi, residual, unique,
-    iterations), where the residual is the L1 norm of pi K - pi for the
-    returned vector, and raises RuntimeError when it exceeds RESIDUAL_TOL.
+    `predecessors`, as FactoredKernel does.  Returns (pi, residual, unique),
+    where the residual is the L1 norm of pi K - pi for the returned vector,
+    and raises RuntimeError when it exceeds RESIDUAL_TOL.
     The law is unique iff every state of the one-step image (so every
     state) reaches r = argmax pi: r is recurrent, so a second closed class
     would be a set of states that never reach it.
@@ -217,7 +220,7 @@ def _solve_stationary(kernel):
         if np.array_equal(grown, reach):
             break
         reach = grown
-    return best, best_res, bool(reach[rows].all()), it
+    return best, best_res, bool(reach[rows].all())
 
 
 def solve_stationary(sys: MarkovSystem) -> np.ndarray:
@@ -228,12 +231,11 @@ def solve_stationary(sys: MarkovSystem) -> np.ndarray:
     the solver diagnostics, the uniqueness verdict among them, are cached
     on `sys`.
     """
-    pi, res, unique, it = _solve_stationary(sys.kernel)
+    pi, res, unique = _solve_stationary(sys.kernel)
     pi = np.clip(pi, 0.0, None)
     sys.reduced_stationary = pi / pi.sum()
     sys.residual = res
     sys.stationary_unique = unique
-    sys.iterations = it
     return sys.reduced_stationary
 
 

@@ -88,10 +88,6 @@ class ConditionalPmf:
             raise ValueError(f"conditional slices violate normalization (max dev {worst:.3e})")
         object.__setattr__(self, "probs", _freeze(probs))
 
-    @property
-    def n_given(self) -> int:
-        return len(self.given_axes)
-
 
 AxisSet = int | Iterable[int]
 

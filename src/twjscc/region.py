@@ -193,7 +193,6 @@ def search_region(
     budget: int = 1000,
     seed: int = 0,
     aux_sizes: tuple[int, int] | None = None,
-    tol: float = 1e-9,
 ) -> list[RegionPoint]:
     """Seeded candidate search returning Pareto-minimal certified points.
 
@@ -233,7 +232,7 @@ def search_region(
         if cfg is None:
             continue
         try:
-            report = eval_adaptive(cfg, ch, src, tol=tol)
+            report = eval_adaptive(cfg, ch, src)
         except (ValueError, RuntimeError):
             continue
         if not (report.satisfied or report.boundary):

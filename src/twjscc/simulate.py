@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coded_channel import Configuration, fresh_law, io_index
-from .markov import build_chain, pair_law, stationary_vector
+from .markov import build_chain, pair_marginal, stationary_vector
+from .markov import pair_law  # noqa: F401  unused; bench/test_bench.py deletes simulate.pair_law
 from .models import DistortionMeasure, JointSource, TwoWayChannel
-from .probability import marginalize, typical_count_bounds
+from .probability import typical_count_bounds
 
 MAX_CODEBOOK = 2 ** 16  # largest codebook a simulation may draw
 MAX_N = 1024  # longest block length
@@ -214,32 +215,32 @@ class SimContext:
     """Reference laws, tables, and samplers shared by encode/decode steps.
 
     Typicality references are held as (own cell, codeword letter) tables
-    under ("enc", j) and ("dec", j), and flat under "z" for the full-state
-    law; `count_bounds` turns them into integer count bounds once per
-    (n, eps).
+    under ("enc", j) and ("dec", j); `count_bounds` turns them into integer
+    count bounds once per (n, eps).  The full-state law is never formed:
+    `full_state_typical` reads the visited cells off `pi`, `psu` and the
+    channel law, and `support` counts the law's positive cells.
     """
 
     def __init__(self, cfg: Configuration, ch: TwoWayChannel, src: JointSource):
-        cfg.check_against(ch, src)
         if cfg.prev_law is None:
             raise ValueError("simulation needs a configuration with a previous-block law")
         self.cfg, self.ch, self.src = cfg, ch, src
         sys = build_chain(cfg, ch, src)
-        pi0, self.residual = stationary_vector(sys)
-        z = pair_law(sys, pi0)
-        self.z_shape = z.shape
+        self.pi, self.residual = stationary_vector(sys)
+        self.state_shape = sys.reduced_shape
+        self.support = sys.kernel.support(np.flatnonzero(self.pi != 0))
 
         psu = fresh_law(cfg, src)
+        self.psu = psu.reshape(-1)
         # decoder reference: own 7-tuple first, candidate codeword axis last
         dec_keep = {1: (0, 2, 4, 6, 8, 10, 12, 7), 2: (1, 3, 5, 7, 9, 11, 13, 6)}
-        dec = {j: marginalize(z, keep).probs for j, keep in dec_keep.items()}
+        dec = {j: pair_marginal(sys, self.pi, keep).probs for j, keep in dec_keep.items()}
         self.own_shape = {j: m.shape[:-1] for j, m in dec.items()}
         self.refs = {
             ("enc", 1): psu.sum(axis=(1, 3)),
             ("enc", 2): psu.sum(axis=(0, 2)),
             ("dec", 1): dec[1].reshape(-1, cfg.u2.size),
             ("dec", 2): dec[2].reshape(-1, cfg.u1.size),
-            "z": z.probs.reshape(-1),
         }
         self._bounds = {}
         self.src_cdf = _cdf(src.law.probs.reshape(-1))
@@ -252,6 +253,20 @@ class SimContext:
             self._bounds[key, n, eps] = typical_count_bounds(self.refs[key], n, eps)
         return self._bounds[key, n, eps]
 
+    def full_state_typical(self, cells: np.ndarray, eps: float) -> bool:
+        """Whether a block is typical, its letters' full-state cells being
+        prev * n_states + state over `state_shape`.  A visited cell has
+        probability (pi[prev] * psu[a]) * W[x1, x2, y1, y2], as in `pair_law`,
+        and must hold a count within its bounds.  For eps < 1 every positive
+        cell has lo >= 1, so all `support` of them must be visited too."""
+        visited, counts = np.unique(cells, return_counts=True)
+        prev, a, io1, io2 = np.unravel_index(
+            visited, (self.pi.size, self.psu.size) + self.state_shape[4:])
+        (x1, y1), (x2, y2) = np.divmod(io1, self.ch.y1.size), np.divmod(io2, self.ch.y2.size)
+        p = self.pi[prev] * self.psu[a] * self.ch.law.probs[x1, x2, y1, y2]
+        in_bounds = _in_bounds(counts, typical_count_bounds(p, len(cells), eps)).all()
+        return bool(in_bounds) and (eps >= 1 or len(visited) == self.support)
+
     def sample_source(self, rng, n):
         flat = _cdf_sample(rng, self.src_cdf, n)
         return np.unravel_index(flat, self.src.law.shape)
@@ -261,6 +276,14 @@ class SimContext:
         r = rng.random(len(x1))
         y_flat = (rows <= r[:, None]).sum(axis=1)
         return y_flat // self.ch.y2.size, y_flat % self.ch.y2.size
+
+
+def _pick(rng: np.random.Generator, cand: np.ndarray, m: int) -> int:
+    """The one typical candidate, a uniform one of several, or with none a
+    uniform index of all m codewords."""
+    if len(cand) == 1:
+        return int(cand[0])
+    return int(cand[rng.integers(len(cand))]) if len(cand) else int(rng.integers(m))
 
 
 def encode_block(ctx: SimContext, j: int, s_block: np.ndarray, prev: tuple,
@@ -273,16 +296,12 @@ def encode_block(ctx: SimContext, j: int, s_block: np.ndarray, prev: tuple,
     """
     m, n = codebook.shape
     cand = _typical_candidates(s_block, codebook, ctx.count_bounds(("enc", j), n, params.eps1))
-    covered = len(cand) > 0
-    if covered:
-        mj = int(cand[rng.integers(len(cand))]) if len(cand) > 1 else int(cand[0])
-    else:
-        mj = int(rng.integers(m))
+    mj = _pick(rng, cand, m)
     u = codebook[mj]
     f = ctx.cfg.f1 if j == 1 else ctx.cfg.f2
     ps, pu, pio = prev
     x = f[s_block, u, ps, pu, pio]
-    return mj, u, x, covered
+    return mj, u, x, len(cand) > 0
 
 
 def decode_block(ctx: SimContext, j: int, own: dict, codebook_prev: np.ndarray,
@@ -301,10 +320,7 @@ def decode_block(ctx: SimContext, j: int, own: dict, codebook_prev: np.ndarray,
     m, n = codebook_prev.shape
     cand = _typical_candidates(own_flat, codebook_prev,
                                ctx.count_bounds(("dec", j), n, params.eps))
-    if len(cand) > 0:
-        m_hat = int(cand[rng.integers(len(cand))]) if len(cand) > 1 else int(cand[0])
-    else:
-        m_hat = int(rng.integers(m))
+    m_hat = _pick(rng, cand, m)
     g = cfg.g1 if j == 1 else cfg.g2
     recon = g[codebook_prev[m_hat], own["s"], own["u"], own["ps"], own["pu"], own["pio"], own["y"]]
     return m_hat, recon, cand
@@ -349,8 +365,8 @@ def run_simulation(
         )
 
         ps1, ps2, pu1, pu2, pio1, pio2 = (np.asarray(a) for a in init_prev)
-        prev1 = (ps1, pu1, pio1)
-        prev2 = (ps2, pu2, pio2)
+        prev1, prev2 = (ps1, pu1, pio1), (ps2, pu2, pio2)
+        prev_state = np.ravel_multi_index(init_prev, ctx.state_shape)
         true_m = {1: [None] * (blocks + 2), 2: [None] * (blocks + 2)}
         s_hist = {1: [None] * (blocks + 2), 2: [None] * (blocks + 2)}
 
@@ -368,15 +384,9 @@ def run_simulation(
                 x1 = cfg.f1[s1, u1, prev1[0], prev1[1], prev1[2]]
                 x2 = cfg.f2[s2, u2, prev2[0], prev2[1], prev2[2]]
             y1, y2 = ctx.sample_channel(rng, x1, x2)
-
-            z_idx = np.ravel_multi_index(
-                (s1, s2, u1, u2, prev1[0], prev2[0], prev1[1], prev2[1],
-                 prev1[2], prev2[2], x1, x2, y1, y2),
-                ctx.z_shape,
-            )
-            z_bounds = ctx.count_bounds("z", n, params.eps)
-            z_counts = np.bincount(z_idx, minlength=len(z_bounds[0]))
-            block_typical = bool(_in_bounds(z_counts, z_bounds).all())
+            io1, io2 = io_index(x1, y1, ch.y1.size), io_index(x2, y2, ch.y2.size)
+            state = np.ravel_multi_index((s1, s2, u1, u2, io1, io2), ctx.state_shape)
+            block_typical = ctx.full_state_typical(prev_state * ctx.pi.size + state, params.eps)
             f3 += not block_typical
 
             if b >= 2:
@@ -404,8 +414,7 @@ def run_simulation(
 
             s_hist[1][b] = s1
             s_hist[2][b] = s2
-            prev1 = (s1, u1, io_index(x1, y1, ch.y1.size))
-            prev2 = (s2, u2, io_index(x2, y2, ch.y2.size))
+            prev1, prev2, prev_state = (s1, u1, io1), (s2, u2, io2), state
 
     per_block = dist_sum / params.trials
     return SimReport(

@@ -250,7 +250,7 @@ class TestSolverPaths:
         # A<->B two-cycle fed by transient C: plain iteration oscillates,
         # the half-lazy kernel settles on the cycle's stationary law
         k = DenseKernel([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        pi, res, unique, _ = _solve_stationary(k)
+        pi, res, unique = _solve_stationary(k)
         assert res <= 1e-10
         assert np.allclose(pi, [0.5, 0.5, 0.0], atol=1e-9)
         assert unique is True
@@ -270,7 +270,7 @@ class TestSolverPaths:
         block = np.array([[0.3, 0.7], [0.6, 0.4]])
         other = np.array([[0.8, 0.2], [0.5, 0.5]])
         k = DenseKernel(np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), other]]))
-        pi, res, unique, _ = _solve_stationary(k)
+        pi, res, unique = _solve_stationary(k)
         assert res <= 1e-10
         assert unique is False
 

@@ -1,9 +1,13 @@
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import twjscc as tw
+from twjscc import markov, simulate
 from twjscc.coded_channel import fresh_law
 from twjscc.conditions import (
     _UNIT_SOURCE,
@@ -25,7 +29,9 @@ from twjscc.simulate import (
     run_simulation,
 )
 
-from util import bsc_codeword_scheme
+from util import bsc_codeword_scheme, dense_pair_law
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -359,3 +365,38 @@ class TestRunSimulation:
         params = SimParams(n=16, blocks=3, eps=0.3, eps1=0.15, rate1=0.0, rate2=0.0, trials=2)
         rep = run_simulation(cfg, ch, src, d, d, params)
         assert rep.jscc_rate == pytest.approx(0.75)
+
+
+class TestFullStateSupport:
+    def test_criterion_8_context_reads_the_factors(self, monkeypatch):
+        # the criterion-8 set-up: 1024 positive full-state cells, more than
+        # the n = 256 letters of a block, so no block is typical
+        def refuse(*args, **kwargs):
+            raise AssertionError("pair_law called")
+
+        monkeypatch.setattr(markov, "pair_law", refuse)
+        monkeypatch.setattr(simulate, "pair_law", refuse)
+        ch = tw.preset_crossed_bitpipes()
+        src = tw.preset_independent_bernoulli(0.5, 0.5)
+        d = tw.hamming(src.s1)
+        cfg = lift_hybrid(bsc_codeword_scheme(ch, src, 0.45, d, d), ch, src)
+        ctx = SimContext(cfg, ch, src)
+        dense = dense_pair_law(markov.build_chain(cfg, ch, src), ctx.pi)
+        assert ctx.support == np.count_nonzero(dense.probs) == 1024
+        params = SimParams(n=256, blocks=3, eps=0.3, eps1=0.15, rate1=0.04, rate2=0.04, seed=1)
+        assert run_simulation(cfg, ch, src, d, d, params).err_typicality == 4
+
+    def test_dueck_configuration_simulates(self, monkeypatch):
+        # a Dueck configuration's full-state law has 16384^2 cells, which the
+        # simulator never forms; its 65536-cell support exceeds n, so every
+        # block is atypical
+        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        ch, src, (cfg,) = workloads.WORKLOADS["eval_dueck"].setup([0])
+        cfg = dataclasses.replace(cfg, prev_law=markov.stationary_prev_law(cfg, ch, src))
+        d = tw.hamming(src.s1)
+        params = SimParams(n=64, blocks=2, eps=0.3, eps1=0.15, rate1=0.0, rate2=0.0, seed=0)
+        assert SimContext(cfg, ch, src).support == 65536
+        assert run_simulation(cfg, ch, src, d, d, params).err_typicality == 3

@@ -1,10 +1,23 @@
-"""Property tests of integer-count typicality and the simulator's candidate search."""
+"""Property tests of integer-count typicality, the simulator's candidate
+search and its full-state test."""
+
+import dataclasses
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from twjscc.probability import Alphabet, JointPmf, joint_typicality_test, typical_count_bounds
-from twjscc.simulate import _typical_candidates
+import twjscc as tw
+from twjscc.markov import build_chain
+from twjscc.probability import (
+    Alphabet,
+    ConditionalPmf,
+    JointPmf,
+    joint_typicality_test,
+    typical_count_bounds,
+)
+from twjscc.simulate import SimContext, _typical_candidates
+
+from util import dense_pair_law, random_binary_channel, random_configuration, random_joint_source
 
 
 def float_candidates(own, book, ref, eps):
@@ -107,3 +120,61 @@ def test_exact_counts_accepted_at_eps_zero(a, b, seed):
     moved[1][0] = (moved[1][0] + 1) % len(b)
     if len(b) > 1:
         assert not joint_typicality_test(moved, ref, 0.0)
+
+
+def sparse_system(rng, rows):
+    """A random system of tests/util.py with about a third of the channel
+    entries zeroed and a previous-block law on `rows` random states."""
+    ch = random_binary_channel(rng)
+    law = ch.law.probs * (rng.random(ch.law.probs.shape) < 0.7)
+    law[..., 0, 0] += law.sum(axis=(2, 3)) == 0
+    law /= law.sum(axis=(2, 3), keepdims=True)
+    ch = tw.TwoWayChannel(ch.x1, ch.x2, ch.y1, ch.y2,
+                          ConditionalPmf(ch.law.given_axes, ch.law.out_axes, law))
+    src = random_joint_source(rng)
+    cfg = random_configuration(rng, ch, src)
+    shape = tuple(a.size for a in cfg.prev_axes)
+    pi = np.zeros(int(np.prod(shape)))
+    pi[rng.choice(pi.size, rows, replace=False)] = rng.dirichlet(np.ones(rows))
+    return dataclasses.replace(cfg, prev_law=JointPmf(cfg.prev_axes, pi.reshape(shape))), ch, src
+
+
+def feasible_letters(ctx, z_shape):
+    """Every (previous state, fresh tuple, y1, y2) letter with the inputs the
+    encoder tables produce, as its simulator cell and its 14-axis index."""
+    cfg, ny1, ny2 = ctx.cfg, ctx.ch.y1.size, ctx.ch.y2.size
+    prev, a, y1, y2 = np.indices((ctx.pi.size, ctx.psu.size, ny1, ny2)).reshape(4, -1)
+    ps1, ps2, pu1, pu2, pio1, pio2 = np.unravel_index(prev, ctx.state_shape)
+    s1, s2, u1, u2 = np.unravel_index(a, ctx.state_shape[:4])
+    x1, x2 = cfg.f1[s1, u1, ps1, pu1, pio1], cfg.f2[s2, u2, ps2, pu2, pio2]
+    state = np.ravel_multi_index((s1, s2, u1, u2, x1 * ny1 + y1, x2 * ny2 + y2), ctx.state_shape)
+    z = np.ravel_multi_index((s1, s2, u1, u2, ps1, ps2, pu1, pu2, pio1, pio2, x1, x2, y1, y2),
+                             z_shape)
+    return prev * ctx.pi.size + state, z
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from([64, 4096, 2 ** 18, 2 ** 20]),
+       st.lists(st.sampled_from(["drop", "extra", "jitter"]), max_size=3),
+       st.sampled_from([0.2, 0.5, 1.0, 1.5]))
+def test_full_state_verdict_matches_dense_oracle(seed, rows, n, flaws, eps):
+    # a block of about n letters at the law's type, with one positive cell
+    # left out per "drop", one more letter per "extra" in a feasible cell
+    # drawn uniformly (most have zero probability), and each count moved
+    # by up to the number of "jitter"s
+    drop, extra, jitter = (flaws.count(f) for f in ("drop", "extra", "jitter"))
+    rng = np.random.default_rng(seed)
+    cfg, ch, src = sparse_system(rng, rows)
+    ctx = SimContext(cfg, ch, src)
+    law = dense_pair_law(build_chain(cfg, ch, src), ctx.pi)
+    cells, z = feasible_letters(ctx, law.shape)
+    p = law.probs.ravel()[z]
+    counts = np.round(n * p).astype(np.int64)
+    counts[rng.permutation(np.flatnonzero(counts))[:drop]] = 0
+    counts = np.clip(counts + rng.integers(-jitter, jitter + 1, counts.size) * (counts > 0), 0, None)
+    np.add.at(counts, rng.integers(0, counts.size, extra), 1)
+    letters = rng.permutation(np.repeat(np.arange(counts.size), counts))
+    assume(len(letters) > 0)
+    lo, hi = typical_count_bounds(law.probs.ravel(), len(letters), eps)
+    oracle = np.bincount(z[letters], minlength=law.probs.size)
+    assert ctx.full_state_typical(cells[letters], eps) == bool(((lo <= oracle) & (oracle <= hi)).all())
