@@ -3,14 +3,18 @@
 The plain function is computed by Blahut-Arimoto iterations with a
 bisection on the Lagrange multiplier; the side-information function is a
 deterministic brute-force search over test-channel conditionals on a
-simplex lattice.  For a fixed decoder h the rate I(S; T | S_other) is convex
-in the conditional P(t | s), but the objective is non-convex jointly in
-(P(t | s), h), so a grid plus local refinement is preferred over
-alternating minimization.
+simplex lattice.  A candidate picks one lattice row per source symbol, so
+its decoder costs and entropies are sums of per-row tables, scored over the
+grid of picks without forming any candidate's joint law.  For a fixed
+decoder h the rate I(S; T | S_other) is convex in the conditional P(t | s),
+but the objective is non-convex jointly in (P(t | s), h), so a grid plus
+local refinement is preferred over alternating minimization.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,40 +187,50 @@ class WzResult:
     evaluations: int
 
 
-def _wz_candidates(base_rows: np.ndarray, lattice: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-row local lattices combined over all source symbols, in the
-    row-major order of the choice of one lattice point per row."""
-    ns = base_rows.shape[0]
-    local = (1.0 - alpha) * base_rows[:, None, :] + alpha * lattice[None, :, :]
-    choice = np.indices((len(lattice),) * ns).reshape(ns, -1).T  # (combos, ns)
-    return local[np.arange(ns), choice]
+def _grid_sum(tab: np.ndarray, lead: tuple) -> np.ndarray:
+    """Per-row tables tab (ns, L, ...) summed over the source rows, in row
+    order: rows 0..k-1 take the row indices lead (k arrays of n), the others
+    range over all L, giving (n * L ** (ns - k), ...) in row-major order."""
+    out = tab[0, lead[0]]
+    for s in range(1, len(tab)):
+        if s < len(lead):
+            out = out + tab[s, lead[s]]
+        else:
+            out = (out[:, None] + tab[s]).reshape((-1,) + tab.shape[2:])
+    return out
 
 
-def _wz_evaluate(cands: np.ndarray, ps: np.ndarray, dist: np.ndarray):
-    """Vectorized decoder optimization for a batch of test channels.
+def _plogp(a: np.ndarray) -> np.ndarray:
+    """Elementwise a log2 a, zero where a is zero."""
+    return a * np.log2(a, out=np.zeros_like(a), where=a > 0)
 
-    Returns (objective, distortion, decoder) arrays; the decoder is the
-    per-(side, t) argmin reconstruction with lowest-index tie-breaking.
-    """
-    joint = ps[None, :, :, None] * cands[:, :, None, :]  # (c, s, so, t)
-    cost = np.einsum("csot,sr->cotr", joint, dist)
-    h = np.argmin(cost, axis=-1)
-    d_ach = np.min(cost, axis=-1).sum(axis=(1, 2))
 
-    pst = joint.sum(axis=2)  # (c, s, t)
-    psot = joint.sum(axis=1)  # (c, so, t)
-    pt = pst.sum(axis=1)  # (c, t)
+def _wz_batches(local: np.ndarray, ps: np.ndarray, dist: np.ndarray):
+    """Objective I(S;T) - I(S_other;T) and distortion of every candidate
+    that picks one row of local (ns, L, t) per source symbol, in the
+    row-major order of those picks.  Both are sums of per-row tables over
+    the grid, and H(T) cancels.  Yields (first flat index, objective,
+    distortion) per batch of at most WZ_CHUNK candidates."""
+    ns, n_lat = local.shape[:2]
+    pso = ps[:, None, :, None] * local[:, :, None, :]  # (s, row, s_other, t)
+    cost = pso[None] * dist.T[:, :, None, None, None]  # (r, s, row, s_other, t)
+    h_st = -_plogp(pso.sum(axis=2)).sum(axis=-1)  # (s, row): H(S, T) = sum over rows
+    h_s_minus_so = _plogp_sum(ps.sum(axis=0)) - _plogp_sum(ps.sum(axis=1))
+    k = next(k for k in range(1, ns + 1) if n_lat ** (ns - k) <= WZ_CHUNK)
+    tail = n_lat ** (ns - k)
+    step = WZ_CHUNK // tail
+    for lo in range(0, n_lat ** k, step):
+        lead = np.unravel_index(np.arange(lo, min(lo + step, n_lat ** k)), (n_lat,) * k)
+        d_min = functools.reduce(np.minimum, (_grid_sum(c, lead) for c in cost))
+        h_sot = -_plogp(_grid_sum(pso, lead)).sum(axis=(1, 2))
+        yield lo * tail, h_s_minus_so - _grid_sum(h_st, lead) + h_sot, d_min.sum(axis=(1, 2))
 
-    def h_rows(a):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lg = np.where(a > 0, np.log2(np.where(a > 0, a, 1.0)), 0.0)
-        return -(a * lg).reshape(a.shape[0], -1).sum(axis=1)
 
-    h_t = h_rows(pt)
-    # I(S;T) - I(Sother;T) = H(S) - H(S,T) - H(Sother) + H(Sother,T) + constants cancel
-    i1 = h_rows(pst.sum(axis=2)) + h_t - h_rows(pst)
-    i2 = h_rows(psot.sum(axis=2)) + h_t - h_rows(psot)
-    return i1 - i2, d_ach, h
+def _wz_decoder(rows: np.ndarray, ps: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Per-(side, t) argmin reconstruction of test channels rows (..., s, t),
+    lowest index on ties, from the costs _wz_batches minimizes."""
+    terms = ps[:, :, None, None] * rows[..., :, None, :, None] * dist[:, None, None, :]
+    return np.argmin(terms.sum(axis=-4), axis=-1)
 
 
 def wz_function(
@@ -244,39 +258,31 @@ def wz_function(
         raise ValueError("distortion table does not match the compressed source")
     dist = d.table
 
-    lat_levels = WZ_LEVELS
-    while len(_simplex_lattice(nt, lat_levels)) ** ns > 300_000 and lat_levels > 2:
-        lat_levels -= 1
-    lattice = _simplex_lattice(nt, lat_levels)
+    levels = (lv for lv in range(WZ_LEVELS, 2, -1) if math.comb(lv + nt - 1, nt - 1) ** ns <= 300_000)
+    lattice = _simplex_lattice(nt, next(levels, 2))
 
-    uniform = np.full((ns, nt), 1.0 / nt)
-    best = None  # (objective, dist, pt_rows, h)
+    best = None  # (objective, distortion, rows)
     evaluations = 0
-
-    def consider(cands: np.ndarray):
-        nonlocal best, evaluations
-        for lo in range(0, len(cands), WZ_CHUNK):
-            batch = cands[lo : lo + WZ_CHUNK]
-            obj, d_ach, h = _wz_evaluate(batch, ps, dist)
-            evaluations += len(batch)
+    base_rows = np.full((ns, nt), 1.0 / nt)
+    for r in range(WZ_REFINE_ROUNDS + 1):  # the full lattice, then local refinements
+        alpha = 10.0 ** (-r)
+        local = (1.0 - alpha) * base_rows[:, None, :] + alpha * lattice[None, :, :]
+        for lo, obj, d_ach in _wz_batches(local, ps, dist):
+            evaluations += len(obj)
             ok = d_ach <= target + 1e-12
-            if not np.any(ok):
-                continue
-            idx = np.where(ok)[0]
-            k = idx[int(np.argmin(obj[idx]))]
-            if best is None or obj[k] < best[0] - 1e-15:
-                best = (float(obj[k]), float(d_ach[k]), batch[k].copy(), h[k].copy())
+            k = int(np.argmin(np.where(ok, obj, np.inf)))  # first best feasible candidate
+            if ok[k] and (best is None or obj[k] < best[0] - 1e-15):
+                rows = local[np.arange(ns), np.unravel_index(lo + k, (len(lattice),) * ns)]
+                best = (float(obj[k]), float(d_ach[k]), rows)
+        if best is None:
+            d_min = float(np.sum(ps.sum(axis=1) * dist.min(axis=1)))
+            raise InfeasibleDistortion(
+                f"no test channel meets distortion {target} (minimum achievable {d_min})"
+            )
+        base_rows = best[2]
 
-    consider(_wz_candidates(uniform, lattice, 1.0))
-    if best is None:
-        d_min = float(np.sum(ps.sum(axis=1) * dist.min(axis=1)))
-        raise InfeasibleDistortion(
-            f"no test channel meets distortion {target} (minimum achievable {d_min})"
-        )
-    for r in range(1, WZ_REFINE_ROUNDS + 1):
-        consider(_wz_candidates(best[2], lattice, 10.0 ** (-r)))
-
-    obj, d_ach, rows, h = best
+    obj, d_ach, rows = best
+    h = _wz_decoder(rows, ps, dist)
     t_alpha = Alphabet(nt, "t")
     s_alpha = src.s1 if which == 1 else src.s2
     scheme = WZScheme(

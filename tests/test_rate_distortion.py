@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 import twjscc as tw
+import twjscc.rate_distortion as rd
 from twjscc.conditions import _simplex_lattice
 from twjscc.probability import Alphabet, bernoulli, binary_entropy, conditional_entropy
 from twjscc.rate_distortion import (
     InfeasibleDistortion,
-    _wz_candidates,
+    _wz_batches,
+    _wz_decoder,
     blahut_arimoto,
     rd_curve,
     rd_function,
     wz_curve,
     wz_function,
 )
+
+from util import dense_wz_candidates, dense_wz_evaluate
 
 
 @pytest.fixture
@@ -149,6 +153,71 @@ class TestWzFunction:
             res = wz_function(src, 1, tw.hamming(sa), 0.0)
             assert res.rate == pytest.approx(conditional_entropy(src.law, 0, 1), abs=1e-3)
 
+    def test_ternary_lossless_rate_is_conditional_entropy(self):
+        rng = np.random.default_rng(3)
+        sa = Alphabet(3)
+        for _ in range(2):
+            src = tw.JointSource(sa, sa, tw.JointPmf((sa, sa), rng.dirichlet(np.ones(9)).reshape(3, 3)))
+            res = wz_function(src, 1, tw.hamming(sa), 0.0)
+            assert res.rate == pytest.approx(conditional_entropy(src.law, 0, 1), abs=1e-3)
+            assert res.distortion == 0.0 and res.scheme.t.size == 4
+
+
+def _local(base, lattice, alpha):
+    return (1.0 - alpha) * base[:, None, :] + alpha * lattice[None, :, :]
+
+
+def _dense_batches(local, ps, dist):
+    cands = dense_wz_candidates(local)
+    for lo in range(0, len(cands), rd.WZ_CHUNK):
+        obj, d_ach, _ = dense_wz_evaluate(cands[lo : lo + rd.WZ_CHUNK], ps, dist)
+        yield lo, obj, d_ach
+
+
+def _dense_decoder(rows, ps, dist):
+    return dense_wz_evaluate(rows[None], ps, dist)[2][0]
+
+
+class TestSeparableEvaluator:
+    """The per-row evaluator against the dense (c, s, s_other, t) oracle."""
+
+    @pytest.mark.parametrize("chunk", [rd.WZ_CHUNK, 300, 7])
+    @pytest.mark.parametrize("ns, n_other, levels", [(2, 2, 15), (2, 3, 15), (3, 2, 3), (3, 3, 3)])
+    def test_matches_dense_oracle(self, monkeypatch, ns, n_other, levels, chunk):
+        monkeypatch.setattr(rd, "WZ_CHUNK", chunk)
+        rng = np.random.default_rng(10 * ns + n_other)
+        ps = rng.dirichlet(np.ones(ns * n_other)).reshape(ns, n_other)
+        dist = rng.uniform(0.0, 1.0, size=(ns, ns))
+        lattice = _simplex_lattice(ns + 1, levels)
+        base = rng.dirichlet(np.ones(ns + 1), size=ns)
+        for alpha in (1.0, 0.1, 0.01):
+            local = _local(base, lattice, alpha)
+            cands = dense_wz_candidates(local)
+            obj, d_ach, h = dense_wz_evaluate(cands, ps, dist)
+            batches = list(_wz_batches(local, ps, dist))
+            sizes = [len(b[1]) for b in batches]
+            assert max(sizes) <= chunk
+            assert [b[0] for b in batches] == np.cumsum([0] + sizes[:-1]).tolist()
+            assert np.abs(np.concatenate([b[1] for b in batches]) - obj).max() <= 1e-14
+            assert np.abs(np.concatenate([b[2] for b in batches]) - d_ach).max() <= 1e-15
+            cost = np.sort(np.einsum("csot,sr->cotr", ps[None, :, :, None] * cands[:, :, None, :], dist))
+            clear = cost[..., 1] - cost[..., 0] > 1e-12
+            assert np.array_equal(_wz_decoder(cands, ps, dist)[clear], h[clear])
+
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("frac", [0.0, 0.1, 0.25])
+    def test_example2_picks_equal_dense_run(self, monkeypatch, which, frac):
+        src = tw.preset_example2_source()
+        d = tw.hamming(src.s1)
+        got = wz_function(src, which, d, frac * d.d_max)
+        monkeypatch.setattr(rd, "_wz_batches", _dense_batches)
+        monkeypatch.setattr(rd, "_wz_decoder", _dense_decoder)
+        want = wz_function(src, which, d, frac * d.d_max)
+        assert np.array_equal(got.scheme.p_t_given_s.probs, want.scheme.p_t_given_s.probs)
+        assert np.array_equal(got.scheme.h, want.scheme.h)
+        assert got.distortion == want.distortion
+        assert got.evaluations == want.evaluations == 55488
+
 
 class TestWzCandidates:
     @staticmethod
@@ -168,7 +237,7 @@ class TestWzCandidates:
         lattice = _simplex_lattice(nt, levels)
         base = rng.dirichlet(np.ones(nt), size=ns)
         for alpha in (1.0, 0.1, 0.01):
-            got = _wz_candidates(base, lattice, alpha)
+            got = dense_wz_candidates(_local(base, lattice, alpha))
             assert np.array_equal(got, self.loop_candidates(base, lattice, alpha))
             assert got.flags.c_contiguous
 

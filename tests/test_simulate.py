@@ -90,10 +90,10 @@ class TestCodebooks:
         src = tw.preset_independent_bernoulli(0.5, 0.5)
         d = tw.hamming(src.s1)
         cfg = lift_hybrid(bsc_codeword_scheme(ch, src, 0.2, d, d), ch, src)
+        # rate 0.01 at n = 1000 draws 2^10 codewords, 1,024,000 letters
         params = SimParams(n=1000, blocks=1, eps=0.3, eps1=0.1, rate1=0.01, rate2=0.01)
         books = generate_codebooks(cfg, src, params, np.random.default_rng(0))
-        # draw many codewords by enlarging the codebook through the rate cap
-        big = SimParams(n=1000, blocks=1, eps=0.3, eps1=0.1, rate1=0.01, rate2=0.01, trials=1)
+        assert books.u1.shape == (1, 1024, 1000)
         freq1 = np.bincount(books.u1.ravel(), minlength=2) / books.u1.size
         assert abs(freq1[1] - 0.5) <= 0.05
 
