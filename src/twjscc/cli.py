@@ -16,7 +16,8 @@ import sys
 from dataclasses import dataclass
 
 from . import serialization as ser
-from .conditions import eval_adaptive, eval_hybrid, eval_sscc, shannon_nonadaptive_bound, wz_scheme_rate
+from .conditions import _adaptive_report, eval_hybrid, eval_sscc, shannon_nonadaptive_bound, wz_scheme_rate
+from .markov import Z_AXES, build_chain, pair_marginal, stationary_vector
 from .models import hamming
 from .rate_distortion import InfeasibleDistortion, rd_curve, rd_function, wz_curve, wz_function
 from .region import convexify, search_region, uncoded_configuration
@@ -167,12 +168,9 @@ def execute(spec: RunSpec) -> int:
         ch = ser.resolve_channel(opt["channel"])
         src = ser.resolve_source(opt["source"])
         cfg = ser.load_configuration(opt["config"])
-        cfg.check_against(ch, src)
-        report = eval_adaptive(cfg, ch, src, tol=opt["tol"], simplify=opt["simplify"])
+        sys_ = build_chain(cfg, ch, src)
+        report = _adaptive_report(sys_, tol=opt["tol"], simplify=opt["simplify"])
         if opt.get("marginals_csv"):
-            from .markov import Z_AXES, build_chain, pair_marginal, stationary_vector
-
-            sys_ = build_chain(cfg, ch, src)
             pi, _ = stationary_vector(sys_)
             rows = []
             for k, name in enumerate(Z_AXES):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .coded_channel import Configuration
 from .markov import (
+    MarkovSystem,
     build_chain,
     pair_marginal,
     stationary_prev_law,
@@ -266,7 +267,12 @@ def eval_adaptive(
     keeping only the current channel output), which shifts both sides of
     each inequality by the same constant and so preserves margins.
     """
-    sys = build_chain(cfg, ch, src)
+    return _adaptive_report(build_chain(cfg, ch, src), tol, simplify)
+
+
+def _adaptive_report(sys: MarkovSystem, tol: float = DEFAULT_TOL,
+                     simplify: bool = False) -> ConditionReport:
+    """eval_adaptive on a built system, reading its stationary vector."""
     pi, res = stationary_vector(sys)
     if res > PREV_LAW_TOL:
         raise ValueError(

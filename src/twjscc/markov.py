@@ -12,6 +12,7 @@ law of two consecutive reduced states.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,8 +330,14 @@ def stationary_prev_law(cfg: Configuration, ch: TwoWayChannel, src: JointSource)
     previous-block axes already.  A chain whose stationary law is not
     unique raises ValueError.
     """
-    sys = build_chain(cfg, ch, src)
-    return JointPmf(cfg.prev_axes, _solve_unique(sys).reshape(sys.reduced_shape))
+    return with_stationary_law(build_chain(cfg, ch, src)).cfg.prev_law
+
+
+def with_stationary_law(sys: MarkovSystem) -> MarkovSystem:
+    """The system on the same kernel, its configuration carrying the chain's
+    unique stationary law as prev_law (see stationary_prev_law)."""
+    prev = JointPmf(sys.cfg.prev_axes, _solve_unique(sys).reshape(sys.reduced_shape))
+    return MarkovSystem(dataclasses.replace(sys.cfg, prev_law=prev), sys.channel, sys.source, sys.kernel)
 
 
 def _residual(kernel, pi: np.ndarray) -> float:

@@ -1,11 +1,14 @@
 """Randomized search for distortion pairs certified by the adaptive conditions.
 
-Candidates are full configurations; each is made stationary by solving for
-its previous-block law, scored by the adaptive condition report, and kept
-when certified (strictly satisfied, or sitting on the boundary, which is
-tagged).  A handful of structured candidates (uncoded, identity-codeword
-hybrid, separate coding) always precede the random draws so the classical
-schemes are recovered regardless of sampling luck.
+Candidates are full configurations, and each is evaluated on one system
+chain: a candidate without a previous-block law gets the chain's stationary
+law installed, and the adaptive condition report, the decoder distortions
+and the installed law's residual are all read off that same `MarkovSystem`.
+A candidate is kept when certified (strictly satisfied, or sitting on the
+boundary, which is tagged); otherwise its evaluation names the reason.  A
+handful of structured candidates (uncoded, identity-codeword hybrid,
+separate coding) always precede the random draws so the classical schemes
+are recovered regardless of sampling luck.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ from .conditions import (
     AdaptiveChannelScheme,
     ConditionReport,
     HybridScheme,
+    _adaptive_report,
     adaptive_scheme_stationary,
     bayes_hybrid_decoders,
-    eval_adaptive,
     lift_hybrid,
     lift_sscc,
 )
-from .markov import build_chain, check_configuration, decoder_marginals, stationary_prev_law
+from .markov import build_chain, decoder_marginals, reconstruction_distortions, with_stationary_law
 from .models import DistortionMeasure, JointSource, TwoWayChannel, bayes_decoder
 from .probability import Alphabet, ConditionalPmf
 
@@ -49,18 +52,10 @@ def _dirichlet_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return gam / gam.sum(axis=1, keepdims=True)
 
 
-def _bayes_reconstructions(cfg: Configuration, ch: TwoWayChannel, src: JointSource,
-                           d1: DistortionMeasure, d2: DistortionMeasure) -> Configuration:
-    """Replace both g tables with the optimal deterministic reconstructions
-    under the configuration's own stationary pair law."""
-    marg1, marg2 = decoder_marginals(build_chain(cfg, ch, src))
-    g1, g2 = bayes_decoder(marg2, d2), bayes_decoder(marg1, d1)
-    return dataclasses.replace(cfg, g1=g1, g2=g2, recon1=d1.recon_alphabet, recon2=d2.recon_alphabet)
-
-
 def uncoded_configuration(ch: TwoWayChannel, src: JointSource,
                           d1: DistortionMeasure, d2: DistortionMeasure) -> Configuration:
-    """Constant codewords, x_j = current s_j, optimal reconstructions."""
+    """Constant codewords, x_j = current s_j, and the optimal deterministic
+    reconstructions under the configuration's own stationary pair law."""
     unit = Alphabet(1, "const")
     pu1 = ConditionalPmf((src.s1,), (unit,), np.ones((src.s1.size, 1)))
     pu2 = ConditionalPmf((src.s2,), (unit,), np.ones((src.s2.size, 1)))
@@ -82,9 +77,9 @@ def uncoded_configuration(ch: TwoWayChannel, src: JointSource,
         x1=ch.x1, x2=ch.x2, y1=ch.y1, y2=ch.y2,
         recon1=d1.recon_alphabet, recon2=d2.recon_alphabet,
     )
-    prev = stationary_prev_law(cfg, ch, src)
-    cfg = dataclasses.replace(cfg, prev_law=prev)
-    return _bayes_reconstructions(cfg, ch, src, d1, d2)
+    sys = with_stationary_law(build_chain(cfg, ch, src))
+    marg1, marg2 = decoder_marginals(sys)
+    return dataclasses.replace(sys.cfg, g1=bayes_decoder(marg2, d2), g2=bayes_decoder(marg1, d1))
 
 
 def constant_codeword_hybrid_configuration(ch: TwoWayChannel, src: JointSource,
@@ -148,7 +143,7 @@ def _sscc_candidates(ch: TwoWayChannel, src: JointSource,
 
 def _random_candidate(rng: np.random.Generator, ch: TwoWayChannel, src: JointSource,
                       d1: DistortionMeasure, d2: DistortionMeasure,
-                      aux1: int, aux2: int) -> Configuration | None:
+                      aux1: int, aux2: int) -> Configuration:
     u1 = Alphabet(aux1, "u1")
     u2 = Alphabet(aux2, "u2")
     pu1 = ConditionalPmf((src.s1,), (u1,), _dirichlet_rows(rng, src.s1.size, aux1))
@@ -161,17 +156,31 @@ def _random_candidate(rng: np.random.Generator, ch: TwoWayChannel, src: JointSou
                       size=(aux2, src.s1.size, aux1, src.s1.size, aux1, nio1, ch.y1.size))
     g2 = rng.integers(0, d1.recon_alphabet.size,
                       size=(aux1, src.s2.size, aux2, src.s2.size, aux2, nio2, ch.y2.size))
-    cfg = Configuration(
+    return Configuration(
         u1=u1, u2=u2, pu1_given_s1=pu1, pu2_given_s2=pu2, prev_law=None,
         f1=f1, f2=f2, g1=g1, g2=g2,
         x1=ch.x1, x2=ch.x2, y1=ch.y1, y2=ch.y2,
         recon1=d1.recon_alphabet, recon2=d2.recon_alphabet,
     )
+
+
+def _evaluate(cfg: Configuration, ch: TwoWayChannel, src: JointSource,
+              d1: DistortionMeasure, d2: DistortionMeasure) -> RegionPoint | str:
+    """Certify one candidate on its one system chain, or name why not: the
+    message of the error that stopped the evaluation, or "condition violated".
+    A candidate without a previous-block law gets the chain's stationary law."""
     try:
-        prev = stationary_prev_law(cfg, ch, src)
-    except (RuntimeError, ValueError):
-        return None
-    return dataclasses.replace(cfg, prev_law=prev)
+        sys = build_chain(cfg, ch, src)
+        if cfg.prev_law is None:
+            sys = with_stationary_law(sys)
+        report = _adaptive_report(sys)
+    except (ValueError, RuntimeError) as exc:
+        return str(exc)
+    if not (report.satisfied or report.boundary):
+        return "condition violated"
+    dist = reconstruction_distortions(sys, d1, d2)
+    return RegionPoint(d1=dist[0], d2=dist[1], certificate=sys.cfg, report=report,
+                       boundary=report.boundary, stationary_residual=sys.residual)
 
 
 def _pareto_min(points: list[RegionPoint]) -> list[RegionPoint]:
@@ -209,46 +218,19 @@ def search_region(
 
     candidates: list[Configuration] = []
     for build in (uncoded_configuration, constant_codeword_hybrid_configuration,
-                  identity_hybrid_configuration):
+                  identity_hybrid_configuration, _sscc_candidates):
         try:
-            candidates.append(build(ch, src, d1, d2))
-        except (ValueError, RuntimeError):
-            pass
-    try:
-        candidates.extend(_sscc_candidates(ch, src, d1, d2))
-    except (ValueError, RuntimeError):
-        pass
+            built = build(ch, src, d1, d2)
+        except (ValueError, RuntimeError):  # a failed structured build uses no budget
+            continue
+        candidates += built if isinstance(built, list) else [built]
 
     points: list[RegionPoint] = []
-    evaluated = 0
-    idx = 0
-    while evaluated < budget:
-        if idx < len(candidates):
-            cfg = candidates[idx]
-            idx += 1
-        else:
-            cfg = _random_candidate(rng, ch, src, d1, d2, aux1, aux2)
-        evaluated += 1
-        if cfg is None:
-            continue
-        try:
-            report = eval_adaptive(cfg, ch, src)
-        except (ValueError, RuntimeError):
-            continue
-        if not (report.satisfied or report.boundary):
-            continue
-        check = check_configuration(cfg, ch, src, d1, d2, np.inf, np.inf)
-        points.append(
-            RegionPoint(
-                d1=check.distortions[0],
-                d2=check.distortions[1],
-                certificate=cfg,
-                report=report,
-                boundary=report.boundary,
-                stationary_residual=check.stationary_residual,
-            )
-        )
-        points = _pareto_min(points)
+    for k in range(budget):
+        cfg = candidates[k] if k < len(candidates) else _random_candidate(rng, ch, src, d1, d2, aux1, aux2)
+        point = _evaluate(cfg, ch, src, d1, d2)
+        if not isinstance(point, str):  # a str names why the candidate failed
+            points = _pareto_min(points + [point])
     return points
 
 

@@ -25,6 +25,7 @@ from twjscc.region import identity_hybrid_configuration, uncoded_configuration
 from util import (
     dense_kernel,
     dense_pair_law,
+    echo_configuration,
     random_binary_channel,
     random_configuration,
     random_joint_source,
@@ -277,14 +278,7 @@ class TestSolverPaths:
 
 @pytest.fixture
 def echo_setup():
-    """x_j = previous y_j on crossed bit-pipes: (x1, x2) swaps every block,
-    so (0, 0), (1, 1) and the {(0, 1), (1, 0)} cycle are closed classes."""
-    ch = tw.preset_crossed_bitpipes()
-    src = tw.preset_independent_bernoulli(0.5, 0.5)
-    d = tw.hamming(src.s1)
-    echo = np.ascontiguousarray(np.broadcast_to(np.arange(4) % 2, (2, 1, 2, 1, 4)))  # y = io % 2
-    cfg = dataclasses.replace(uncoded_configuration(ch, src, d, d), prev_law=None, f1=echo, f2=echo)
-    return cfg, ch, src
+    return echo_configuration()
 
 
 class TestUniqueness:

@@ -1,9 +1,48 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import twjscc as tw
-from twjscc.markov import build_chain, prev_law_residual, reconstruction_distortions
-from twjscc.region import convexify, search_region
+from twjscc import conditions, markov, region
+from twjscc.conditions import eval_adaptive
+from twjscc.markov import (
+    build_chain,
+    check_configuration,
+    prev_law_residual,
+    reconstruction_distortions,
+    stationary_prev_law,
+)
+from twjscc.region import (
+    RegionPoint,
+    _evaluate,
+    _sscc_candidates,
+    constant_codeword_hybrid_configuration,
+    convexify,
+    identity_hybrid_configuration,
+    search_region,
+    uncoded_configuration,
+)
+
+from util import echo_configuration, random_configuration
+
+
+@pytest.fixture(scope="module")
+def bmc_example2():
+    ch = tw.preset_bmc()
+    src = tw.preset_example2_source()
+    return ch, src, tw.hamming(src.s1)
+
+
+def _three_call_path(cfg, ch, src, d):
+    """The candidate scoring that `_evaluate` replaces: solve, report, check."""
+    if cfg.prev_law is None:
+        cfg = dataclasses.replace(cfg, prev_law=stationary_prev_law(cfg, ch, src))
+    report = eval_adaptive(cfg, ch, src)
+    if not (report.satisfied or report.boundary):
+        return "condition violated"
+    check = check_configuration(cfg, ch, src, d, d, np.inf, np.inf)
+    return cfg, report, check
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +119,84 @@ class TestSearchRegion:
         d = tw.hamming(src.s1)
         with pytest.raises(ValueError, match="auxiliary alphabet sizes"):
             search_region(ch, src, d, d, budget=5, seed=0, aux_sizes=(0, 2))
+
+
+class TestEvaluate:
+    def test_matches_three_call_path_bit_for_bit(self, bmc_example2):
+        ch, src, d = bmc_example2
+        rng = np.random.default_rng(11)
+        cfgs = [random_configuration(rng, ch, src) for _ in range(40)]
+        cfgs += [build(ch, src, d, d) for build in (uncoded_configuration,
+                                                    constant_codeword_hybrid_configuration,
+                                                    identity_hybrid_configuration)]
+        cfgs += _sscc_candidates(ch, src, d, d)
+        certified = 0
+        for cfg in cfgs:
+            got, want = _evaluate(cfg, ch, src, d, d), _three_call_path(cfg, ch, src, d)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            certified += 1
+            want_cfg, report, check = want
+            assert isinstance(got, RegionPoint)
+            assert got.report == report
+            assert (got.d1, got.d2) == check.distortions
+            assert got.boundary == report.boundary
+            assert got.stationary_residual == check.stationary_residual
+            assert got.certificate.prev_law.probs.tobytes() == want_cfg.prev_law.probs.tobytes()
+            assert got.certificate.g1.tobytes() == want_cfg.g1.tobytes()
+            assert got.certificate.g2.tobytes() == want_cfg.g2.tobytes()
+        assert 10 <= certified < len(cfgs)  # both branches run
+
+    def test_non_unique_law_is_named(self):
+        cfg, ch, src = echo_configuration()
+        d = tw.hamming(src.s1)
+        assert "not unique" in _evaluate(cfg, ch, src, d, d)
+
+    def test_violated_conditions_are_named(self, bmc_example2):
+        ch, src, d = bmc_example2
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            cfg = random_configuration(rng, ch, src)
+            cfg = dataclasses.replace(cfg, prev_law=stationary_prev_law(cfg, ch, src))
+            report = eval_adaptive(cfg, ch, src)
+            if not (report.satisfied or report.boundary):
+                break
+        else:
+            pytest.fail("no violating candidate drawn")
+        assert _evaluate(cfg, ch, src, d, d) == "condition violated"
+
+    def test_one_chain_per_candidate(self, bmc_example2, monkeypatch):
+        ch, src, d = bmc_example2
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build_chain(*args, **kwargs)
+
+        for mod in (markov, region, conditions):
+            monkeypatch.setattr(mod, "build_chain", counted)
+        search_region(ch, src, d, d, budget=30, seed=0)
+        assert 30 < len(calls) <= 30 + 4  # one per candidate, plus the structured builds
+
+    def test_failed_structured_build_uses_no_budget(self, bmc_example2, monkeypatch):
+        ch, src, d = bmc_example2
+        draws = []
+        draw = region._random_candidate
+
+        def counted(*args):
+            draws.append(1)
+            return draw(*args)
+
+        def fail(*args):
+            raise ValueError("build failed")
+
+        monkeypatch.setattr(region, "_random_candidate", counted)
+        search_region(ch, src, d, d, budget=10, seed=0)
+        base = len(draws)
+        monkeypatch.setattr(region, "uncoded_configuration", fail)
+        search_region(ch, src, d, d, budget=10, seed=0)
+        assert len(draws) - base == base + 1
 
 
 class TestConvexify:

@@ -1,5 +1,7 @@
 """Shared builders for randomized test instances."""
 
+import dataclasses
+
 import numpy as np
 
 import twjscc as tw
@@ -10,6 +12,7 @@ from twjscc.conditions import (
     bayes_hybrid_decoders,
 )
 from twjscc.probability import Alphabet, ConditionalPmf, JointPmf
+from twjscc.region import uncoded_configuration
 
 
 def random_binary_channel(rng) -> tw.TwoWayChannel:
@@ -56,6 +59,18 @@ def random_configuration(rng, ch, src, aux1=2, aux2=2) -> tw.Configuration:
         x1=ch.x1, x2=ch.x2, y1=ch.y1, y2=ch.y2,
         recon1=Alphabet(src.s1.size), recon2=Alphabet(src.s2.size),
     )
+
+
+def echo_configuration():
+    """(cfg, ch, src) with x_j = previous y_j on crossed bit-pipes and no
+    previous-block law: (x1, x2) swaps every block, so (0, 0), (1, 1) and the
+    {(0, 1), (1, 0)} cycle are closed classes and the stationary law is not unique."""
+    ch = tw.preset_crossed_bitpipes()
+    src = tw.preset_independent_bernoulli(0.5, 0.5)
+    d = tw.hamming(src.s1)
+    echo = np.ascontiguousarray(np.broadcast_to(np.arange(4) % 2, (2, 1, 2, 1, 4)))  # y = io % 2
+    cfg = dataclasses.replace(uncoded_configuration(ch, src, d, d), prev_law=None, f1=echo, f2=echo)
+    return cfg, ch, src
 
 
 def random_adaptive_scheme(rng, ch) -> AdaptiveChannelScheme:
