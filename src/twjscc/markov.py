@@ -7,7 +7,10 @@ previous-block components are verbatim copies of the prior step, the chain
 is represented internally on the reduced state (s1, s2, u1, u2, io1, io2),
 laid out as a previous-block law (`Configuration.prev_axes`), so a
 stationary vector is that law raveled; the 14-axis law is recovered as the
-law of two consecutive reduced states.
+law of two consecutive reduced states.  A system has one stationary law:
+`stationary_vector` alone writes it, reading the configuration's prev_law or
+else calling `solve_stationary`, which solves and refuses a non-unique law
+but writes nothing.
 """
 
 from __future__ import annotations
@@ -119,13 +122,10 @@ class MarkovSystem:
     """Reduced-state chain for one configuration over one channel/source."""
 
     cfg: Configuration
-    channel: TwoWayChannel
-    source: JointSource
     kernel: FactoredKernel
-    # cached by stationary_vector / solve_stationary
+    # written by stationary_vector only
     reduced_stationary: np.ndarray | None = None
     residual: float | None = None
-    stationary_unique: bool | None = None  # None when the vector is a supplied prev_law
 
     @property
     def n_states(self) -> int:
@@ -165,7 +165,7 @@ def build_chain(
     if abs(kernel.psu.sum() - 1.0) > 1e-12 or np.any(off > 1e-12):
         raise AssertionError("kernel rows failed to normalize")
 
-    return MarkovSystem(cfg, ch, src, kernel)
+    return MarkovSystem(cfg, kernel)
 
 
 def _solve_stationary(kernel):
@@ -224,28 +224,19 @@ def _solve_stationary(kernel):
     return best, best_res, bool(reach[rows].all())
 
 
-def solve_stationary(sys: MarkovSystem) -> np.ndarray:
-    """Solve the chain from the uniform start, ignoring any prev_law.
+def solve_stationary(sys: MarkovSystem) -> tuple[np.ndarray, float]:
+    """The chain's stationary vector from the uniform start and its L1
+    residual, ignoring any prev_law and writing nothing into `sys`.
 
     Negative solver noise is clipped and the vector renormalized, so the
-    previous-block law read from it is exactly normalized.  The vector and
-    the solver diagnostics, the uniqueness verdict among them, are cached
-    on `sys`.
+    previous-block law read from it is exactly normalized.  A chain whose
+    stationary law is not unique raises ValueError.
     """
     pi, res, unique = _solve_stationary(sys.kernel)
-    pi = np.clip(pi, 0.0, None)
-    sys.reduced_stationary = pi / pi.sum()
-    sys.residual = res
-    sys.stationary_unique = unique
-    return sys.reduced_stationary
-
-
-def _solve_unique(sys: MarkovSystem) -> np.ndarray:
-    """solve_stationary, refusing a chain whose stationary law is not unique."""
-    pi = solve_stationary(sys)
-    if not sys.stationary_unique:
+    if not unique:
         raise ValueError("stationary law is not unique: some states never reach argmax pi")
-    return pi
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum(), res
 
 
 def stationary_vector(sys: MarkovSystem) -> tuple[np.ndarray, float]:
@@ -253,13 +244,12 @@ def stationary_vector(sys: MarkovSystem) -> tuple[np.ndarray, float]:
 
     With a prev_law in the configuration the vector is that law raveled,
     whatever its residual: each caller decides which residual it accepts.
-    Without one the chain is solved (see solve_stationary), and a chain
-    whose stationary law is not unique raises ValueError.  Both are cached
-    on `sys`, and a vector already solved there is reused.
+    Without one the chain is solved (see solve_stationary).  This is the one
+    writer of the pair cached on `sys`, and a cached pair is reused.
     """
     if sys.reduced_stationary is None:
         if sys.cfg.prev_law is None:
-            _solve_unique(sys)
+            sys.reduced_stationary, sys.residual = solve_stationary(sys)
         else:
             pi = sys.cfg.prev_law.probs.reshape(-1)
             sys.reduced_stationary, sys.residual = pi, _residual(sys.kernel, pi)
@@ -336,8 +326,8 @@ def stationary_prev_law(cfg: Configuration, ch: TwoWayChannel, src: JointSource)
 def with_stationary_law(sys: MarkovSystem) -> MarkovSystem:
     """The system on the same kernel, its configuration carrying the chain's
     unique stationary law as prev_law (see stationary_prev_law)."""
-    prev = JointPmf(sys.cfg.prev_axes, _solve_unique(sys).reshape(sys.reduced_shape))
-    return MarkovSystem(dataclasses.replace(sys.cfg, prev_law=prev), sys.channel, sys.source, sys.kernel)
+    prev = JointPmf(sys.cfg.prev_axes, solve_stationary(sys)[0].reshape(sys.reduced_shape))
+    return MarkovSystem(dataclasses.replace(sys.cfg, prev_law=prev), sys.kernel)
 
 
 def _residual(kernel, pi: np.ndarray) -> float:
@@ -345,44 +335,29 @@ def _residual(kernel, pi: np.ndarray) -> float:
     return float(np.abs(kernel.push(pi) - pi).sum())
 
 
-def prev_law_residual(sys: MarkovSystem, prev_law: JointPmf | None = None) -> float:
-    """L1 one-step invariance defect of a previous-block law."""
-    law = prev_law if prev_law is not None else sys.cfg.prev_law
-    if law is None:
-        raise ValueError("no previous-block law supplied")
-    return _residual(sys.kernel, law.probs.reshape(-1))
-
-
 # Z-axis index groups of the decoder marginals.
 _RECON_KEEP_1 = (4, 6, 1, 3, 5, 7, 9, 13)  # prev_s1, prev_u1, then g2's arguments
 _RECON_KEEP_2 = (5, 7, 0, 2, 4, 6, 8, 12)  # prev_s2, prev_u2, then g1's arguments
 
 
-def decoder_marginals(sys: MarkovSystem,
-                      pi_reduced: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def decoder_marginals(sys: MarkovSystem) -> tuple[np.ndarray, np.ndarray]:
     """The laws the g-maps are scored against: (prev_s1, prev_u1, then g2's
     arguments) and (prev_s2, prev_u2, then g1's arguments), under the
-    system's stationary vector unless another law is given."""
-    if pi_reduced is None:
-        pi_reduced, _ = stationary_vector(sys)
-    return (pair_marginal(sys, pi_reduced, _RECON_KEEP_1).probs,
-            pair_marginal(sys, pi_reduced, _RECON_KEEP_2).probs)
+    system's stationary vector."""
+    pi, _ = stationary_vector(sys)
+    return pair_marginal(sys, pi, _RECON_KEEP_1).probs, pair_marginal(sys, pi, _RECON_KEEP_2).probs
 
 
-def reconstruction_distortions(
-    sys: MarkovSystem,
-    d1: DistortionMeasure,
-    d2: DistortionMeasure,
-    pi_reduced: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Expected distortions of the g-map reconstructions under a stationary law.
+def reconstruction_distortions(sys: MarkovSystem, d1: DistortionMeasure,
+                               d2: DistortionMeasure) -> tuple[float, float]:
+    """Expected distortions of the g-map reconstructions under the system's
+    stationary vector.
 
     Terminal 2 rebuilds terminal 1's previous-block source through g2 (fed
     the true previous codeword of terminal 1), and symmetrically; the
     distortion for source j is measured against the previous-block source.
-    The law defaults to the system's stationary vector.
     """
-    marg1, marg2 = decoder_marginals(sys, pi_reduced)
+    marg1, marg2 = decoder_marginals(sys)
     return decoder_distortion(marg1, sys.cfg.g2, d1), decoder_distortion(marg2, sys.cfg.g1, d2)
 
 

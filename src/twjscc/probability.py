@@ -49,8 +49,8 @@ class JointPmf:
         shape = tuple(a.size for a in axes)
         if probs.shape != shape:
             raise ValueError(f"pmf shape {probs.shape} does not match axes {shape}")
-        if np.any(probs < 0):
-            raise ValueError("pmf has negative entries")
+        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
+            raise ValueError("pmf entries must be finite and nonnegative")
         total = probs.sum()
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"pmf sums to {total!r}, violates normalization tolerance")
@@ -80,8 +80,8 @@ class ConditionalPmf:
         shape = tuple(a.size for a in self.given_axes) + tuple(a.size for a in self.out_axes)
         if probs.shape != shape:
             raise ValueError(f"conditional shape {probs.shape} does not match {shape}")
-        if np.any(probs < 0):
-            raise ValueError("conditional pmf has negative entries")
+        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
+            raise ValueError("conditional pmf entries must be finite and nonnegative")
         sums = probs.reshape(int(np.prod([a.size for a in self.given_axes], initial=1)), -1).sum(axis=1)
         if np.any(np.abs(sums - 1.0) > NORM_TOL):
             worst = float(np.max(np.abs(sums - 1.0)))

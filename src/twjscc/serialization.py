@@ -9,6 +9,7 @@ index convention used by the in-memory tables).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import tempfile
@@ -87,11 +88,25 @@ def _load(path: str, kind: str) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read {kind} file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, found {type(doc).__name__}")
     if doc.get("version") != VERSION:
         raise ValueError(f"{path}: unsupported version {doc.get('version')!r}")
     if doc.get("kind") != kind:
         raise ValueError(f"{path}: expected kind {kind!r}, found {doc.get('kind')!r}")
     return doc
+
+
+def _loader(load):
+    """Report a missing field or a field of the wrong type in the file at
+    `path` as a ValueError naming it, like every other malformed input."""
+    @functools.wraps(load)
+    def checked(path: str):
+        try:
+            return load(path)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed v1 file ({type(exc).__name__}: {exc})") from exc
+    return checked
 
 
 def save_channel(ch: TwoWayChannel, path: str | None = None) -> str:
@@ -104,6 +119,7 @@ def save_channel(ch: TwoWayChannel, path: str | None = None) -> str:
     return _dump(doc, path)
 
 
+@_loader
 def load_channel(path: str) -> TwoWayChannel:
     doc = _load(path, "channel")
     x1, x2 = Alphabet(doc["x1"], "x1"), Alphabet(doc["x2"], "x2")
@@ -122,6 +138,7 @@ def save_source(src: JointSource, path: str | None = None) -> str:
     return _dump(doc, path)
 
 
+@_loader
 def load_source(path: str) -> JointSource:
     doc = _load(path, "source")
     s1, s2 = Alphabet(doc["s1"], "s1"), Alphabet(doc["s2"], "s2")
@@ -139,6 +156,7 @@ def save_distortion(d: DistortionMeasure, path: str | None = None) -> str:
     return _dump(doc, path)
 
 
+@_loader
 def load_distortion(path: str) -> DistortionMeasure:
     doc = _load(path, "distortion")
     return DistortionMeasure(
@@ -170,6 +188,7 @@ def save_configuration(cfg: Configuration, path: str | None = None) -> str:
     return _dump(doc, path)
 
 
+@_loader
 def load_configuration(path: str) -> Configuration:
     doc = _load(path, "configuration")
     s1, s2 = Alphabet(doc["s1"], "s1"), Alphabet(doc["s2"], "s2")
@@ -217,6 +236,7 @@ def save_hybrid_scheme(hs: HybridScheme, path: str | None = None) -> str:
     return _dump(doc, path)
 
 
+@_loader
 def load_hybrid_scheme(path: str) -> HybridScheme:
     doc = _load(path, "hybrid_scheme")
     s1, s2 = Alphabet(doc["s1"], "s1"), Alphabet(doc["s2"], "s2")
@@ -250,6 +270,7 @@ def save_adaptive_scheme(scheme: AdaptiveChannelScheme, path: str | None = None)
     return _dump(doc, path)
 
 
+@_loader
 def load_adaptive_scheme(path: str) -> AdaptiveChannelScheme:
     doc = _load(path, "adaptive_scheme")
     v1, v2 = Alphabet(doc["v1"], "v1"), Alphabet(doc["v2"], "v2")
@@ -284,6 +305,7 @@ def save_wz_scheme(scheme: WZScheme, path: str | None = None) -> str:
     return _dump(doc, path)
 
 
+@_loader
 def load_wz_scheme(path: str) -> WZScheme:
     doc = _load(path, "wz_scheme")
     s = Alphabet(doc["s"], "s")

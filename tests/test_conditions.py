@@ -18,7 +18,7 @@ from twjscc.conditions import (
     shannon_nonadaptive_bound,
     wz_scheme_rate,
 )
-from twjscc.markov import build_chain, pair_marginal, reconstruction_distortions
+from twjscc.markov import build_chain, pair_marginal, reconstruction_distortions, stationary_vector
 from twjscc.probability import Alphabet, ConditionalPmf, binary_entropy, mutual_information
 from twjscc.region import uncoded_configuration
 
@@ -127,9 +127,7 @@ class TestLiftHybrid:
             hs = random_hybrid_scheme(rng, src, ch, d, d, bayes=True)
             hyb = eval_hybrid(hs, ch, src, d, d)
             cfg = lift_hybrid(hs, ch, src)
-            sys = build_chain(cfg, ch, src)
-            pi = cfg.prev_law.probs.ravel()
-            lifted = reconstruction_distortions(sys, d, d, pi_reduced=pi)
+            lifted = reconstruction_distortions(build_chain(cfg, ch, src), d, d)
             assert lifted[0] == pytest.approx(hyb.distortions[0], abs=1e-9)
             assert lifted[1] == pytest.approx(hyb.distortions[1], abs=1e-9)
 
@@ -139,9 +137,7 @@ class TestLiftHybrid:
         ch = random_binary_channel(rng)
         d = tw.hamming(src.s1)
         cfg = lift_hybrid(random_hybrid_scheme(rng, src, ch, d, d), ch, src)
-        from twjscc.markov import prev_law_residual
-
-        assert prev_law_residual(build_chain(cfg, ch, src)) <= 1e-10
+        assert stationary_vector(build_chain(cfg, ch, src))[1] <= 1e-10
 
     def test_lifted_stationary_marginal_equals_single_block_law(self):
         # under the lifted dynamics, the previous pair together with the
@@ -302,9 +298,7 @@ class TestSeparateCoding:
         wz1 = random_wz_scheme(rng, src, 1)
         wz2 = random_wz_scheme(rng, src, 2)
         cfg = lift_sscc(scheme, wz1, wz2, src)
-        sys = build_chain(cfg, ch, src)
-        pi = cfg.prev_law.probs.ravel()
-        lifted = reconstruction_distortions(sys, d, d, pi_reduced=pi)
+        lifted = reconstruction_distortions(build_chain(cfg, ch, src), d, d)
         # expected: E[d(S1, h(S2, T1))] under the one-shot law, and mirrored
         def expected(wz, which):
             ps = src.law.probs if which == 1 else src.law.probs.T

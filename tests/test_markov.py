@@ -12,7 +12,6 @@ from twjscc.markov import (
     check_configuration,
     pair_law,
     pair_marginal,
-    prev_law_residual,
     reconstruction_distortions,
     solve_stationary,
     stationary_distribution,
@@ -100,7 +99,7 @@ class TestKernel:
         ch, src, d = bmc_setup
         cfg = uncoded_configuration(ch, src, d, d)
         sys = build_chain(cfg, ch, src)
-        pi = solve_stationary(sys)
+        pi, _ = solve_stationary(sys)
         prev_curr = pair_marginal(sys, pi, (4, 5, 6, 7, 8, 9)).probs
         assert np.allclose(prev_curr, pi.reshape(sys.reduced_shape), atol=1e-12)
 
@@ -112,7 +111,7 @@ class TestStationary:
         ch, src, d = bmc_setup
         cfg = uncoded_configuration(ch, src, d, d)
         sys = build_chain(cfg, ch, src)
-        pi = solve_stationary(sys)
+        pi, _ = solve_stationary(sys)
         psu = fresh_law(cfg, src)
         expected = np.zeros(sys.reduced_shape)
         for s1 in range(2):
@@ -139,16 +138,15 @@ class TestStationary:
             x1=one, x2=one, y1=one, y2=one, recon1=one, recon2=one,
         )
         sys = build_chain(cfg, ch, src)
-        pi = solve_stationary(sys)
+        pi, _ = solve_stationary(sys)
         assert pi.shape == (1,)
         assert pi[0] == pytest.approx(1.0)
 
     def test_residual_contract_on_presets(self, bmc_setup):
         ch, src, d = bmc_setup
         for cfg in (uncoded_configuration(ch, src, d, d), identity_hybrid_configuration(ch, src, d, d)):
-            sys = build_chain(cfg, ch, src)
-            solve_stationary(sys)
-            assert sys.residual <= 1e-10
+            _, res = solve_stationary(build_chain(cfg, ch, src))
+            assert res <= 1e-10
 
     def test_stationary_vector_reads_prev_law_else_solves(self):
         rng = np.random.default_rng(12)
@@ -167,8 +165,7 @@ class TestStationary:
         given = build_chain(cfg, ch, src)
         pi, res = stationary_vector(given)
         assert np.array_equal(pi, law)
-        assert res == prev_law_residual(given) > 1e-3
-        assert solved.stationary_unique is True and given.stationary_unique is None
+        assert res == float(np.abs(given.kernel.push(law) - law).sum()) > 1e-3
 
     def test_state_layout_is_prev_law(self):
         # the chain's states are the cells of the previous-block law
@@ -199,7 +196,7 @@ class TestStationary:
         src = random_joint_source(rng)
         cfg = random_configuration(rng, ch, src)
         sys = build_chain(cfg, ch, src)
-        pi = solve_stationary(sys)
+        pi, _ = solve_stationary(sys)
         z = dense_pair_law(sys, pi)
         for keep in [(k,) for k in range(14)] + [(4, 6), (6, 1, 3, 5, 7, 9, 11, 13), (8, 13, 0)]:
             dense = marginalize(z, keep).probs
@@ -224,7 +221,7 @@ class TestStationary:
             ch = random_binary_channel(rng)
             src = random_joint_source(rng)
             sys = build_chain(random_configuration(rng, ch, src), ch, src)
-            pi = solve_stationary(sys)
+            pi, _ = solve_stationary(sys)
             assert np.abs(pair_law(sys, pi).probs - dense_pair_law(sys, pi).probs).max() <= 1e-15
 
 
@@ -286,8 +283,7 @@ class TestUniqueness:
         cfg, ch, src = echo_setup
         sys = build_chain(cfg, ch, src)
         assert sys.n_states == 64
-        solve_stationary(sys)
-        assert sys.stationary_unique is False
+        assert _solve_stationary(sys.kernel)[2] is False
 
     def test_non_unique_prev_law_refused(self, echo_setup):
         with pytest.raises(ValueError, match="not unique"):
@@ -303,8 +299,7 @@ class TestUniqueness:
     def test_bmc_uncoded_is_unique(self, bmc_setup):
         ch, src, d = bmc_setup
         sys = build_chain(uncoded_configuration(ch, src, d, d), ch, src)
-        solve_stationary(sys)
-        assert sys.stationary_unique is True
+        assert _solve_stationary(sys.kernel)[2] is True
 
     def test_dueck_configuration_is_unique(self):
         # case 0 of the benchmark's eval_dueck pool (pool seed 20010261)
@@ -313,8 +308,25 @@ class TestUniqueness:
         cfg = random_configuration(np.random.default_rng([20010261, 0]), ch, src)
         sys = build_chain(cfg, ch, src)
         assert sys.n_states == 16384
+        assert _solve_stationary(sys.kernel)[2] is True
+
+
+class TestOneStationaryLaw:
+    def test_solve_leaves_the_supplied_law_in_place(self, bmc_setup):
+        # a solve writes nothing into the system, so every reader still
+        # takes the configuration's (here non-stationary) previous-block law
+        ch, src, d = bmc_setup
+        cfg = uncoded_configuration(ch, src, d, d)
+        law = np.full(cfg.prev_law.shape, 1.0 / cfg.prev_law.probs.size)
+        sys = build_chain(dataclasses.replace(cfg, prev_law=JointPmf(cfg.prev_axes, law)), ch, src)
         solve_stationary(sys)
-        assert sys.stationary_unique is True
+        pi, res = stationary_vector(sys)
+        assert np.array_equal(pi, law.ravel()) and res == pytest.approx(1.90625, abs=1e-12)
+        assert reconstruction_distortions(sys, d, d) == (0.5, 0.5)
+
+    def test_solve_refuses_non_unique_law(self, echo_setup):
+        with pytest.raises(ValueError, match="not unique"):
+            solve_stationary(build_chain(*echo_setup))
 
 
 class TestStationaryPrevLaw:
@@ -339,7 +351,7 @@ class TestStationaryPrevLaw:
             prev = stationary_prev_law(cfg, ch, src)
             cfg = dataclasses.replace(cfg, prev_law=prev)
             sys = build_chain(cfg, ch, src)
-            assert prev_law_residual(sys) <= 1e-10
+            assert stationary_vector(sys)[1] <= 1e-10
             # the stationary previous-block marginal reproduces the law itself
             pi = prev.probs.ravel()
             marg = pair_marginal(sys, pi, (4, 5, 6, 7, 8, 9)).probs
@@ -384,8 +396,7 @@ class TestReconstruction:
         ch, src, d = bmc_setup
         cfg = uncoded_configuration(ch, src, d, d)
         sys = build_chain(cfg, ch, src)
-        pi = cfg.prev_law.probs.ravel()
-        assert reconstruction_distortions(sys, d, d, pi_reduced=pi) == (0.0, 0.0)
+        assert reconstruction_distortions(sys, d, d) == (0.0, 0.0)
 
     def test_constant_reconstruction_distortion(self, bmc_setup):
         ch, src, d = bmc_setup
@@ -395,9 +406,7 @@ class TestReconstruction:
             g1=np.zeros_like(cfg.g1),
             g2=np.zeros_like(cfg.g2),
         )
-        sys = build_chain(cz, ch, src)
-        pi = cz.prev_law.probs.ravel()
-        dist = reconstruction_distortions(sys, d, d, pi_reduced=pi)
+        dist = reconstruction_distortions(build_chain(cz, ch, src), d, d)
         # constant guess 0 misses whenever the previous source letter is 1
         assert dist[0] == pytest.approx(2 / 3, abs=1e-12)
         assert dist[1] == pytest.approx(2 / 3, abs=1e-12)

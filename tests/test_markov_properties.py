@@ -10,6 +10,7 @@ from twjscc.coded_channel import fresh_law, io_index
 from twjscc.markov import (
     RESIDUAL_TOL,
     FactoredKernel,
+    _solve_stationary,
     build_chain,
     pair_marginal,
     solve_stationary,
@@ -41,13 +42,20 @@ def with_zeros(rng, ch):
 
 
 @st.composite
-def systems(draw):
+def models(draw):
+    """A random configuration, its channel and source, and the rng that drew them."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     ch = random_binary_channel(rng)
     if draw(st.booleans()):
         ch = with_zeros(rng, ch)
     src = random_joint_source(rng)
     cfg = random_configuration(rng, ch, src, draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    return cfg, ch, src, rng
+
+
+@st.composite
+def systems(draw):
+    cfg, ch, src, rng = draw(models())
     return build_chain(cfg, ch, src), rng
 
 
@@ -108,14 +116,15 @@ def closed_classes(dense):
     return len({reach[i].tobytes() for i in np.flatnonzero(recurrent)})
 
 
-def loop_kernel(sys):
+def loop_kernel(cfg, ch, src):
     """The transition matrix by explicit loops over (state, fresh tuple, y1, y2)."""
-    cfg, chan = sys.cfg, sys.channel.law.probs
-    shape = sys.reduced_shape
+    chan = ch.law.probs
     ny1, ny2 = chan.shape[2:]
-    psu = fresh_law(cfg, sys.source)
-    out = np.zeros((sys.n_states, sys.n_states))
-    for prev in range(sys.n_states):
+    psu = fresh_law(cfg, src)
+    shape = tuple(a.size for a in cfg.prev_axes)
+    n = int(np.prod(shape))
+    out = np.zeros((n, n))
+    for prev in range(n):
         s1p, s2p, u1p, u2p, io1p, io2p = np.unravel_index(prev, shape)
         for s1, s2, u1, u2 in np.ndindex(psu.shape):
             x1 = cfg.f1[s1, u1, s1p, u1p, io1p]
@@ -128,11 +137,12 @@ def loop_kernel(sys):
 
 
 @settings(deadline=None, max_examples=30)
-@given(systems())
+@given(models())
 def test_dense_form_matches_loop_kernel(case):
-    sys, _ = case
+    cfg, ch, src, _ = case
+    sys = build_chain(cfg, ch, src)
     dense = dense_kernel(sys.kernel)
-    assert np.array_equal(dense, loop_kernel(sys))
+    assert np.array_equal(dense, loop_kernel(cfg, ch, src))
     assert sys.kernel.nnz == np.count_nonzero(dense > 0)
 
 
@@ -157,7 +167,7 @@ def test_pair_marginal_matches_marginalized_pair_law(case, keep):
 @given(systems())
 def test_solved_vector_is_fixed_point(case):
     sys, _ = case
-    pi = solve_stationary(sys)
+    pi, _ = solve_stationary(sys)
     assert np.abs(pi @ dense_kernel(sys.kernel) - pi).sum() <= RESIDUAL_TOL
 
 
@@ -165,9 +175,9 @@ def test_solved_vector_is_fixed_point(case):
 @given(st.one_of(systems(), io_memory_systems()))
 def test_uniqueness_verdict_matches_closed_classes(case):
     sys, _ = case
-    solve_stationary(sys)
-    event(f"stationary_unique={sys.stationary_unique}")
-    assert sys.stationary_unique == (closed_classes(dense_kernel(sys.kernel)) == 1)
+    unique = _solve_stationary(sys.kernel)[2]
+    event(f"unique={unique}")
+    assert unique == (closed_classes(dense_kernel(sys.kernel)) == 1)
 
 
 @settings(deadline=None)

@@ -49,6 +49,11 @@ class TestEntropy:
         with pytest.raises(ValueError):
             JointPmf((Alphabet(2),), np.array([1.1, -0.1]))
 
+    def test_rejects_nan(self):
+        # abs(nan - 1) > tol is False, so the normalization check alone passes NaN
+        with pytest.raises(ValueError, match="finite"):
+            JointPmf((Alphabet(2),), np.full(2, np.nan))
+
 
 class TestConditionalEntropy:
     def test_example2_conditionals(self):
@@ -215,6 +220,11 @@ class TestConditionalPmf:
         sa = Alphabet(2)
         with pytest.raises(ValueError):
             ConditionalPmf((sa,), (sa,), np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+    def test_rejects_nan(self):
+        sa = Alphabet(2)
+        with pytest.raises(ValueError, match="finite"):
+            ConditionalPmf((sa,), (sa,), np.full((2, 2), np.nan))
 
     def test_valid_conditional(self):
         sa = Alphabet(2)

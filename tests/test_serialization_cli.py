@@ -286,6 +286,28 @@ class TestExecute:
         code = main(["wz-rd", "--source", "example2", "--which", "1", "--D", "-0.5"])
         assert code == 1
 
+    def test_nan_source_law_exits_two(self, tmp_path, capsys):
+        doc = json.loads(ser.save_source(tw.preset_example2_source()))
+        doc["law"] = [[float("nan")] * 2] * 2
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["wz-rd", "--source", str(bad), "--which", "1", "--D", "0.1"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing key", "top-level list", "wrong type"])
+    def test_malformed_file_exits_two(self, case, tmp_path, capsys):
+        doc = json.loads(ser.save_channel(tw.preset_bmc()))
+        if case == "missing key":
+            del doc["y2"]
+        elif case == "top-level list":
+            doc = [doc]
+        else:
+            doc["x1"] = "2"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["shannon-bound", "--channel", str(bad)]) == 2
+        assert f"error: {bad}" in capsys.readouterr().err
+
 
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency; importing the package must not pull it in

@@ -1,7 +1,4 @@
 import dataclasses
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +26,7 @@ from twjscc.simulate import (
     run_simulation,
 )
 
-from util import bsc_codeword_scheme, dense_pair_law
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+from util import bsc_codeword_scheme, dense_pair_law, load_bench_workloads
 
 
 @pytest.fixture(scope="module")
@@ -390,10 +385,7 @@ class TestFullStateSupport:
         # a Dueck configuration's full-state law has 16384^2 cells, which the
         # simulator never forms; its 65536-cell support exceeds n, so every
         # block is atypical
-        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-        spec.loader.exec_module(workloads)
+        workloads = load_bench_workloads(monkeypatch)
         ch, src, (cfg,) = workloads.WORKLOADS["eval_dueck"].setup([0])
         cfg = dataclasses.replace(cfg, prev_law=markov.stationary_prev_law(cfg, ch, src))
         d = tw.hamming(src.s1)

@@ -1,6 +1,9 @@
 """Shared builders for randomized test instances."""
 
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +16,17 @@ from twjscc.conditions import (
 )
 from twjscc.probability import Alphabet, ConditionalPmf, JointPmf
 from twjscc.region import uncoded_configuration
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_workloads(monkeypatch):
+    """The benchmark's `workloads` module, imported from `bench/` for one test."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def random_binary_channel(rng) -> tw.TwoWayChannel:
