@@ -97,16 +97,22 @@ def _load(path: str, kind: str) -> dict:
     return doc
 
 
-def _loader(load):
-    """Report a missing field or a field of the wrong type in the file at
-    `path` as a ValueError naming it, like every other malformed input."""
-    @functools.wraps(load)
-    def checked(path: str):
-        try:
-            return load(path)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: malformed v1 file ({type(exc).__name__}: {exc})") from exc
-    return checked
+def _loader(kind: str):
+    """Turn `parse(doc)` into `load(path)`: `_load` reads the v1 file of
+    `kind` (its messages name the path), then a missing field, a field of
+    the wrong type or a value the model classes refuse is reported as a
+    ValueError that names the path once."""
+    def wrap(parse):
+        @functools.wraps(parse)
+        def load(path: str):
+            doc = _load(path, kind)
+            try:
+                return parse(doc)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: malformed v1 file ({type(exc).__name__}: {exc})") from exc
+        del load.__wrapped__  # the public signature is load(path), not parse(doc)
+        return load
+    return wrap
 
 
 def save_channel(ch: TwoWayChannel, path: str | None = None) -> str:
@@ -119,9 +125,8 @@ def save_channel(ch: TwoWayChannel, path: str | None = None) -> str:
     return _dump(doc, path)
 
 
-@_loader
-def load_channel(path: str) -> TwoWayChannel:
-    doc = _load(path, "channel")
+@_loader("channel")
+def load_channel(doc: dict) -> TwoWayChannel:
     x1, x2 = Alphabet(doc["x1"], "x1"), Alphabet(doc["x2"], "x2")
     y1, y2 = Alphabet(doc["y1"], "y1"), Alphabet(doc["y2"], "y2")
     law = ConditionalPmf((x1, x2), (y1, y2), np.asarray(doc["law"], dtype=np.float64))
@@ -138,9 +143,8 @@ def save_source(src: JointSource, path: str | None = None) -> str:
     return _dump(doc, path)
 
 
-@_loader
-def load_source(path: str) -> JointSource:
-    doc = _load(path, "source")
+@_loader("source")
+def load_source(doc: dict) -> JointSource:
     s1, s2 = Alphabet(doc["s1"], "s1"), Alphabet(doc["s2"], "s2")
     return JointSource(s1, s2, JointPmf((s1, s2), np.asarray(doc["law"], dtype=np.float64)))
 
@@ -156,9 +160,8 @@ def save_distortion(d: DistortionMeasure, path: str | None = None) -> str:
     return _dump(doc, path)
 
 
-@_loader
-def load_distortion(path: str) -> DistortionMeasure:
-    doc = _load(path, "distortion")
+@_loader("distortion")
+def load_distortion(doc: dict) -> DistortionMeasure:
     return DistortionMeasure(
         Alphabet(doc["source"], "s"),
         Alphabet(doc["recon"], "recon"),
@@ -188,9 +191,8 @@ def save_configuration(cfg: Configuration, path: str | None = None) -> str:
     return _dump(doc, path)
 
 
-@_loader
-def load_configuration(path: str) -> Configuration:
-    doc = _load(path, "configuration")
+@_loader("configuration")
+def load_configuration(doc: dict) -> Configuration:
     s1, s2 = Alphabet(doc["s1"], "s1"), Alphabet(doc["s2"], "s2")
     u1, u2 = Alphabet(doc["u1"], "u1"), Alphabet(doc["u2"], "u2")
     x1, x2 = Alphabet(doc["x1"], "x1"), Alphabet(doc["x2"], "x2")
@@ -236,9 +238,8 @@ def save_hybrid_scheme(hs: HybridScheme, path: str | None = None) -> str:
     return _dump(doc, path)
 
 
-@_loader
-def load_hybrid_scheme(path: str) -> HybridScheme:
-    doc = _load(path, "hybrid_scheme")
+@_loader("hybrid_scheme")
+def load_hybrid_scheme(doc: dict) -> HybridScheme:
     s1, s2 = Alphabet(doc["s1"], "s1"), Alphabet(doc["s2"], "s2")
     u1, u2 = Alphabet(doc["u1"], "u1"), Alphabet(doc["u2"], "u2")
     return HybridScheme(
@@ -270,9 +271,8 @@ def save_adaptive_scheme(scheme: AdaptiveChannelScheme, path: str | None = None)
     return _dump(doc, path)
 
 
-@_loader
-def load_adaptive_scheme(path: str) -> AdaptiveChannelScheme:
-    doc = _load(path, "adaptive_scheme")
+@_loader("adaptive_scheme")
+def load_adaptive_scheme(doc: dict) -> AdaptiveChannelScheme:
     v1, v2 = Alphabet(doc["v1"], "v1"), Alphabet(doc["v2"], "v2")
     x1, x2 = Alphabet(doc["x1"], "x1"), Alphabet(doc["x2"], "x2")
     y1, y2 = Alphabet(doc["y1"], "y1"), Alphabet(doc["y2"], "y2")
@@ -305,9 +305,8 @@ def save_wz_scheme(scheme: WZScheme, path: str | None = None) -> str:
     return _dump(doc, path)
 
 
-@_loader
-def load_wz_scheme(path: str) -> WZScheme:
-    doc = _load(path, "wz_scheme")
+@_loader("wz_scheme")
+def load_wz_scheme(doc: dict) -> WZScheme:
     s = Alphabet(doc["s"], "s")
     t = Alphabet(doc["t"], "t")
     return WZScheme(

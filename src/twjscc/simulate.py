@@ -130,14 +130,20 @@ def _letter_sample(rng: np.random.Generator, cdf: np.ndarray, shape: tuple) -> n
 
     Each letter counts the CDF entries at or below its uniform draw, which
     is the index `_cdf_sample` returns for the same draw.  The draws are
-    made one leading-axis slice at a time: the same stream as one draw of
-    the whole shape, with one slice of doubles in memory.
+    made one leading-axis slice at a time into one reused buffer of
+    doubles (the same stream as one draw of the whole shape), and the
+    counts are written straight into the slice, so nothing is allocated
+    per slice.  With one letter `cdf[0]` is the pinned 1.0 and every count
+    is 0.
     """
-    out = np.zeros(shape, dtype=np.min_scalar_type(len(cdf) - 1))
+    out = np.empty(shape, dtype=np.min_scalar_type(len(cdf) - 1))
+    r = np.empty(shape[1:])
+    hit = np.empty(shape[1:], dtype=bool)
     for part in out:
-        r = rng.random(part.shape)
-        for c in cdf[:-1]:
-            part += r >= c
+        rng.random(out=r)
+        np.greater_equal(r, cdf[0], out=part, casting="unsafe")
+        for c in cdf[1:-1]:
+            part += np.greater_equal(r, c, out=hit)
     return out
 
 

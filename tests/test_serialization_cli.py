@@ -306,7 +306,17 @@ class TestExecute:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["shannon-bound", "--channel", str(bad)]) == 2
-        assert f"error: {bad}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {bad}" in err and err.count(str(bad)) == 1
+
+    @pytest.mark.parametrize("law", [[[float("nan")] * 2] * 2, float("nan")])
+    def test_refused_law_names_the_file(self, law, tmp_path, capsys):
+        doc = json.loads(ser.save_source(tw.preset_example2_source()))
+        doc["law"] = law
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["wz-rd", "--source", str(bad), "--D", "0.1"]) == 2
+        assert capsys.readouterr().err.count(str(bad)) == 1
 
 
 def test_import_loads_no_scipy():

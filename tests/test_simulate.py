@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,15 +105,21 @@ class TestCodebooks:
 class _TopDraw:
     """Generator stand-in whose every uniform draw is the largest double below 1."""
 
-    def random(self, size):
-        return np.full(size, 1.0 - 2.0 ** -53)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.full(size, 1.0 - 2.0 ** -53)
+        out.fill(1.0 - 2.0 ** -53)
+        return out
 
 
 class _ZeroDraw:
     """Generator stand-in whose every uniform draw is 0.0."""
 
-    def random(self, size):
-        return np.zeros(size)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out.fill(0.0)
+        return out
 
 
 class TestSampling:
@@ -162,6 +169,40 @@ class TestSampling:
         cfg1 = lift_hybrid(bsc_codeword_scheme(ch, src1, 0.0, d, d), ch, src1)
         books = generate_codebooks(cfg1, src1, params, zero)
         assert np.all(books.u1 == 1) and np.all(books.u2 == 0)
+
+    @pytest.mark.parametrize("probs", [
+        [1.0],
+        [0.3, 0.7],
+        [0.2, 0.5, 0.3],
+        [0.4, 0.0, 0.6],  # a letter of probability 0
+        [1 / 14] * 14,  # sums end below 1
+    ])
+    def test_in_place_draw_matches_slice_formula(self, probs):
+        cdf = simulate._cdf(np.array(probs))
+        shape = (3, 17, 11)
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        got = simulate._letter_sample(rng, cdf, shape)
+        want = []
+        for _ in range(shape[0]):
+            r = ref.random(shape[1:])
+            want.append(sum((r >= c for c in cdf[:-1]), np.zeros(shape[1:], dtype=int)))
+        assert got.dtype == np.min_scalar_type(len(cdf) - 1)
+        assert np.array_equal(got, np.stack(want))
+        assert rng.random() == ref.random()
+
+    def test_in_place_draw_allocates_one_slice(self):
+        shape = (3, 2048, 256)
+        cdf = simulate._cdf(np.array([0.2, 0.5, 0.3]))
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = simulate._letter_sample(rng, cdf, shape)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        slice_cells = shape[1] * shape[2]
+        assert peak <= out.nbytes + slice_cells * (8 + 1) + 64 * 1024
 
 
 class TestEncode:
