@@ -25,7 +25,7 @@ from .models import (
     preset_example2_source,
     preset_independent_bernoulli,
 )
-from .coded_channel import Configuration, coded_channel_law, input_law
+from .coded_channel import Configuration
 from .markov import (
     MarkovSystem,
     build_chain,

@@ -186,7 +186,10 @@ def execute(spec: RunSpec) -> int:
         hs = ser.load_hybrid_scheme(opt["scheme"])
         d1 = ser.resolve_distortion(opt["dist1"], src.s1)
         d2 = ser.resolve_distortion(opt["dist2"], src.s2)
-        ev = eval_hybrid(hs, ch, src, d1, d2)
+        try:
+            ev = eval_hybrid(hs, ch, src, d1, d2)
+        except ValueError as exc:  # the scheme's tables do not fit the models
+            raise ValueError(f"{opt['scheme']}: {exc}") from exc
         result = ev.report.as_dict()
         result["distortions"] = list(ev.distortions)
         _emit(spec, result, opt.get("out"))

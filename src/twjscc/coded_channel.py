@@ -1,10 +1,12 @@
-"""Configurations and the auxiliary coded-channel law they induce.
+"""Configurations and the one shaper of their encoder/decoder tables.
 
 A configuration couples fresh per-block variables (s_j, u_j) with the
 previous block's state: its source/codeword pair and the channel
 input/output pair observed there.  The input/output pair at terminal j is
 flattened to a single "io" symbol io = x * |Y_j| + y; that indexing is used
-everywhere, including file formats.
+everywhere, including file formats.  A table handed to a constructor may
+leave out the arguments it ignores: size-1 or missing leading axes are
+broadcast to the full argument tuple by `_check_table`.
 """
 
 from __future__ import annotations
@@ -22,15 +24,25 @@ def io_index(x: np.ndarray | int, y: np.ndarray | int, y_size: int):
     return x * y_size + y
 
 
-def _check_table(name: str, table: np.ndarray, shape: tuple[int, ...], out_size: int) -> np.ndarray:
+def _check_table(name: str, table, shape: tuple[int, ...], out_size: int) -> np.ndarray:
+    """Expand an integer table to `shape` and check its entries.
+
+    The table broadcasts to `shape` by numpy's rule: a missing leading axis
+    or an axis of size 1 means the table ignores that argument.  Returns a
+    contiguous, read-only int64 copy; raises ValueError naming the table when
+    it does not broadcast, does not hold integers, or has an entry outside
+    [0, out_size).
+    """
     arr = np.asarray(table)
-    if arr.shape != shape:
-        raise ValueError(f"{name} table shape {arr.shape}, expected {shape}")
+    try:
+        arr = np.broadcast_to(arr, shape)
+    except ValueError:
+        raise ValueError(f"{name} table shape {arr.shape}, expected {shape}") from None
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"{name} table must hold integers")
     if arr.size and (arr.min() < 0 or arr.max() >= out_size):
         raise ValueError(f"{name} entries must lie in [0, {out_size})")
-    arr = np.ascontiguousarray(arr, dtype=np.int64)
+    arr = np.array(arr, dtype=np.int64, order="C")
     arr.flags.writeable = False
     return arr
 
@@ -42,7 +54,9 @@ class Configuration:
     f_j maps (s_j, u_j, prev_s_j, prev_u_j, prev_io_j) to a channel input.
     g_j maps (prev_u_j', s_j, u_j, prev_s_j, prev_u_j, prev_io_j, y_j) to a
     reconstruction of the other terminal's previous-block source.  Both are
-    dense integer tables indexed row-major over their argument tuples.
+    stored as dense integer tables indexed row-major over their argument
+    tuples; the constructor accepts any table that broadcasts to that shape
+    (see `_check_table`), so a table may leave out the arguments it ignores.
     prev_law may be None while a stationary previous-block law is still to
     be computed (see markov.stationary_prev_law).
     """
@@ -142,31 +156,3 @@ def fresh_law(cfg: Configuration, src: JointSource) -> np.ndarray:
         * cfg.pu1_given_s1.probs[:, None, :, None]
         * cfg.pu2_given_s2.probs[None, :, None, :]
     )
-
-
-def input_law(cfg: Configuration, src: JointSource) -> JointPmf:
-    """Joint law of all ten coded-channel inputs (fresh block x previous block)."""
-    if cfg.prev_law is None:
-        raise ValueError("configuration has no previous-block law")
-    full = np.multiply.outer(fresh_law(cfg, src), cfg.prev_law.probs)
-    axes = (cfg.s1, cfg.s2, cfg.u1, cfg.u2) + cfg.prev_law.axes
-    return JointPmf(axes, full)
-
-
-def coded_channel_law(cfg: Configuration, ch: TwoWayChannel) -> ConditionalPmf:
-    """Law of (y1, y2) given the ten coded-channel inputs.
-
-    Materializes a dense tensor of size prod(inputs) * |Y1| * |Y2|; intended
-    for small alphabets.
-    """
-    if cfg.x1.size != ch.x1.size or cfg.x2.size != ch.x2.size:
-        raise ValueError("configuration input alphabets do not match channel")
-    if cfg.y1.size != ch.y1.size or cfg.y2.size != ch.y2.size:
-        raise ValueError("configuration output alphabets do not match channel")
-    given = (Alphabet(cfg.s1.size, "s1"), Alphabet(cfg.s2.size, "s2"), cfg.u1, cfg.u2) + cfg.prev_axes
-    idx = np.indices([a.size for a in given], sparse=True)
-    x1 = cfg.f1[idx[0], idx[2], idx[4], idx[6], idx[8]]
-    x2 = cfg.f2[idx[1], idx[3], idx[5], idx[7], idx[9]]
-    x1, x2 = np.broadcast_arrays(x1, x2)
-    probs = ch.law.probs[x1, x2]
-    return ConditionalPmf(given, (ch.y1, ch.y2), probs)

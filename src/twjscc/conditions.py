@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .coded_channel import Configuration
+from .coded_channel import Configuration, _check_table
 from .markov import (
     MarkovSystem,
     build_chain,
@@ -134,6 +134,8 @@ def one_shot_hybrid_law(pu1: ConditionalPmf, pu2: ConditionalPmf, f1: np.ndarray
                         ch: TwoWayChannel, src: JointSource) -> JointPmf:
     """Single-block law over (s1, s2, u1, u2, x1, x2, y1, y2) of the encoder
     half of a hybrid scheme: the codeword conditionals and x_j = f_j(s_j, u_j)."""
+    f1 = _check_table("f1", f1, pu1.probs.shape, ch.x1.size)
+    f2 = _check_table("f2", f2, pu2.probs.shape, ch.x2.size)
     t = src.law.probs[:, :, None, None] * pu1.probs[:, None, :, None] * pu2.probs[None, :, None, :]
     e1 = np.eye(ch.x1.size)[f1]  # (s1, u1, x1)
     e2 = np.eye(ch.x2.size)[f2]
@@ -165,8 +167,12 @@ def eval_hybrid(
     report = ConditionReport.from_values(lhs1, rhs1, lhs2, rhs2)
 
     # terminal 1 rebuilds s2 via g1(u2, s1, u1, y1); terminal 2 mirrors
-    dist2 = decoder_distortion(marginalize(law, _HYBRID_KEEP_2).probs, hs.g1, d2)
-    dist1 = decoder_distortion(marginalize(law, _HYBRID_KEEP_1).probs, hs.g2, d1)
+    m2 = marginalize(law, _HYBRID_KEEP_2).probs
+    m1 = marginalize(law, _HYBRID_KEEP_1).probs
+    g1 = _check_table("g1", hs.g1, m2.shape[1:], hs.recon2.size)
+    g2 = _check_table("g2", hs.g2, m1.shape[1:], hs.recon1.size)
+    dist2 = decoder_distortion(m2, g1, d2)
+    dist1 = decoder_distortion(m1, g2, d1)
     return HybridEvaluation(report, (dist1, dist2))
 
 
@@ -200,41 +206,17 @@ def lift_hybrid(hs: HybridScheme, ch: TwoWayChannel, src: JointSource) -> Config
     decoder with the previous pair and the current output.  The stationary
     previous-block law is solved and installed.
     """
-    ns1, nu1 = hs.s1.size, hs.u1.size
-    ns2, nu2 = hs.s2.size, hs.u2.size
-    ny1, ny2 = ch.y1.size, ch.y2.size
-    nio1 = ch.x1.size * ny1
-    nio2 = ch.x2.size * ny2
-
-    f1 = np.ascontiguousarray(
-        np.broadcast_to(hs.f1[None, None, :, :, None], (ns1, nu1, ns1, nu1, nio1))
-    )
-    f2 = np.ascontiguousarray(
-        np.broadcast_to(hs.f2[None, None, :, :, None], (ns2, nu2, ns2, nu2, nio2))
-    )
-
-    # g table axes (u_other, prev_s, prev_u, y) -> place at (0, 3, 4, 6)
-    g1 = np.ascontiguousarray(
-        np.broadcast_to(
-            hs.g1[:, None, None, :, :, None, :], (nu2, ns1, nu1, ns1, nu1, nio1, ny1)
-        )
-    )
-    g2 = np.ascontiguousarray(
-        np.broadcast_to(
-            hs.g2[:, None, None, :, :, None, :], (nu1, ns2, nu2, ns2, nu2, nio2, ny2)
-        )
-    )
-
+    # f reads (prev_s, prev_u); g reads (u_other, prev_s, prev_u, y) at axes (0, 3, 4, 6)
     cfg = Configuration(
         u1=hs.u1,
         u2=hs.u2,
         pu1_given_s1=hs.pu1_given_s1,
         pu2_given_s2=hs.pu2_given_s2,
         prev_law=None,
-        f1=f1,
-        f2=f2,
-        g1=g1,
-        g2=g2,
+        f1=hs.f1[None, None, :, :, None],
+        f2=hs.f2[None, None, :, :, None],
+        g1=hs.g1[:, None, None, :, :, None, :],
+        g2=hs.g2[:, None, None, :, :, None, :],
         x1=ch.x1,
         x2=ch.x2,
         y1=ch.y1,
@@ -330,6 +312,9 @@ class AdaptiveChannelScheme:
             if abs(arr.sum() - 1.0) > 1e-12 or np.any(arr < 0):
                 raise ValueError(f"{nm} is not a probability vector")
             object.__setattr__(self, nm, arr)
+        for nm, v, x, y in (("gamma1", self.v1, self.x1, self.y1), ("gamma2", self.v2, self.x2, self.y2)):
+            shape = (v.size, v.size, x.size * y.size)
+            object.__setattr__(self, nm, _check_table(nm, getattr(self, nm), shape, x.size))
 
     @property
     def prev_axes(self) -> tuple[Alphabet, ...]:
@@ -366,11 +351,6 @@ def embed_adaptive_scheme(scheme: AdaptiveChannelScheme) -> Configuration:
     exactly to the scheme's own chain on (v, x, y).
     """
     unit = Alphabet(1, "unit")
-    nv1, nv2 = scheme.v1.size, scheme.v2.size
-    nio1 = scheme.x1.size * scheme.y1.size
-    nio2 = scheme.x2.size * scheme.y2.size
-    if scheme.gamma1.shape != (nv1, nv1, nio1) or scheme.gamma2.shape != (nv2, nv2, nio2):
-        raise ValueError("gamma table shapes do not match scheme alphabets")
     pu1 = ConditionalPmf((unit,), (scheme.v1,), scheme.pv1[None, :])
     pu2 = ConditionalPmf((unit,), (scheme.v2,), scheme.pv2[None, :])
     cfg = Configuration(
@@ -379,10 +359,10 @@ def embed_adaptive_scheme(scheme: AdaptiveChannelScheme) -> Configuration:
         pu1_given_s1=pu1,
         pu2_given_s2=pu2,
         prev_law=None,
-        f1=np.ascontiguousarray(scheme.gamma1[None, :, None, :, :]),
-        f2=np.ascontiguousarray(scheme.gamma2[None, :, None, :, :]),
-        g1=np.zeros((nv2, 1, nv1, 1, nv1, nio1, scheme.y1.size), dtype=np.int64),
-        g2=np.zeros((nv1, 1, nv2, 1, nv2, nio2, scheme.y2.size), dtype=np.int64),
+        f1=scheme.gamma1[None, :, None, :, :],
+        f2=scheme.gamma2[None, :, None, :, :],
+        g1=0,
+        g2=0,
         x1=scheme.x1,
         x2=scheme.x2,
         y1=scheme.y1,
@@ -415,18 +395,13 @@ def eval_sscc(
     """Compare supplied compression rates with the adaptive channel rates.
 
     rate_j is the Wyner-Ziv rate for source j; the right-hand sides are the
-    information the other terminal's (x, y, prev_v, prev_io) view carries
-    about prev_v_j under the scheme's stationary chain.
+    adaptive conditions' right-hand sides on the embedded chain, the
+    information the other terminal's current view carries about prev_v_j.
+    Given the rest of that view its fresh v is independent of prev_v_j, so
+    this is the information its (x, y, prev_v, prev_io) view carries.
     """
-    sys = build_chain(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE)
-    pi, res = stationary_vector(sys)
-    if res > PREV_LAW_TOL:
-        raise ValueError(f"scheme's prev_vw_law is not stationary (residual {res:.3e})")
-    m = pair_marginal(sys, pi, (6, 11, 13, 7, 9))
-    rhs1 = mutual_information(m, (0,), (1, 2, 3, 4))
-    m = pair_marginal(sys, pi, (7, 10, 12, 6, 8))
-    rhs2 = mutual_information(m, (0,), (1, 2, 3, 4))
-    return ConditionReport.from_values(rate1, rhs1, rate2, rhs2)
+    rep = _adaptive_report(build_chain(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE))
+    return ConditionReport.from_values(rate1, rep.rhs1, rate2, rep.rhs2)
 
 
 def wz_scheme_rate(scheme: WZScheme, src: JointSource, which: int) -> float:
@@ -457,14 +432,11 @@ def lift_sscc(
     if scheme.prev_vw_law is None:
         raise ValueError("scheme needs a stationary prev_vw_law; see adaptive_scheme_stationary")
     ns1, ns2 = src.s1.size, src.s2.size
-    nt1, nt2 = wz1.t.size, wz2.t.size
     nv1, nv2 = scheme.v1.size, scheme.v2.size
-    nu1, nu2 = nt1 * nv1, nt2 * nv2
-    nio1 = scheme.x1.size * scheme.y1.size
-    nio2 = scheme.x2.size * scheme.y2.size
+    nu1, nu2 = wz1.t.size * nv1, wz2.t.size * nv2
     if wz1.p_t_given_s.given_axes[0].size != ns1 or wz2.p_t_given_s.given_axes[0].size != ns2:
         raise ValueError("WZ conditional source axes do not match the source")
-    if wz1.h.shape != (ns2, nt1) or wz2.h.shape != (ns1, nt2):
+    if wz1.h.shape != (ns2, wz1.t.size) or wz2.h.shape != (ns1, wz2.t.size):
         raise ValueError("WZ decoder table shapes do not match")
 
     u1 = Alphabet(nu1, "u1=(t1,v1)")
@@ -477,36 +449,18 @@ def lift_sscc(
     t_of_u1 = np.arange(nu1) // nv1
     t_of_u2 = np.arange(nu2) // nv2
 
-    core1 = scheme.gamma1[v_of_u1][:, v_of_u1, :]  # (u1, prev_u1, io1)
-    f1 = np.ascontiguousarray(
-        np.broadcast_to(core1[None, :, None, :, :], (ns1, nu1, ns1, nu1, nio1))
-    )
-    core2 = scheme.gamma2[v_of_u2][:, v_of_u2, :]
-    f2 = np.ascontiguousarray(
-        np.broadcast_to(core2[None, :, None, :, :], (ns2, nu2, ns2, nu2, nio2))
-    )
-
+    # f_j reads (u_j, prev_u_j, prev_io_j) through their v parts
+    f1 = scheme.gamma1[v_of_u1][:, v_of_u1, :][None, :, None, :, :]
+    f2 = scheme.gamma2[v_of_u2][:, v_of_u2, :][None, :, None, :, :]
     # g1 estimates s2 from (prev_s1, t part of prev_u2); g2 mirrors
     a1 = wz2.h[:, t_of_u2].T  # (u2, prev_s1)
-    g1 = np.ascontiguousarray(
-        np.broadcast_to(
-            a1[:, None, None, :, None, None, None],
-            (nu2, ns1, nu1, ns1, nu1, nio1, scheme.y1.size),
-        )
-    )
     a2 = wz1.h[:, t_of_u1].T  # (u1, prev_s2)
-    g2 = np.ascontiguousarray(
-        np.broadcast_to(
-            a2[:, None, None, :, None, None, None],
-            (nu1, ns2, nu2, ns2, nu2, nio2, scheme.y2.size),
-        )
-    )
 
     st = np.einsum("ab,at,bw->abtw", src.law.probs, wz1.p_t_given_s.probs, wz2.p_t_given_s.probs)
     full = np.multiply.outer(st, scheme.prev_vw_law.probs)
     # axes (s1, s2, t1, t2, v1, v2, io1, io2) -> (s1, s2, (t1,v1), (t2,v2), io1, io2)
     full = np.transpose(full, (0, 1, 2, 4, 3, 5, 6, 7))
-    prev_probs = np.ascontiguousarray(full).reshape(ns1, ns2, nu1, nu2, nio1, nio2)
+    prev_probs = np.ascontiguousarray(full).reshape(ns1, ns2, nu1, nu2, *full.shape[-2:])
 
     cfg = Configuration(
         u1=u1,
@@ -516,8 +470,8 @@ def lift_sscc(
         prev_law=None,
         f1=f1,
         f2=f2,
-        g1=g1,
-        g2=g2,
+        g1=a1[:, None, None, :, None, None, None],
+        g2=a2[:, None, None, :, None, None, None],
         x1=scheme.x1,
         x2=scheme.x2,
         y1=scheme.y1,

@@ -59,21 +59,11 @@ def uncoded_configuration(ch: TwoWayChannel, src: JointSource,
     unit = Alphabet(1, "const")
     pu1 = ConditionalPmf((src.s1,), (unit,), np.ones((src.s1.size, 1)))
     pu2 = ConditionalPmf((src.s2,), (unit,), np.ones((src.s2.size, 1)))
-    nio1 = ch.x1.size * ch.y1.size
-    nio2 = ch.x2.size * ch.y2.size
     s1_sym = np.minimum(np.arange(src.s1.size), ch.x1.size - 1)
     s2_sym = np.minimum(np.arange(src.s2.size), ch.x2.size - 1)
-    f1 = np.ascontiguousarray(
-        np.broadcast_to(s1_sym[:, None, None, None, None], (src.s1.size, 1, src.s1.size, 1, nio1))
-    )
-    f2 = np.ascontiguousarray(
-        np.broadcast_to(s2_sym[:, None, None, None, None], (src.s2.size, 1, src.s2.size, 1, nio2))
-    )
     cfg = Configuration(
         u1=unit, u2=unit, pu1_given_s1=pu1, pu2_given_s2=pu2, prev_law=None,
-        f1=f1, f2=f2,
-        g1=np.zeros((1, src.s1.size, 1, src.s1.size, 1, nio1, ch.y1.size), dtype=np.int64),
-        g2=np.zeros((1, src.s2.size, 1, src.s2.size, 1, nio2, ch.y2.size), dtype=np.int64),
+        f1=s1_sym[:, None, None, None, None], f2=s2_sym[:, None, None, None, None], g1=0, g2=0,
         x1=ch.x1, x2=ch.x2, y1=ch.y1, y2=ch.y2,
         recon1=d1.recon_alphabet, recon2=d2.recon_alphabet,
     )
@@ -117,16 +107,10 @@ def _sscc_candidates(ch: TwoWayChannel, src: JointSource,
 
     if ch.x1.size < 2 or ch.x2.size < 2:
         return []
-    v1 = Alphabet(2, "v1")
-    v2 = Alphabet(2, "v2")
-    nio1 = ch.x1.size * ch.y1.size
-    nio2 = ch.x2.size * ch.y2.size
-    gamma1 = np.broadcast_to(np.arange(2)[:, None, None], (2, 2, nio1))
-    gamma2 = np.broadcast_to(np.arange(2)[:, None, None], (2, 2, nio2))
+    x_of_v = np.arange(2)[:, None, None]  # x_j = v_j
     scheme = AdaptiveChannelScheme(
-        v1, v2, np.full(2, 0.5), np.full(2, 0.5),
-        np.ascontiguousarray(gamma1), np.ascontiguousarray(gamma2),
-        ch.x1, ch.x2, ch.y1, ch.y2,
+        Alphabet(2, "v1"), Alphabet(2, "v2"), np.full(2, 0.5), np.full(2, 0.5),
+        x_of_v, x_of_v, ch.x1, ch.x2, ch.y1, ch.y2,
     )
     prev = adaptive_scheme_stationary(scheme, ch)
     scheme = dataclasses.replace(scheme, prev_vw_law=prev)

@@ -1,0 +1,226 @@
+"""The one table shaper, `_check_table`, and the tables the lift maps build with it."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+import twjscc as tw
+from twjscc import serialization as ser
+from twjscc.cli import main
+from twjscc.coded_channel import _check_table
+from twjscc.conditions import (
+    _UNIT_SOURCE,
+    AdaptiveChannelScheme,
+    adaptive_scheme_stationary,
+    embed_adaptive_scheme,
+    eval_hybrid,
+    lift_hybrid,
+    lift_sscc,
+)
+from twjscc.markov import build_chain, pair_marginal, stationary_vector
+from twjscc.probability import Alphabet, mutual_information
+from twjscc.region import uncoded_configuration
+
+from util import (
+    random_adaptive_scheme,
+    random_binary_channel,
+    random_hybrid_scheme,
+    random_joint_source,
+    random_wz_scheme,
+)
+
+
+class TestCheckTable:
+    @pytest.mark.parametrize("table_shape", [(2, 3, 4), (3, 1), (1, 4), (4,), ()])
+    def test_broadcast_matches_explicit_expansion(self, table_shape):
+        shape = (2, 3, 4)
+        t = np.random.default_rng(0).integers(0, 5, size=table_shape).astype(np.int32)
+        got = _check_table("t", t, shape, 5)
+        want = np.ascontiguousarray(np.broadcast_to(t, shape), dtype=np.int64)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype == np.int64
+        assert got.flags.c_contiguous and not got.flags.writeable
+
+    def test_result_does_not_follow_the_input(self):
+        t = np.zeros((2, 2), dtype=np.int64)
+        got = _check_table("t", t, (2, 2), 2)
+        t[0, 0] = 1
+        assert got[0, 0] == 0 and t.flags.writeable
+
+    @pytest.mark.parametrize("table_shape", [(3,), (2, 2), (1, 2, 3, 4)])
+    def test_shape_that_does_not_broadcast_names_the_table(self, table_shape):
+        with pytest.raises(ValueError, match=r"f7 table shape .*, expected \(2, 3, 4\)"):
+            _check_table("f7", np.zeros(table_shape, dtype=np.int64), (2, 3, 4), 2)
+
+    def test_float_table_names_the_table(self):
+        with pytest.raises(ValueError, match="g3 table must hold integers"):
+            _check_table("g3", np.zeros((2, 2)), (2, 2), 2)
+
+    @pytest.mark.parametrize("entry", [-1, 2])
+    def test_entry_out_of_range_names_the_table(self, entry):
+        with pytest.raises(ValueError, match=r"g3 entries must lie in \[0, 2\)"):
+            _check_table("g3", np.array([[0, entry]]), (3, 2), 2)
+
+
+def _full(shape, value) -> np.ndarray:
+    """Table of `shape` whose entry at each index tuple is value(*index)."""
+    out = np.empty(shape, dtype=np.int64)
+    for idx in np.ndindex(*shape):
+        out[idx] = value(*idx)
+    return out
+
+
+class TestLiftTables:
+    """Each lift map's stored tables equal the full-shape expansion of the
+    scheme's own tables, written out index by index."""
+
+    def test_lift_hybrid(self):
+        rng = np.random.default_rng(30)
+        src, ch = random_joint_source(rng), random_binary_channel(rng)
+        d = tw.hamming(src.s1)
+        hs = random_hybrid_scheme(rng, src, ch, d, d)
+        cfg = lift_hybrid(hs, ch, src)
+        assert np.array_equal(cfg.f1, _full(cfg.f1.shape, lambda s, u, ps, pu, io: hs.f1[ps, pu]))
+        assert np.array_equal(cfg.f2, _full(cfg.f2.shape, lambda s, u, ps, pu, io: hs.f2[ps, pu]))
+        assert np.array_equal(
+            cfg.g1, _full(cfg.g1.shape, lambda uo, s, u, ps, pu, io, y: hs.g1[uo, ps, pu, y]))
+        assert np.array_equal(
+            cfg.g2, _full(cfg.g2.shape, lambda uo, s, u, ps, pu, io, y: hs.g2[uo, ps, pu, y]))
+
+    def _scheme(self, rng, ch):
+        scheme = random_adaptive_scheme(rng, ch)
+        return dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
+
+    def test_embed_adaptive_scheme(self):
+        rng = np.random.default_rng(31)
+        ch = random_binary_channel(rng)
+        scheme = self._scheme(rng, ch)
+        cfg = embed_adaptive_scheme(scheme)
+        nv, nio, ny = 2, ch.x1.size * ch.y1.size, ch.y1.size
+        assert cfg.f1.shape == (1, nv, 1, nv, nio)
+        assert np.array_equal(
+            cfg.f1, _full(cfg.f1.shape, lambda s, v, ps, pv, io: scheme.gamma1[v, pv, io]))
+        assert np.array_equal(
+            cfg.f2, _full(cfg.f2.shape, lambda s, v, ps, pv, io: scheme.gamma2[v, pv, io]))
+        for g in (cfg.g1, cfg.g2):
+            assert g.shape == (nv, 1, nv, 1, nv, nio, ny) and not g.any()
+
+    def test_lift_sscc(self):
+        rng = np.random.default_rng(32)
+        src, ch = random_joint_source(rng), random_binary_channel(rng)
+        scheme = self._scheme(rng, ch)
+        wz1, wz2 = random_wz_scheme(rng, src, 1), random_wz_scheme(rng, src, 2)
+        cfg = lift_sscc(scheme, wz1, wz2, src)
+        nv = 2  # u = t * nv + v
+        assert cfg.f1.shape == (2, 4, 2, 4, 4)
+        assert np.array_equal(
+            cfg.f1, _full(cfg.f1.shape, lambda s, u, ps, pu, io: scheme.gamma1[u % nv, pu % nv, io]))
+        assert np.array_equal(
+            cfg.f2, _full(cfg.f2.shape, lambda s, u, ps, pu, io: scheme.gamma2[u % nv, pu % nv, io]))
+        assert np.array_equal(
+            cfg.g1, _full(cfg.g1.shape, lambda uo, s, u, ps, pu, io, y: wz2.h[ps, uo // nv]))
+        assert np.array_equal(
+            cfg.g2, _full(cfg.g2.shape, lambda uo, s, u, ps, pu, io, y: wz1.h[ps, uo // nv]))
+
+    def test_uncoded_configuration(self):
+        ch, src = tw.preset_dueck(), tw.preset_example2_source()
+        d = tw.hamming(src.s1)
+        cfg = uncoded_configuration(ch, src, d, d)
+        assert cfg.f1.shape == (2, 1, 2, 1, 32)
+        assert np.array_equal(cfg.f1, _full(cfg.f1.shape, lambda s, u, ps, pu, io: s))
+        assert np.array_equal(cfg.f2, _full(cfg.f2.shape, lambda s, u, ps, pu, io: s))
+        assert cfg.g1.shape == (1, 2, 1, 2, 1, 32, 8) == cfg.g2.shape
+
+
+class TestHybridTablesChecked:
+    def _scheme(self):
+        rng = np.random.default_rng(33)
+        src, ch = tw.preset_example2_source(), tw.preset_bmc()
+        d = tw.hamming(src.s1)
+        return random_hybrid_scheme(rng, src, ch, d, d), ch, src, d
+
+    @pytest.mark.parametrize("entry", [5, -1])
+    def test_encoder_entry_out_of_range(self, entry):
+        hs, ch, src, d = self._scheme()
+        f1 = hs.f1.copy()
+        f1[0, 0] = entry
+        with pytest.raises(ValueError, match=r"f1 entries must lie in \[0, 2\)"):
+            eval_hybrid(dataclasses.replace(hs, f1=f1), ch, src, d, d)
+
+    def test_decoder_with_extra_output_column(self):
+        hs, ch, src, d = self._scheme()
+        g1 = np.concatenate([hs.g1, hs.g1[..., :1]], axis=-1)
+        with pytest.raises(ValueError, match=r"g1 table shape \(2, 2, 2, 3\), expected \(2, 2, 2, 2\)"):
+            eval_hybrid(dataclasses.replace(hs, g1=g1), ch, src, d, d)
+
+    @pytest.mark.parametrize("case", ["f1 entry 5", "f1 entry -1", "g1 three columns"])
+    def test_eval_hybrid_cli_names_file_and_table(self, case, tmp_path, capsys):
+        hs, _, _, _ = self._scheme()
+        doc = json.loads(ser.save_hybrid_scheme(hs))
+        if case == "g1 three columns":
+            doc["y1"] = 3
+            doc["g1"] = np.concatenate([hs.g1, hs.g1[..., :1]], axis=-1).ravel().tolist()
+            table = "g1"
+        else:
+            doc["f1"][0] = int(case.split()[-1])
+            table = "f1"
+        bad = tmp_path / "hybrid.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval-hybrid", "--scheme", str(bad), "--channel", "bmc", "--source", "example2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err and table in err
+
+
+class TestGammaChecked:
+    def _args(self, gamma1):
+        ch = tw.preset_bmc()
+        v = Alphabet(2, "v")
+        gamma = np.arange(2)[:, None, None]
+        return (v, v, np.full(2, 0.5), np.full(2, 0.5), gamma1, gamma, ch.x1, ch.x2, ch.y1, ch.y2)
+
+    def test_out_of_range_gamma_refused(self):
+        with pytest.raises(ValueError, match=r"gamma1 entries must lie in \[0, 2\)"):
+            AdaptiveChannelScheme(*self._args(np.full((2, 2, 4), 2)))
+
+    def test_wrong_gamma_shape_refused(self):
+        with pytest.raises(ValueError, match="gamma1 table shape"):
+            AdaptiveChannelScheme(*self._args(np.zeros((2, 2, 3), dtype=np.int64)))
+
+    def test_gamma_stored_at_full_shape(self):
+        scheme = AdaptiveChannelScheme(*self._args(np.arange(2)[:, None, None]))
+        assert scheme.gamma2.shape == (2, 2, 4) and not scheme.gamma2.flags.writeable
+
+    def test_eval_sscc_cli_names_file_and_gamma(self, tmp_path, capsys):
+        scheme = AdaptiveChannelScheme(*self._args(np.arange(2)[:, None, None]))
+        doc = json.loads(ser.save_adaptive_scheme(scheme))
+        doc["gamma1"][0] = 2
+        bad = tmp_path / "scheme.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval-sscc", "--scheme", str(bad), "--channel", "bmc",
+                     "--rate1", "0.1", "--rate2", "0.1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err and "gamma1" in err
+
+
+def test_sscc_rates_equal_the_channel_view_information():
+    """eval_sscc's right-hand sides, read from the adaptive report, equal
+    I(prev_v_j; x, y, prev_v, prev_io of the other terminal)."""
+    rng = np.random.default_rng(34)
+    for ch in (tw.preset_bmc(), tw.preset_crossed_bitpipes(), random_binary_channel(rng)):
+        for _ in range(4):
+            scheme = random_adaptive_scheme(rng, ch)
+            try:
+                scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
+            except ValueError:  # a random gamma can leave the stationary law non-unique
+                continue
+            rep = tw.eval_sscc(scheme, 0.0, 0.0, ch)
+            sys_ = build_chain(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE)
+            pi, _ = stationary_vector(sys_)
+            rhs1 = mutual_information(pair_marginal(sys_, pi, (6, 11, 13, 7, 9)), (0,), (1, 2, 3, 4))
+            rhs2 = mutual_information(pair_marginal(sys_, pi, (7, 10, 12, 6, 8)), (0,), (1, 2, 3, 4))
+            assert rep.rhs1 == pytest.approx(rhs1, abs=1e-12)
+            assert rep.rhs2 == pytest.approx(rhs2, abs=1e-12)
