@@ -129,7 +129,7 @@ def parse_args(argv) -> RunSpec:
 
 def _emit(spec: RunSpec, result: dict, out: str | None) -> None:
     doc = {"run": {"command": spec.command, **spec.options}, "result": result}
-    text = json.dumps(doc, indent=2, default=float)
+    text = json.dumps(doc, indent=2, default=float, allow_nan=False)
     print(text)
     if out:
         ser.write_atomic(out, text)

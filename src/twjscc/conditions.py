@@ -35,7 +35,7 @@ from .probability import (
     Alphabet,
     ConditionalPmf,
     JointPmf,
-    _plogp_sum,
+    _plogp,
     conditional_mutual_information,
     marginalize,
     mutual_information,
@@ -513,20 +513,20 @@ def _lattice_levels(k: int, grid: int) -> int:
     return levels
 
 
-def _pair_rates(chp: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> tuple[float, float]:
-    """(I(X1;Y2|X2), I(X2;Y1|X1)) for independent input distributions."""
-    j = p1[:, None, None, None] * p2[None, :, None, None] * chp
-    # I(X1;Y2|X2) = H(X1,X2) + H(Y2,X2) - H(X1,Y2,X2) - H(X2)
-    h_x1x2 = -_plogp_sum(j.sum(axis=(2, 3)))
-    h_x2 = -_plogp_sum(j.sum(axis=(0, 2, 3)))
-    h_y2x2 = -_plogp_sum(j.sum(axis=(0, 2)))
-    h_x1y2x2 = -_plogp_sum(j.sum(axis=2))
-    i1 = h_x1x2 + h_y2x2 - h_x1y2x2 - h_x2
-    h_x1 = -_plogp_sum(j.sum(axis=(1, 2, 3)))
-    h_y1x1 = -_plogp_sum(j.sum(axis=(1, 3)))
-    h_x2y1x1 = -_plogp_sum(j.sum(axis=3))
-    i2 = h_x1x2 + h_y1x1 - h_x2y1x1 - h_x1
-    return max(i1, 0.0), max(i2, 0.0)
+def _rate_tables(chp: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(I(X1;Y2|X2), I(X2;Y1|X1)) for every pair of independent input laws
+    (c1[i], c2[k]), as two (len(c1), len(c2)) tables.
+
+    With independent inputs I(X1;Y2|X2) = sum_x2 p2(x2) I(X1;Y2|X2=x2), and
+    the inner term depends on p1 alone, so each table is one matrix product
+    of a per-letter rate table with the other side's laws.
+    """
+    w2 = chp.sum(axis=2)  # W(y2 | x1, x2)
+    w1 = chp.sum(axis=3)  # W(y1 | x1, x2)
+    # per_x2[i, x2] = I(X1;Y2|X2=x2) = H(Y2|X2=x2) - H(Y2|X1,X2=x2) under c1[i]
+    per_x2 = c1 @ _plogp(w2).sum(axis=2) - _plogp(np.einsum("ix,xwy->iwy", c1, w2)).sum(axis=2)
+    per_x1 = c2 @ _plogp(w1).sum(axis=2).T - _plogp(np.einsum("kw,xwy->kxy", c2, w1)).sum(axis=2)
+    return np.maximum(per_x2 @ c2.T, 0.0), np.maximum(c1 @ per_x1.T, 0.0)
 
 
 def _segment_symmetric_max(a: np.ndarray, b: np.ndarray) -> float:
@@ -551,56 +551,37 @@ def shannon_nonadaptive_bound(
     around the symmetric incumbent) and, for q_size >= 2, convexifies the
     resulting rate cloud; time-sharing makes the reachable set the convex
     hull of the product-input points, so any q_size >= 2 saturates it.
-    Returns the maximal symmetric rate and a weighted-sum frontier sweep.
+    Returns the maximal symmetric rate and a weighted-sum frontier sweep
+    over the cloud's Pareto-maximal points (q_size = 1) or its hull.
     """
     if q_size < 1:
         raise ValueError("q_size must be >= 1")
-    chp = ch.law.probs
+    from .region import _staircase, convexify  # region imports this module
+
     lat1 = _simplex_lattice(ch.x1.size, _lattice_levels(ch.x1.size, grid))
     lat2 = _simplex_lattice(ch.x2.size, _lattice_levels(ch.x2.size, grid))
-
-    def sweep(cands1, cands2):
-        pts = np.empty((len(cands1) * len(cands2), 2))
-        k = 0
-        for p1 in cands1:
-            for p2 in cands2:
-                pts[k] = _pair_rates(chp, p1, p2)
-                k += 1
-        return pts
-
-    points = sweep(lat1, lat2)
-    all_points = [points]
-    sym_vals = np.minimum(points[:, 0], points[:, 1])
-    best_idx = int(np.argmax(sym_vals))
-    best1 = lat1[best_idx // len(lat2)]
-    best2 = lat2[best_idx % len(lat2)]
-
-    for r in range(1, SHANNON_REFINE_ROUNDS + 1):
+    clouds = []
+    best1, best2, best_sym = lat1[0], lat2[0], -np.inf  # alpha = 1 ignores the incumbent
+    for r in range(SHANNON_REFINE_ROUNDS + 1):  # the full lattice, then local refinements
         alpha = 10.0 ** (-r)
         c1 = (1 - alpha) * best1[None, :] + alpha * lat1
         c2 = (1 - alpha) * best2[None, :] + alpha * lat2
-        pts = sweep(c1, c2)
-        all_points.append(pts)
-        sym = np.minimum(pts[:, 0], pts[:, 1])
-        i = int(np.argmax(sym))
-        if sym[i] > np.max(sym_vals):
-            best1 = c1[i // len(c2)]
-            best2 = c2[i % len(c2)]
-        sym_vals = np.concatenate([sym_vals, sym])
+        rates1, rates2 = _rate_tables(ch.law.probs, c1, c2)
+        sym = np.minimum(rates1, rates2)
+        i, k = np.unravel_index(np.argmax(sym), sym.shape)  # first best pair
+        if sym[i, k] > best_sym:
+            best1, best2, best_sym = c1[i], c2[k], float(sym[i, k])
+        clouds.append(np.stack([rates1.ravel(), rates2.ravel()], axis=1))
 
-    cloud = np.concatenate(all_points)
+    # upper-right frontier: the lower-left staircase, or hull, of the negated cloud
+    lower_left = _staircase if q_size == 1 else convexify
+    frontier_pool = -np.asarray(lower_left(-np.round(np.concatenate(clouds), 12))[::-1])
     if q_size == 1:
-        symmetric_max = float(np.max(np.minimum(cloud[:, 0], cloud[:, 1])))
-        frontier_pool = cloud
+        symmetric_max = best_sym
     else:
-        from .region import convexify  # region imports this module
-
-        # upper-right frontier: the lower-left hull of the negated cloud
-        hull = -np.asarray(convexify(-np.round(cloud, 12))[::-1])
-        symmetric_max = max(min(float(p[0]), float(p[1])) for p in hull)
-        for a, b in zip(hull[:-1], hull[1:]):
+        symmetric_max = max(min(float(p[0]), float(p[1])) for p in frontier_pool)
+        for a, b in zip(frontier_pool[:-1], frontier_pool[1:]):
             symmetric_max = max(symmetric_max, _segment_symmetric_max(a, b))
-        frontier_pool = hull
 
     frontier = []
     for lam in np.linspace(0.0, 1.0, SHANNON_FRONTIER_WEIGHTS):

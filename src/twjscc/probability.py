@@ -113,6 +113,11 @@ def _check_disjoint(*groups: tuple[int, ...]):
             seen.add(a)
 
 
+def _plogp(a: np.ndarray) -> np.ndarray:
+    """Elementwise a log2 a, zero where a is zero."""
+    return a * np.log2(a, out=np.zeros_like(a), where=a > 0)
+
+
 def _plogp_sum(probs: np.ndarray) -> float:
     p = probs[probs > 0]
     return float(np.sum(p * np.log2(p)))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .conditions import WZScheme, _simplex_lattice
 from .models import DistortionMeasure, JointSource
-from .probability import Alphabet, ConditionalPmf, JointPmf, _plogp_sum
+from .probability import Alphabet, ConditionalPmf, JointPmf, _plogp, _plogp_sum
 
 
 WZ_LEVELS = 15  # finest simplex lattice of the Wyner-Ziv search
@@ -99,6 +99,8 @@ def _min_distortion_rate(p: np.ndarray, dist: np.ndarray) -> float:
 
 
 def _rd_point(source, d: DistortionMeasure, target: float):
+    if not math.isfinite(target):
+        raise ValueError(f"distortion target {target} is not finite")
     p = _as_vector(source)
     dist = d.table
     d_min = float(np.sum(p * dist.min(axis=1)))
@@ -200,11 +202,6 @@ def _grid_sum(tab: np.ndarray, lead: tuple) -> np.ndarray:
     return out
 
 
-def _plogp(a: np.ndarray) -> np.ndarray:
-    """Elementwise a log2 a, zero where a is zero."""
-    return a * np.log2(a, out=np.zeros_like(a), where=a > 0)
-
-
 def _wz_batches(local: np.ndarray, ps: np.ndarray, dist: np.ndarray):
     """Objective I(S;T) - I(S_other;T) and distortion of every candidate
     that picks one row of local (ns, L, t) per source symbol, in the
@@ -249,6 +246,8 @@ def wz_function(
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
+    if not math.isfinite(target):
+        raise ValueError(f"distortion target {target} is not finite")
     if target < 0:
         raise InfeasibleDistortion("negative distortion target")
     ps = src.law.probs if which == 1 else np.ascontiguousarray(src.law.probs.T)

@@ -218,22 +218,24 @@ def search_region(
     return points
 
 
+def _staircase(points) -> list[tuple[float, float]]:
+    """Pareto-minimal points of a point set, with increasing first coordinate."""
+    kept = []
+    best2 = np.inf
+    for p in sorted({(float(a), float(b)) for a, b in points}):
+        if p[1] < best2 - 1e-15:
+            kept.append(p)
+            best2 = p[1]
+    return kept
+
+
 def convexify(points) -> list[tuple[float, float]]:
     """Lower-left convex hull vertices of a distortion point set.
 
     Vertices come back with increasing first coordinate; together with the
     segments between them (time-sharing) they bound the reported region.
     """
-    pts = sorted({(float(a), float(b)) for a, b in points})
-    if not pts:
-        return []
-    # Pareto-minimal staircase first
-    kept = []
-    best2 = np.inf
-    for p in pts:
-        if p[1] < best2 - 1e-15:
-            kept.append(p)
-            best2 = p[1]
+    kept = _staircase(points)
     if len(kept) <= 2:
         return kept
     hull: list[tuple[float, float]] = []

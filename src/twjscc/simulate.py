@@ -44,7 +44,6 @@ class SimParams:
     rate2: float
     seed: int = 0
     trials: int = 1
-    freeze_boundary: bool = False  # reuse one init/termination draw across trials
 
     def __post_init__(self):
         if not (self.eps > self.eps1 > 0):
@@ -345,12 +344,6 @@ def run_simulation(
     ctx = SimContext(cfg, ch, src)
     n, blocks = params.n, params.blocks
 
-    frozen = None
-    if params.freeze_boundary:
-        boundary_rng = np.random.default_rng(np.random.SeedSequence([params.seed, 0xB0]))
-        frozen_books = generate_codebooks(cfg, src, params, boundary_rng)
-        frozen = (frozen_books.init_prev, frozen_books.termination)
-
     children = np.random.SeedSequence(params.seed).spawn(params.trials)
 
     dist_sum = np.zeros((blocks, 2))
@@ -366,13 +359,9 @@ def run_simulation(
     for child in children:
         rng = np.random.default_rng(child)
         books = generate_codebooks(cfg, src, params, rng)
-        init_prev, termination = (
-            frozen if frozen is not None else (books.init_prev, books.termination)
-        )
-
-        ps1, ps2, pu1, pu2, pio1, pio2 = (np.asarray(a) for a in init_prev)
+        ps1, ps2, pu1, pu2, pio1, pio2 = (np.asarray(a) for a in books.init_prev)
         prev1, prev2 = (ps1, pu1, pio1), (ps2, pu2, pio2)
-        prev_state = np.ravel_multi_index(init_prev, ctx.state_shape)
+        prev_state = np.ravel_multi_index(books.init_prev, ctx.state_shape)
         true_m = {1: [None] * (blocks + 2), 2: [None] * (blocks + 2)}
         s_hist = {1: [None] * (blocks + 2), 2: [None] * (blocks + 2)}
 
@@ -386,7 +375,7 @@ def run_simulation(
                 true_m[1][b] = m1
                 true_m[2][b] = m2
             else:
-                s1, s2, u1, u2 = (np.asarray(a) for a in termination)
+                s1, s2, u1, u2 = (np.asarray(a) for a in books.termination)
                 x1 = cfg.f1[s1, u1, prev1[0], prev1[1], prev1[2]]
                 x2 = cfg.f2[s2, u2, prev2[0], prev2[1], prev2[2]]
             y1, y2 = ctx.sample_channel(rng, x1, x2)

@@ -14,6 +14,9 @@ from twjscc.conditions import (
     eval_hybrid,
     eval_sscc,
     lift_hybrid,
+    _lattice_levels,
+    _rate_tables,
+    _simplex_lattice,
     lift_sscc,
     shannon_nonadaptive_bound,
     wz_scheme_rate,
@@ -23,6 +26,7 @@ from twjscc.probability import Alphabet, ConditionalPmf, binary_entropy, mutual_
 from twjscc.region import uncoded_configuration
 
 from util import (
+    _pair_rates,
     bsc_codeword_scheme,
     random_adaptive_scheme,
     random_binary_channel,
@@ -360,3 +364,57 @@ class TestShannonBound:
         a = shannon_nonadaptive_bound(tw.preset_bmc(), q_size=2, grid=13)
         b = shannon_nonadaptive_bound(tw.preset_bmc(), q_size=2, grid=13)
         assert a == b
+
+    @pytest.mark.parametrize("grid", [11, 21])
+    def test_bitpipes_single_law_frontier_is_the_corner(self, grid):
+        res = shannon_nonadaptive_bound(tw.preset_crossed_bitpipes(), q_size=1, grid=grid)
+        assert res["frontier"] == [(1.0, 1.0)]
+
+    @pytest.mark.parametrize("q_size", [1, 2])
+    @pytest.mark.parametrize("preset", ["bmc", "crossed_bitpipes", "dueck"])
+    def test_frontier_has_no_dominated_point(self, preset, q_size):
+        fr = shannon_nonadaptive_bound(getattr(tw, f"preset_{preset}")(), q_size=q_size)["frontier"]
+        for a in fr:
+            assert not any(b != a and b[0] >= a[0] and b[1] >= a[1] for b in fr), a
+
+
+def _random_channel(rng, nx1, nx2, ny1, ny2) -> tw.TwoWayChannel:
+    x1, x2, y1, y2 = (Alphabet(k, nm) for k, nm in ((nx1, "x1"), (nx2, "x2"), (ny1, "y1"), (ny2, "y2")))
+    law = rng.gamma(0.5, 1.0, size=(nx1, nx2, ny1, ny2))
+    law /= law.sum(axis=(2, 3), keepdims=True)
+    return tw.TwoWayChannel(x1, x2, y1, y2, ConditionalPmf((x1, x2), (y1, y2), law))
+
+
+class TestRateTables:
+    """_rate_tables against the per-pair entropy oracle, over whole sweeps."""
+
+    @staticmethod
+    def _check(ch, c1, c2):
+        rates1, rates2 = _rate_tables(ch.law.probs, c1, c2)
+        assert rates1.shape == rates2.shape == (len(c1), len(c2))
+        oracle = np.array([[_pair_rates(ch.law.probs, p1, p2) for p2 in c2] for p1 in c1])
+        np.testing.assert_allclose(rates1, oracle[..., 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rates2, oracle[..., 1], rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _lattices(ch, grid):
+        return tuple(_simplex_lattice(x.size, _lattice_levels(x.size, grid)) for x in (ch.x1, ch.x2))
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.1, 0.01])
+    @pytest.mark.parametrize("preset", ["bmc", "crossed_bitpipes", "dueck"])
+    def test_preset_lattices_and_refined_rows(self, preset, alpha):
+        ch = getattr(tw, f"preset_{preset}")()
+        lat1, lat2 = self._lattices(ch, 11)
+        rng = np.random.default_rng(5)
+        best1, best2 = lat1[rng.integers(len(lat1))], lat2[rng.integers(len(lat2))]
+        self._check(ch, (1 - alpha) * best1 + alpha * lat1, (1 - alpha) * best2 + alpha * lat2)
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 2, 4), (3, 2, 4, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_channels_with_unequal_outputs(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        ch = _random_channel(rng, *sizes)
+        lat1, lat2 = self._lattices(ch, 5)
+        c1 = np.concatenate([lat1, rng.dirichlet(np.ones(sizes[0]), size=4)])
+        c2 = np.concatenate([lat2, rng.dirichlet(np.ones(sizes[1]), size=4)])
+        self._check(ch, c1, c2)

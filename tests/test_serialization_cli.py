@@ -9,7 +9,7 @@ import pytest
 
 import twjscc as tw
 from twjscc import serialization as ser
-from twjscc.cli import execute, main, parse_args
+from twjscc.cli import _emit, execute, main, parse_args
 from twjscc.conditions import adaptive_scheme_stationary
 from twjscc.region import uncoded_configuration
 
@@ -285,6 +285,24 @@ class TestExecute:
     def test_infeasible_wz_exits_one(self, capsys):
         code = main(["wz-rd", "--source", "example2", "--which", "1", "--D", "-0.5"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, value", [
+        (["rd", "--source", "bernoulli:0.5", "--D", "nan"], "nan"),
+        (["rd", "--source", "bernoulli:0.5", "--curve", "0.1,nan"], "nan"),
+        (["wz-rd", "--source", "example2", "--D", "nan"], "nan"),
+        (["rd", "--source", "bernoulli:0.5", "--D", "inf"], "inf"),
+        (["wz-rd", "--source", "example2", "--D=-inf"], "-inf"),
+    ])
+    def test_non_finite_target_exits_two(self, argv, value, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"distortion target {value} is not finite" in captured.err
+        assert captured.out == ""
+
+    def test_emit_refuses_non_standard_json(self, capsys):
+        with pytest.raises(ValueError):
+            _emit(parse_args(["rd", "--source", "bernoulli:0.5"]), {"rate": float("nan")}, None)
+        assert capsys.readouterr().out == ""
 
     def test_nan_source_law_exits_two(self, tmp_path, capsys):
         doc = json.loads(ser.save_source(tw.preset_example2_source()))

@@ -338,13 +338,6 @@ class TestRunSimulation:
         b = run_simulation(cfg, ch, src, d, d, params)
         assert a == b  # wall clock excluded from comparison
 
-    def test_frozen_boundary_sequences(self, bmc_example2):
-        ch, src, d, cfg = bmc_example2
-        params = SimParams(n=32, blocks=2, eps=0.3, eps1=0.15, rate1=0.0, rate2=0.0,
-                           seed=11, trials=10, freeze_boundary=True)
-        rep = run_simulation(cfg, ch, src, d, d, params)
-        assert rep.distortion1 == 0.0
-
     def test_state_threading_via_lossless_pipes(self):
         # the io symbol stored at block b must be block b-1's (x, y) pair;
         # the uncoded crossed-pipe configuration reconstructs losslessly

@@ -14,7 +14,7 @@ from twjscc.conditions import (
     WZScheme,
     bayes_hybrid_decoders,
 )
-from twjscc.probability import Alphabet, ConditionalPmf, JointPmf
+from twjscc.probability import Alphabet, ConditionalPmf, JointPmf, _plogp_sum
 from twjscc.region import uncoded_configuration
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -249,3 +249,19 @@ def dense_wz_evaluate(cands, ps, dist):
     i1 = h_rows(pst.sum(axis=2)) + h_t - h_rows(pst)
     i2 = h_rows(psot.sum(axis=2)) + h_t - h_rows(psot)
     return i1 - i2, d_ach, h
+
+
+def _pair_rates(chp: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> tuple[float, float]:
+    """(I(X1;Y2|X2), I(X2;Y1|X1)) for independent input distributions."""
+    j = p1[:, None, None, None] * p2[None, :, None, None] * chp
+    # I(X1;Y2|X2) = H(X1,X2) + H(Y2,X2) - H(X1,Y2,X2) - H(X2)
+    h_x1x2 = -_plogp_sum(j.sum(axis=(2, 3)))
+    h_x2 = -_plogp_sum(j.sum(axis=(0, 2, 3)))
+    h_y2x2 = -_plogp_sum(j.sum(axis=(0, 2)))
+    h_x1y2x2 = -_plogp_sum(j.sum(axis=2))
+    i1 = h_x1x2 + h_y2x2 - h_x1y2x2 - h_x2
+    h_x1 = -_plogp_sum(j.sum(axis=(1, 2, 3)))
+    h_y1x1 = -_plogp_sum(j.sum(axis=(1, 3)))
+    h_x2y1x1 = -_plogp_sum(j.sum(axis=3))
+    i2 = h_x1x2 + h_y1x1 - h_x2y1x1 - h_x1
+    return max(i1, 0.0), max(i2, 0.0)
