@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -70,6 +70,8 @@ class ConditionReport:
 
     @staticmethod
     def from_values(lhs1, rhs1, lhs2, rhs2, tol: float = DEFAULT_TOL) -> "ConditionReport":
+        if not (isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance {tol} must be finite and nonnegative")
         margin = min(rhs1 - lhs1, rhs2 - lhs2)
         satisfied = (lhs1 < rhs1 - tol) and (lhs2 < rhs2 - tol)
         boundary = (not satisfied) and margin >= -tol
@@ -400,6 +402,9 @@ def eval_sscc(
     Given the rest of that view its fresh v is independent of prev_v_j, so
     this is the information its (x, y, prev_v, prev_io) view carries.
     """
+    for name, rate in (("rate1", rate1), ("rate2", rate2)):
+        if not (isfinite(rate) and rate >= 0):
+            raise ValueError(f"{name} {rate} must be finite and nonnegative")
     rep = _adaptive_report(build_chain(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE))
     return ConditionReport.from_values(rate1, rep.rhs1, rate2, rep.rhs2)
 

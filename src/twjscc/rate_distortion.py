@@ -1,32 +1,31 @@
 """Rate-distortion and Wyner-Ziv rate-distortion on finite alphabets.
 
-The plain function is computed by Blahut-Arimoto iterations with a
-bisection on the Lagrange multiplier; the side-information function is a
-deterministic brute-force search over test-channel conditionals on a
-simplex lattice.  A candidate picks one lattice row per source symbol, so
-its decoder costs and entropies are sums of per-row tables, scored over the
-grid of picks without forming any candidate's joint law.  For a fixed
-decoder h the rate I(S; T | S_other) is convex in the conditional P(t | s),
-but the objective is non-convex jointly in (P(t | s), h), so a grid plus
-local refinement is preferred over alternating minimization.
+One Blahut-Arimoto engine serves both: for a fixed decoder h(s', t) the rate
+I(S; T | S') is convex in the test channel P(t | s) and the distortion is
+linear in it, so the alternating minimization of Dupuis, Yu and Willems (ISIT
+2004), with its slope refit at every update so that the distortion meets the
+target, reaches the decoder's optimum; R(D) is the case of a one-letter side
+alphabet and the identity decoder.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import WZScheme, _simplex_lattice
+from .conditions import WZScheme
 from .models import DistortionMeasure, JointSource
-from .probability import Alphabet, ConditionalPmf, JointPmf, _plogp, _plogp_sum
+from .probability import Alphabet, ConditionalPmf, JointPmf, _plogp
 
 
-WZ_LEVELS = 15  # finest simplex lattice of the Wyner-Ziv search
-WZ_REFINE_ROUNDS = 2  # local refinements around the lattice's best point
-WZ_CHUNK = 20000  # candidates evaluated per batch
+WZ_MAX_DECODERS = 20_000  # enumerated decoders (17,550 on ternary pairs); above, Bayes alternation
+_D_TOL = 1e-12  # distortion slack: feasibility, and the zero-cost cells of a tight target
+_R_TOL = 1e-10  # rate accuracy certified by the gaps, in bits
+_ROUND = 16  # updates between two exact slope fits and prunings of the decoders
+_FLOOR = 1e-300  # keeps log2 q(t | s') finite for an unused letter
 
 
 class InfeasibleDistortion(ValueError):
@@ -44,6 +43,80 @@ def _as_vector(source) -> np.ndarray:
     return arr
 
 
+def _law(ps: np.ndarray):
+    """(P(s), P(s' | s), P(s | s'), P(s')) of ps (s, s'), zero where undefined."""
+    w, po = ps.sum(axis=1), ps.sum(axis=0)
+    fwd = np.divide(ps, w[:, None], out=np.zeros_like(ps), where=w[:, None] > 0)
+    back = np.divide(ps.T, po[:, None], out=np.zeros_like(ps.T), where=po[:, None] > 0)
+    return w, fwd, back, po
+
+
+def _rate(p_t: np.ndarray, law) -> np.ndarray:
+    """I(S; T | S') = H(T | S') - H(T | S) in bits of test channels (..., s, t)."""
+    w, _, back, po = law
+    return _plogp(p_t).sum(axis=-1) @ w - _plogp(back @ p_t).sum(axis=-1) @ po
+
+
+def _ba_step(p_t, law, excess, beta, slack=None, fits=64):
+    """One update P(t | s) ~ prod_s' q(t | s') ** P(s' | s) * 2 ** -(beta excess(s, t)).
+    With slack given, beta is refit first by at most `fits` safeguarded Newton
+    steps from the given slope, so that the channels' mean excess is slack.
+    Returns the channels, the slopes, the value they attain (the Lagrangian
+    less beta * slack) and its Frank-Wolfe gap, a bound on how far the value
+    lies above the minimum when the fit is exact."""
+    w, fwd, back, po = law
+    q = np.maximum(back @ p_t, _FLOOR)
+    a = fwd @ np.log2(q)
+    beta, lo, hi = beta.copy(), np.zeros_like(beta), np.full_like(beta, np.inf)
+    p_t, top, z = np.empty_like(a), np.empty(a.shape[:-1] + (1,)), np.empty(a.shape[:-1] + (1,))
+    rows = np.arange(len(beta))
+    for fit in range(fits + 1):
+        logits = a[rows] - beta[rows, None, None] * excess[rows]
+        top[rows] = logits.max(axis=-1, keepdims=True)
+        p = np.exp2(logits - top[rows])
+        z[rows] = p.sum(axis=-1, keepdims=True)
+        p_t[rows] = p = p / z[rows]
+        if slack is None or fit == fits:
+            break
+        m = (p * excess[rows]).sum(axis=-1)
+        f = m @ w - slack[rows]
+        go = (np.abs(f) > 1e-13 * slack[rows]) & ((beta[rows] > 0) | (f > 0))
+        rows, f, m, p = rows[go], f[go], m[go], p[go]
+        if not rows.size:
+            break
+        b = beta[rows]
+        lo[rows], hi[rows] = np.where(f > 0, b, lo[rows]), np.where(f > 0, hi[rows], b)
+        var = ((p * excess[rows] ** 2).sum(axis=-1) - m * m) @ w * math.log(2)  # -df / dbeta
+        step, l, h = b + f / np.maximum(var, _FLOOR), lo[rows], hi[rows]
+        bisect = np.where(np.isinf(h), 2 * b + 1, (l + h) / 2)
+        beta[rows] = np.where((l < step) & (step < h), step, bisect)
+    value = -(top + np.log2(z))[..., 0] @ w - (0 if slack is None else beta * slack)
+    gap = ((back @ p_t) / q).max(axis=-1) @ po - po.sum()
+    return p_t, beta, value, gap / math.log(2)
+
+
+def _alternate(p_t, law, excess, beta, slack=None, max_iter=5000, tol=_R_TOL / 10):
+    """Updates per leading index of excess (k, s, t), with slack one Newton
+    step of the slope each, each pair extrapolated (SQUAREM, Varadhan and
+    Roland 2008) where that lowers the value, until every gap is at most tol:
+    the channels, slopes, the value after each plain update and the gaps."""
+    history = []
+    while True:
+        p1, beta, g0, _ = _ba_step(p_t, law, excess, beta, slack, 1)
+        p2, beta, g1, gap = _ba_step(p1, law, excess, beta, slack, 1)
+        history += [g0, g1]
+        if np.all(gap <= tol) or len(history) >= max_iter:
+            return p2, beta, history, gap
+        r, v = p1 - p_t, p2 - 2 * p1 + p_t
+        a = np.sqrt((r * r).sum(axis=(-2, -1)) / np.maximum((v * v).sum(axis=(-2, -1)), _FLOOR))
+        a = np.maximum(a, 1.0)[:, None, None]
+        jump = np.maximum(p_t + 2 * a * r + a * a * v, p2 / 16)  # a dying letter drops 16x
+        jump /= jump.sum(axis=-1, keepdims=True)
+        p3, b3, g3, _ = _ba_step(jump, law, excess, beta, slack, 1)
+        keep = g3 <= g1
+        p_t, beta = np.where(keep[:, None, None], p3, p2), np.where(keep, b3, beta)
+
+
 @dataclass(frozen=True)
 class BaResult:
     rate: float
@@ -52,93 +125,81 @@ class BaResult:
     objective_history: tuple[float, ...]
 
 
-def blahut_arimoto(
-    p: np.ndarray,
-    dist_table: np.ndarray,
-    beta: float,
-    max_iter: int = 5000,
-    tol: float = 1e-13,
-) -> BaResult:
-    """Fixed-slope Blahut-Arimoto: minimizes I + beta * D.
-
-    Returns the converged (rate, distortion) point together with the
-    per-iteration Lagrangian values, which are non-increasing.
-    """
+def blahut_arimoto(p: np.ndarray, dist_table: np.ndarray, beta: float,
+                   max_iter: int = 5000, tol: float = 1e-13) -> BaResult:
+    """Fixed-slope Blahut-Arimoto: minimizes I + beta * D, I in bits.  Returns
+    the converged (rate, distortion) point and the per-iteration Lagrangian
+    values, which are non-increasing; the last lies within tol of the minimum."""
     p = _as_vector(p)
     dist = np.asarray(dist_table, dtype=np.float64)
-    ns, nr = dist.shape
-    # stabilized exponent keeps rows alive for very steep slopes
-    expo = np.exp(-beta * (dist - dist.min(axis=1, keepdims=True)))
-    q = np.full((ns, nr), 1.0 / nr)
-    history = []
-    rate = dist_val = 0.0
-    it = 0
-    prev_obj = np.inf
-    for it in range(1, max_iter + 1):
-        out = p @ q
-        q = out[None, :] * expo
-        q /= q.sum(axis=1, keepdims=True)
-        joint = p[:, None] * q
-        out = joint.sum(axis=0)
-        rate = -_plogp_sum(out) + float(np.sum(joint[joint > 0] * np.log2(q[joint > 0])))
-        dist_val = float(np.sum(joint * dist))
-        obj = rate + beta * dist_val
-        history.append(obj)
-        if abs(prev_obj - obj) <= tol:
+    law = _law(p[:, None])
+    p_t, _, history, _ = _alternate(np.full((1,) + dist.shape, 1.0 / dist.shape[1]), law,
+                                    dist[None], np.array([float(beta)]), None, max_iter, tol)
+    return BaResult(max(float(_rate(p_t[0], law)), 0.0), float(p @ (p_t[0] * dist).sum(axis=1)),
+                    len(history), tuple(float(g[0]) for g in history))
+
+
+def _constrained(law, excess, slack, p_t):
+    """Least-rate channels whose mean excess over the row minima of the costs
+    is slack, per decoder (k, s, t), with the slope refit at every update:
+    one Newton step within a round of _ROUND updates, then an exact fit that
+    gives feasible channels and a certified value.  A decoder stops once its
+    gap is at most _R_TOL / 10 or its lower bound (value - gap) reaches the
+    best value.  Returns the channels and the decoder x iteration updates."""
+    k = len(excess)
+    beta, value, todo, evaluations = np.ones(k), np.full(k, np.inf), np.arange(k), 0
+    for _ in range(300):
+        p, b, history, _ = _alternate(p_t[todo], law, excess[todo], beta[todo], slack[todo],
+                                      _ROUND)
+        p, b, v, gap = _ba_step(p, law, excess[todo], b, slack[todo])
+        evaluations += todo.size * (len(history) + 1)
+        p_t[todo], beta[todo], value[todo] = p, b, v
+        todo = todo[(gap > _R_TOL / 10) & (v - gap < value.min() - _R_TOL / 10)]
+        if not todo.size:
             break
-        prev_obj = obj
-    return BaResult(max(rate, 0.0), dist_val, it, tuple(history))
+    return p_t, evaluations
 
 
-def _min_distortion_rate(p: np.ndarray, dist: np.ndarray) -> float:
-    """Rate of the per-symbol argmin reconstruction map (exact when the
-    argmin is unique for every source symbol)."""
-    assign = np.argmin(dist, axis=1)
-    out = np.bincount(assign, weights=p, minlength=dist.shape[1])
-    return -_plogp_sum(out)
+def _solve(law, cost: np.ndarray, target: float):
+    """Least-rate channels at distortion <= target, their rates (inf below the
+    minimum), distortions and the updates made, for decoder costs
+    cost[k, s, t] = E[d(s, h_k(S', t)) | s]."""
+    w, (k, _, nt) = law[0], cost.shape
+    excess = cost - cost.min(axis=-1, keepdims=True)
+    d_min = cost.min(axis=-1) @ w
+    col = np.einsum("s,kst->kt", w, cost)
+    p_t = np.zeros(cost.shape)
+    p_t[np.arange(k), :, col.argmin(axis=-1)] = 1.0  # zero-rate channels
+    feasible = d_min <= target + _D_TOL
+    open_ = feasible & (col.min(axis=-1) > target)
+    tight = open_ & (d_min >= target - _D_TOL)
+    evaluations = 0
+    if tight.any():  # solved on the zero-cost cells only
+        masked = np.where(excess[tight] > _D_TOL, 1e4, 0.0)  # 2 ** -1e4 underflows to 0
+        p_t[tight], _, history, _ = _alternate(np.full_like(cost[tight], 1.0 / nt), law, masked,
+                                               np.ones(int(tight.sum())))
+        evaluations += len(history) * int(tight.sum())
+    steep = open_ & ~tight
+    if steep.any():
+        p_t[steep], n = _constrained(law, excess[steep], target - d_min[steep],
+                                     np.full_like(cost[steep], 1.0 / nt))
+        evaluations += n
+    rate = np.where(open_, np.maximum(_rate(p_t, law), 0.0), np.where(feasible, 0.0, np.inf))
+    return p_t, rate, np.einsum("s,kst,kst->k", w, p_t, cost), evaluations
+
+
+def _check_target(target: float, p: np.ndarray, dist: np.ndarray) -> None:
+    if not math.isfinite(target):
+        raise ValueError(f"distortion target {target} is not finite")
+    if target < (d_min := float(p @ dist.min(axis=1))) - _D_TOL:
+        raise InfeasibleDistortion(f"distortion {target} below the minimum achievable {d_min}")
 
 
 def _rd_point(source, d: DistortionMeasure, target: float):
-    if not math.isfinite(target):
-        raise ValueError(f"distortion target {target} is not finite")
     p = _as_vector(source)
-    dist = d.table
-    d_min = float(np.sum(p * dist.min(axis=1)))
-    d_const = float(np.min(p @ dist))
-    if target < d_min - 1e-12:
-        raise InfeasibleDistortion(
-            f"distortion {target} below the minimum achievable {d_min}"
-        )
-    if target >= d_const - 1e-12:
-        return 0.0, 0, 0.0
-    if target <= d_min + 1e-12:
-        return _min_distortion_rate(p, dist), 0, 0.0
-
-    # expand the slope until the target is bracketed, then bisect
-    lo, hi = 0.0, 1.0
-    iters = 0
-    for _ in range(80):
-        res = blahut_arimoto(p, dist, hi)
-        iters += res.iterations
-        if res.distortion <= target:
-            break
-        lo, hi = hi, hi * 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        res = blahut_arimoto(p, dist, mid)
-        iters += res.iterations
-        if res.distortion > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    res = blahut_arimoto(p, dist, hi)
-    iters += res.iterations
-    # tangent-line step to the exact target distortion
-    rate = res.rate + hi * (res.distortion - target)
-    residual = abs(res.distortion - target)
-    return max(rate, 0.0), iters, residual
+    _check_target(target, p, d.table)
+    _, rate, dist, evaluations = _solve(_law(p[:, None]), d.table[None], target)
+    return float(rate[0]), evaluations, abs(float(dist[0]) - target)
 
 
 def rd_function(source, d: DistortionMeasure, target: float) -> float:
@@ -176,132 +237,62 @@ def rd_curve(source, d: DistortionMeasure, d_grid) -> RdCurve:
     return _isotonic_curve(d_grid, lambda target: _rd_point(source, d, target))
 
 
-# ---------------------------------------------------------------------------
-# Wyner-Ziv with decoder side information
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class WzResult:
     rate: float
     scheme: WZScheme
     distortion: float
-    evaluations: int
+    evaluations: int  # decoder x iteration updates of the Blahut-Arimoto engine
 
 
-def _grid_sum(tab: np.ndarray, lead: tuple) -> np.ndarray:
-    """Per-row tables tab (ns, L, ...) summed over the source rows, in row
-    order: rows 0..k-1 take the row indices lead (k arrays of n), the others
-    range over all L, giving (n * L ** (ns - k), ...) in row-major order."""
-    out = tab[0, lead[0]]
-    for s in range(1, len(tab)):
-        if s < len(lead):
-            out = out + tab[s, lead[s]]
-        else:
-            out = (out[:, None] + tab[s]).reshape((-1,) + tab.shape[2:])
-    return out
+def _decoder_costs(h: np.ndarray, law, dist: np.ndarray) -> np.ndarray:
+    """cost[k, s, t] = sum_s' P(s' | s) d(s, h_k(s', t)) of decoders h (k, s', t)."""
+    return np.einsum("so,skot->kst", law[1], dist[:, h])
 
 
-def _wz_batches(local: np.ndarray, ps: np.ndarray, dist: np.ndarray):
-    """Objective I(S;T) - I(S_other;T) and distortion of every candidate
-    that picks one row of local (ns, L, t) per source symbol, in the
-    row-major order of those picks.  Both are sums of per-row tables over
-    the grid, and H(T) cancels.  Yields (first flat index, objective,
-    distortion) per batch of at most WZ_CHUNK candidates."""
-    ns, n_lat = local.shape[:2]
-    pso = ps[:, None, :, None] * local[:, :, None, :]  # (s, row, s_other, t)
-    cost = pso[None] * dist.T[:, :, None, None, None]  # (r, s, row, s_other, t)
-    h_st = -_plogp(pso.sum(axis=2)).sum(axis=-1)  # (s, row): H(S, T) = sum over rows
-    h_s_minus_so = _plogp_sum(ps.sum(axis=0)) - _plogp_sum(ps.sum(axis=1))
-    k = next(k for k in range(1, ns + 1) if n_lat ** (ns - k) <= WZ_CHUNK)
-    tail = n_lat ** (ns - k)
-    step = WZ_CHUNK // tail
-    for lo in range(0, n_lat ** k, step):
-        lead = np.unravel_index(np.arange(lo, min(lo + step, n_lat ** k)), (n_lat,) * k)
-        d_min = functools.reduce(np.minimum, (_grid_sum(c, lead) for c in cost))
-        h_sot = -_plogp(_grid_sum(pso, lead)).sum(axis=(1, 2))
-        yield lo * tail, h_s_minus_so - _grid_sum(h_st, lead) + h_sot, d_min.sum(axis=(1, 2))
-
-
-def _wz_decoder(rows: np.ndarray, ps: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Per-(side, t) argmin reconstruction of test channels rows (..., s, t),
-    lowest index on ties, from the costs _wz_batches minimizes."""
-    terms = ps[:, :, None, None] * rows[..., :, None, :, None] * dist[:, None, None, :]
-    return np.argmin(terms.sum(axis=-4), axis=-1)
-
-
-def wz_function(
-    src: JointSource,
-    which: int,
-    d: DistortionMeasure,
-    target: float,
-) -> WzResult:
-    """Minimum side-information coding rate for one source of the pair.
-
-    which selects the compressed source (the other one is the decoder's
-    side information).  Searches conditionals P(t | s) on a simplex lattice
-    with |T| = |S| + 1 (capped at 8), pairs each with its optimal
-    deterministic decoder, and keeps the best rate among candidates meeting
-    the distortion target.
-    """
+def wz_function(src: JointSource, which: int, d: DistortionMeasure, target: float) -> WzResult:
+    """Minimum side-information coding rate for source which (the other is
+    the decoder's side information), |T| = |S| + 1 (at most 8).  It solves the
+    |T|-subsets of the maps s' -> s_hat (merging two letters t with one map
+    never raises the rate, and an unused letter costs nothing); above
+    WZ_MAX_DECODERS it starts from the constant maps (all of them when
+    |S_hat| <= |T|, so the rate never exceeds R(D)) and alternates with the
+    Bayes decoder until one repeats."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    if not math.isfinite(target):
-        raise ValueError(f"distortion target {target} is not finite")
-    if target < 0:
-        raise InfeasibleDistortion("negative distortion target")
     ps = src.law.probs if which == 1 else np.ascontiguousarray(src.law.probs.T)
-    ns, nso = ps.shape
-    nt = min(ns + 1, 8)
+    (ns, nso), nt = ps.shape, min(ps.shape[0] + 1, 8)
     if d.source_alphabet.size != ns:
         raise ValueError("distortion table does not match the compressed source")
-    dist = d.table
-
-    levels = (lv for lv in range(WZ_LEVELS, 2, -1) if math.comb(lv + nt - 1, nt - 1) ** ns <= 300_000)
-    lattice = _simplex_lattice(nt, next(levels, 2))
-
-    best = None  # (objective, distortion, rows)
-    evaluations = 0
-    base_rows = np.full((ns, nt), 1.0 / nt)
-    for r in range(WZ_REFINE_ROUNDS + 1):  # the full lattice, then local refinements
-        alpha = 10.0 ** (-r)
-        local = (1.0 - alpha) * base_rows[:, None, :] + alpha * lattice[None, :, :]
-        for lo, obj, d_ach in _wz_batches(local, ps, dist):
-            evaluations += len(obj)
-            ok = d_ach <= target + 1e-12
-            k = int(np.argmin(np.where(ok, obj, np.inf)))  # first best feasible candidate
-            if ok[k] and (best is None or obj[k] < best[0] - 1e-15):
-                rows = local[np.arange(ns), np.unravel_index(lo + k, (len(lattice),) * ns)]
-                best = (float(obj[k]), float(d_ach[k]), rows)
-        if best is None:
-            d_min = float(np.sum(ps.sum(axis=1) * dist.min(axis=1)))
-            raise InfeasibleDistortion(
-                f"no test channel meets distortion {target} (minimum achievable {d_min})"
-            )
-        base_rows = best[2]
-
-    obj, d_ach, rows = best
-    h = _wz_decoder(rows, ps, dist)
-    t_alpha = Alphabet(nt, "t")
-    s_alpha = src.s1 if which == 1 else src.s2
-    scheme = WZScheme(
-        t=t_alpha,
-        p_t_given_s=ConditionalPmf((s_alpha,), (t_alpha,), rows),
-        h=h.astype(np.int64),
-        shat=d.recon_alphabet,
-    )
-    return WzResult(max(obj, 0.0), scheme, d_ach, evaluations)
+    _check_target(target, ps.sum(axis=1), d.table)
+    dist, nr, law = d.table, d.table.shape[1], _law(ps)
+    n_maps = nr ** nso
+    alternate = math.comb(n_maps, min(nt, n_maps)) > WZ_MAX_DECODERS
+    if alternate:  # constant maps, each source letter's best reconstruction first
+        first = list(dict.fromkeys([*dist.argmin(axis=1), *range(nr)]))[:nt]
+        h = np.broadcast_to(first, (1, nso, len(first)))
+    else:
+        maps = np.array(list(itertools.product(range(nr), repeat=nso)))
+        h = maps[list(itertools.combinations(range(n_maps), min(nt, n_maps)))].transpose(0, 2, 1)
+    p_t, rate, dist_t, evaluations = _solve(law, _decoder_costs(h, law, dist), target)
+    while alternate and np.isfinite(rate[-1]):
+        bayes = np.einsum("so,st,sr->otr", ps, p_t[-1], dist).argmin(axis=-1)[None]
+        if any(np.array_equal(bayes[0], x) for x in h):
+            break
+        p, r, dt, n = _solve(law, _decoder_costs(bayes, law, dist), target)
+        h, p_t = np.concatenate([h, bayes]), np.concatenate([p_t, p])
+        rate, dist_t, evaluations = np.append(rate, r), np.append(dist_t, dt), evaluations + n
+    best = int(np.argmin(rate))
+    pad = ((0, 0), (0, nt - h.shape[-1]))  # zero-mass letters up to |T|
+    t_alpha, s_alpha = Alphabet(nt, "t"), (src.s1 if which == 1 else src.s2)
+    scheme = WZScheme(t_alpha, ConditionalPmf((s_alpha,), (t_alpha,), np.pad(p_t[best], pad)),
+                      np.pad(h[best], pad).astype(np.int64), d.recon_alphabet)
+    return WzResult(float(rate[best]), scheme, float(dist_t[best]), evaluations)
 
 
-def wz_curve(
-    src: JointSource,
-    which: int,
-    d: DistortionMeasure,
-    d_grid,
-) -> RdCurve:
+def wz_curve(src: JointSource, which: int, d: DistortionMeasure, d_grid) -> RdCurve:
     """Wyner-Ziv curve with the isotonic clipping of rd_curve."""
     def point(target):
         res = wz_function(src, which, d, target)
         return res.rate, res.evaluations, abs(res.distortion - target)
-
     return _isotonic_curve(d_grid, point)

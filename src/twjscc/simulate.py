@@ -46,6 +46,9 @@ class SimParams:
     trials: int = 1
 
     def __post_init__(self):
+        for name in ("eps", "eps1", "rate1", "rate2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} {getattr(self, name)} is not finite")
         if not (self.eps > self.eps1 > 0):
             raise ValueError("need eps > eps1 > 0")
         if not 1 <= self.n <= MAX_N:

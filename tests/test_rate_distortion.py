@@ -1,24 +1,20 @@
-import itertools
+import math
 
 import numpy as np
 import pytest
 
 import twjscc as tw
 import twjscc.rate_distortion as rd
-from twjscc.conditions import _simplex_lattice
+from twjscc.conditions import wz_scheme_rate
 from twjscc.probability import Alphabet, bernoulli, binary_entropy, conditional_entropy
 from twjscc.rate_distortion import (
     InfeasibleDistortion,
-    _wz_batches,
-    _wz_decoder,
     blahut_arimoto,
     rd_curve,
     rd_function,
     wz_curve,
     wz_function,
 )
-
-from util import dense_wz_candidates, dense_wz_evaluate
 
 
 @pytest.fixture
@@ -101,7 +97,7 @@ class TestWzFunction:
     def test_example2_lossless_rate(self):
         src = tw.preset_example2_source()
         res = wz_function(src, 1, tw.hamming(src.s1), 0.0)
-        assert res.rate == pytest.approx(2 / 3, abs=1e-3)
+        assert res.rate == pytest.approx(2 / 3, abs=1e-9)
         assert res.distortion == 0.0
         assert res.scheme.t.size == 3
 
@@ -117,7 +113,7 @@ class TestWzFunction:
         for target in (0.05, 0.2):
             wz = wz_function(src, 1, d, target).rate
             rd = rd_function(bernoulli(0.5), d, target)
-            assert wz == pytest.approx(rd, abs=5e-3)
+            assert wz == pytest.approx(rd, abs=1e-6)
 
     def test_max_distortion_needs_no_rate(self):
         src = tw.preset_example2_source()
@@ -130,7 +126,7 @@ class TestWzFunction:
             wz_function(src, 1, tw.hamming(src.s1), -0.1)
 
     def test_rate_sandwich(self):
-        # 0 <= R_wz <= R <= H for matching targets, up to grid slack
+        # 0 <= R_wz <= R <= H for matching targets
         rng = np.random.default_rng(1)
         for _ in range(3):
             law = rng.dirichlet(np.ones(4)).reshape(2, 2)
@@ -141,7 +137,7 @@ class TestWzFunction:
             target = 0.1
             r_wz = wz_function(src, 1, d, target).rate
             r_rd = rd_function(marg, d, target)
-            assert -1e-12 <= r_wz <= r_rd + 5e-3
+            assert -1e-12 <= r_wz <= r_rd + 1e-9
             assert r_rd <= tw.entropy(marg) + 1e-9
 
     def test_lossless_rate_is_conditional_entropy(self):
@@ -151,7 +147,7 @@ class TestWzFunction:
             sa = Alphabet(2)
             src = tw.JointSource(sa, sa, tw.JointPmf((sa, sa), law))
             res = wz_function(src, 1, tw.hamming(sa), 0.0)
-            assert res.rate == pytest.approx(conditional_entropy(src.law, 0, 1), abs=1e-3)
+            assert res.rate == pytest.approx(conditional_entropy(src.law, 0, 1), abs=1e-9)
 
     def test_ternary_lossless_rate_is_conditional_entropy(self):
         rng = np.random.default_rng(3)
@@ -159,87 +155,96 @@ class TestWzFunction:
         for _ in range(2):
             src = tw.JointSource(sa, sa, tw.JointPmf((sa, sa), rng.dirichlet(np.ones(9)).reshape(3, 3)))
             res = wz_function(src, 1, tw.hamming(sa), 0.0)
-            assert res.rate == pytest.approx(conditional_entropy(src.law, 0, 1), abs=1e-3)
+            assert res.rate == pytest.approx(conditional_entropy(src.law, 0, 1), abs=1e-9)
             assert res.distortion == 0.0 and res.scheme.t.size == 4
 
 
-def _local(base, lattice, alpha):
-    return (1.0 - alpha) * base[:, None, :] + alpha * lattice[None, :, :]
+def _dsbs(p0):
+    sa = Alphabet(2)
+    law = np.array([[1 - p0, p0], [p0, 1 - p0]]) / 2
+    return tw.JointSource(sa, sa, tw.JointPmf((sa, sa), law))
 
 
-def _dense_batches(local, ps, dist):
-    cands = dense_wz_candidates(local)
-    for lo in range(0, len(cands), rd.WZ_CHUNK):
-        obj, d_ach, _ = dense_wz_evaluate(cands[lo : lo + rd.WZ_CHUNK], ps, dist)
-        yield lo, obj, d_ach
+def _dsbs_rate(p0, target):
+    """Wyner and Ziv (1976): the lower convex envelope of h(p0 * D) - h(D)
+    and the point (p0, 0), read at target as the least value over the
+    chords from (D1, g(D1)), D1 <= target, to (p0, 0)."""
+    def h(x):
+        return -x * np.log2(x) - (1 - x) * np.log2(1 - x)
+
+    d1 = np.linspace(0.0, target, 200_001)[1:]
+    g = h(p0 * (1 - d1) + d1 * (1 - p0)) - h(d1)
+    return float(np.min(g * (p0 - target) / (p0 - d1)))
 
 
-def _dense_decoder(rows, ps, dist):
-    return dense_wz_evaluate(rows[None], ps, dist)[2][0]
+def _check_scheme(res, src, which, d, target):
+    """The returned scheme's own rate and distortion, recomputed."""
+    ps = src.law.probs if which == 1 else src.law.probs.T
+    p_t = res.scheme.p_t_given_s.probs
+    assert wz_scheme_rate(res.scheme, src, which) == pytest.approx(res.rate, abs=1e-9)
+    cost = d.table[:, res.scheme.h]  # (s, s_other, t)
+    dist = float(np.einsum("so,st,sot->", ps, p_t, cost))
+    assert dist <= target + 1e-12
+    assert res.distortion == pytest.approx(dist, abs=1e-12)
 
 
-class TestSeparableEvaluator:
-    """The per-row evaluator against the dense (c, s, s_other, t) oracle."""
+class TestWzClosedForms:
+    @pytest.mark.parametrize("p0", [0.1, 0.25])
+    @pytest.mark.parametrize("target", [0.02, 0.05, 0.08])
+    def test_doubly_symmetric_binary_source(self, p0, target):
+        src = _dsbs(p0)
+        res = wz_function(src, 1, tw.hamming(src.s1), target)
+        assert res.rate == pytest.approx(_dsbs_rate(p0, target), abs=1e-9)
 
-    @pytest.mark.parametrize("chunk", [rd.WZ_CHUNK, 300, 7])
-    @pytest.mark.parametrize("ns, n_other, levels", [(2, 2, 15), (2, 3, 15), (3, 2, 3), (3, 3, 3)])
-    def test_matches_dense_oracle(self, monkeypatch, ns, n_other, levels, chunk):
-        monkeypatch.setattr(rd, "WZ_CHUNK", chunk)
-        rng = np.random.default_rng(10 * ns + n_other)
-        ps = rng.dirichlet(np.ones(ns * n_other)).reshape(ns, n_other)
-        dist = rng.uniform(0.0, 1.0, size=(ns, ns))
-        lattice = _simplex_lattice(ns + 1, levels)
-        base = rng.dirichlet(np.ones(ns + 1), size=ns)
-        for alpha in (1.0, 0.1, 0.01):
-            local = _local(base, lattice, alpha)
-            cands = dense_wz_candidates(local)
-            obj, d_ach, h = dense_wz_evaluate(cands, ps, dist)
-            batches = list(_wz_batches(local, ps, dist))
-            sizes = [len(b[1]) for b in batches]
-            assert max(sizes) <= chunk
-            assert [b[0] for b in batches] == np.cumsum([0] + sizes[:-1]).tolist()
-            assert np.abs(np.concatenate([b[1] for b in batches]) - obj).max() <= 1e-14
-            assert np.abs(np.concatenate([b[2] for b in batches]) - d_ach).max() <= 1e-15
-            cost = np.sort(np.einsum("csot,sr->cotr", ps[None, :, :, None] * cands[:, :, None, :], dist))
-            clear = cost[..., 1] - cost[..., 0] > 1e-12
-            assert np.array_equal(_wz_decoder(cands, ps, dist)[clear], h[clear])
+    @pytest.mark.parametrize("p", [0.11, 0.5])
+    @pytest.mark.parametrize("target", [0.02, 0.05])
+    def test_independent_side_information_is_rd(self, p, target):
+        src = tw.preset_independent_bernoulli(p, 0.3)
+        res = wz_function(src, 1, tw.hamming(src.s1), target)
+        assert res.rate == pytest.approx(binary_entropy(p) - binary_entropy(target), abs=1e-9)
 
-    @pytest.mark.parametrize("which", [1, 2])
-    @pytest.mark.parametrize("frac", [0.0, 0.1, 0.25])
-    def test_example2_picks_equal_dense_run(self, monkeypatch, which, frac):
-        src = tw.preset_example2_source()
+    def test_constant_side_information_is_rd(self):
+        src = tw.preset_independent_bernoulli(0.5, 0.0)
         d = tw.hamming(src.s1)
-        got = wz_function(src, which, d, frac * d.d_max)
-        monkeypatch.setattr(rd, "_wz_batches", _dense_batches)
-        monkeypatch.setattr(rd, "_wz_decoder", _dense_decoder)
-        want = wz_function(src, which, d, frac * d.d_max)
-        assert np.array_equal(got.scheme.p_t_given_s.probs, want.scheme.p_t_given_s.probs)
-        assert np.array_equal(got.scheme.h, want.scheme.h)
-        assert got.distortion == want.distortion
-        assert got.evaluations == want.evaluations == 55488
+        assert wz_function(src, 1, d, 0.1).rate == pytest.approx(rd_function(bernoulli(0.5), d, 0.1), abs=1e-9)
 
 
-class TestWzCandidates:
-    @staticmethod
-    def loop_candidates(base_rows, lattice, alpha):
-        # one lattice point per source row, combinations in itertools.product order
-        local = [(1.0 - alpha) * row[None, :] + alpha * lattice for row in base_rows]
-        combos = list(itertools.product(range(len(lattice)), repeat=len(base_rows)))
-        out = np.empty((len(combos), len(base_rows), lattice.shape[1]))
-        for i, combo in enumerate(combos):
-            for s, j in enumerate(combo):
-                out[i, s] = local[s][j]
-        return out
+class TestWzSchemes:
+    @pytest.mark.parametrize("ns, seed", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 4)])
+    def test_scheme_recomputes_rate_and_distortion(self, ns, seed):
+        rng = np.random.default_rng(seed)
+        sa = Alphabet(ns)
+        src = tw.JointSource(sa, sa, tw.JointPmf((sa, sa), rng.dirichlet(np.ones(ns * ns)).reshape(ns, ns)))
+        d = tw.DistortionMeasure(sa, sa, rng.uniform(0.0, 1.0, (ns, ns)) * (1 - np.eye(ns)))
+        for which in (1, 2):
+            ps = src.law.probs if which == 1 else src.law.probs.T
+            d_zero = float((ps.T @ d.table).min(axis=1).sum())  # best guess from the side alone
+            for target in rng.uniform(0.0, d_zero, size=2 if ns == 2 else 1):
+                _check_scheme(wz_function(src, which, d, target), src, which, d, target)
 
-    @pytest.mark.parametrize("nt, levels, ns", [(3, 15, 2), (3, 8, 2), (4, 5, 3), (2, 7, 1)])
-    def test_matches_loop_reference_bit_for_bit(self, nt, levels, ns):
-        rng = np.random.default_rng(levels)
-        lattice = _simplex_lattice(nt, levels)
-        base = rng.dirichlet(np.ones(nt), size=ns)
-        for alpha in (1.0, 0.1, 0.01):
-            got = dense_wz_candidates(_local(base, lattice, alpha))
-            assert np.array_equal(got, self.loop_candidates(base, lattice, alpha))
-            assert got.flags.c_contiguous
+    def test_four_letter_source_alternates_from_the_constant_maps(self):
+        sa = Alphabet(4)
+        law = np.random.default_rng(5).dirichlet(np.ones(16)).reshape(4, 4)
+        src = tw.JointSource(sa, sa, tw.JointPmf((sa, sa), law))
+        d = tw.hamming(sa)
+        assert math.comb(4 ** 4, 5) > rd.WZ_MAX_DECODERS
+        for target in (0.0, 0.1, 0.3):
+            res = wz_function(src, 1, d, target)
+            assert res.rate <= rd_function(tw.marginalize(src.law, (0,)), d, target) + 1e-9
+            _check_scheme(res, src, 1, d, target)
+
+
+    def test_alternation_starts_from_each_letters_best_reconstruction(self):
+        # |S_hat| = 6 > |T| = 5: reconstruction 5 costs nothing, so the rate is 0
+        sa, ra = Alphabet(4), Alphabet(6)
+        law = np.random.default_rng(5).dirichlet(np.ones(16)).reshape(4, 4)
+        src = tw.JointSource(sa, sa, tw.JointPmf((sa, sa), law))
+        table = np.ones((4, 6))
+        table[:, 5] = 0.0
+        d = tw.DistortionMeasure(sa, ra, table)
+        res = wz_function(src, 1, d, 0.1)
+        assert res.rate == 0.0
+        _check_scheme(res, src, 1, d, 0.1)
 
 
 class TestWzCurve:

@@ -299,6 +299,34 @@ class TestExecute:
         assert f"distortion target {value} is not finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("cmd, flags, message", [
+        ("eval-adaptive", ["--tol", "-5"], "tolerance -5.0"),
+        ("eval-adaptive", ["--tol", "nan"], "tolerance nan"),
+        ("eval-sscc", ["--rate1", "-5", "--rate2", "0.1"], "rate1 -5.0"),
+        ("eval-sscc", ["--rate1", "inf", "--rate2", "0.1"], "rate1 inf"),
+        ("eval-sscc", ["--rate1", "0.1", "--rate2", "nan"], "rate2 nan"),
+        ("simulate", ["--rate1", "inf"], "rate1 inf"),
+        ("simulate", ["--rate1", "nan"], "rate1 nan"),
+        ("simulate", ["--eps", "inf"], "eps inf"),
+    ])
+    def test_out_of_range_number_exits_two(self, cmd, flags, message, tmp_path, capsys):
+        ch = tw.preset_bmc()
+        path = str(tmp_path / "in.json")
+        if cmd == "eval-adaptive":
+            src = tw.preset_example2_source()
+            d = tw.hamming(src.s1)
+            ser.save_configuration(uncoded_configuration(ch, src, d, d), path)
+            argv = [cmd, "--config", path, "--channel", "bmc", "--source", "example2"]
+        elif cmd == "eval-sscc":
+            ser.save_adaptive_scheme(random_adaptive_scheme(np.random.default_rng(0), ch), path)
+            argv = [cmd, "--scheme", path, "--channel", "bmc"]
+        else:
+            argv = [cmd, "--preset", "bmc-example2", "--n", "16", "--B", "2"]
+        assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_emit_refuses_non_standard_json(self, capsys):
         with pytest.raises(ValueError):
             _emit(parse_args(["rd", "--source", "bernoulli:0.5"]), {"rate": float("nan")}, None)

@@ -218,39 +218,6 @@ def dense_pair_law(sys, pi) -> JointPmf:
     return JointPmf(sys.z_axes, np.ascontiguousarray(np.transpose(t, perm)))
 
 
-def dense_wz_candidates(local) -> np.ndarray:
-    """Every test channel that picks one row of the per-symbol lattices local
-    (ns, L, t), materialized as (L ** ns, ns, t) in row-major pick order."""
-    ns, n_lat = local.shape[:2]
-    choice = np.indices((n_lat,) * ns).reshape(ns, -1).T  # (combos, ns)
-    return local[np.arange(ns), choice]
-
-
-def dense_wz_evaluate(cands, ps, dist):
-    """(objective, distortion, decoder) of each test channel in cands from
-    the (c, s, s_other, t) joint: the decoder is the per-(side, t) argmin
-    reconstruction with lowest-index tie-breaking."""
-    joint = ps[None, :, :, None] * cands[:, :, None, :]  # (c, s, so, t)
-    cost = np.einsum("csot,sr->cotr", joint, dist)
-    h = np.argmin(cost, axis=-1)
-    d_ach = np.min(cost, axis=-1).sum(axis=(1, 2))
-
-    pst = joint.sum(axis=2)  # (c, s, t)
-    psot = joint.sum(axis=1)  # (c, so, t)
-    pt = pst.sum(axis=1)  # (c, t)
-
-    def h_rows(a):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lg = np.where(a > 0, np.log2(np.where(a > 0, a, 1.0)), 0.0)
-        return -(a * lg).reshape(a.shape[0], -1).sum(axis=1)
-
-    h_t = h_rows(pt)
-    # I(S;T) - I(Sother;T) = H(S) - H(S,T) - H(Sother) + H(Sother,T) + constants cancel
-    i1 = h_rows(pst.sum(axis=2)) + h_t - h_rows(pst)
-    i2 = h_rows(psot.sum(axis=2)) + h_t - h_rows(psot)
-    return i1 - i2, d_ach, h
-
-
 def _pair_rates(chp: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> tuple[float, float]:
     """(I(X1;Y2|X2), I(X2;Y1|X1)) for independent input distributions."""
     j = p1[:, None, None, None] * p2[None, :, None, None] * chp
