@@ -561,6 +561,8 @@ def shannon_nonadaptive_bound(
     """
     if q_size < 1:
         raise ValueError("q_size must be >= 1")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     from .region import _staircase, convexify  # region imports this module
 
     lat1 = _simplex_lattice(ch.x1.size, _lattice_levels(ch.x1.size, grid))

@@ -62,6 +62,10 @@ class FactoredKernel:
         s1, s2, u1, u2 = np.unravel_index(np.arange(self.psu.size), fresh.shape)
         self._col1, self._col2 = s1 * nu1 + u1, s2 * nu2 + u2  # table column of each fresh tuple
         self._gathered = (None, None)  # the last rows passed to `cells`, and their cells
+        # counts[a, x1, x2]: number of states whose inputs under fresh tuple a are (x1, x2)
+        c1 = (self.t1[:, :, None] == np.arange(nx1)).sum(axis=0)[self._col1]
+        c2 = (self.t2[:, :, None] == np.arange(nx2)).sum(axis=0)[self._col2]
+        self.counts = c1[:, :, None] * c2[:, None, :]
 
     def cells(self, rows: np.ndarray) -> np.ndarray:
         """(fresh tuple, x1, x2) cell of each (state of `rows`, fresh tuple) pair;
@@ -77,13 +81,6 @@ class FactoredKernel:
                               + self.t2[:, self._col2][(s2 * nu2 + u2) * nio2 + io2])
         return self._gathered[1]
 
-    def _input_counts(self) -> np.ndarray:
-        """(fresh tuple, x1, x2) array of the number of states with those inputs."""
-        nx1, nx2 = self.chan.shape[:2]
-        c1 = (self.t1[:, :, None] == np.arange(nx1)).sum(axis=0)[self._col1]
-        c2 = (self.t2[:, :, None] == np.arange(nx2)).sum(axis=0)[self._col2]
-        return c1[:, :, None] * c2[:, None, :]
-
     def _live(self) -> np.ndarray:
         """(fresh tuple, x1, y1, x2, y2) cells with psu[a] > 0 and chan > 0."""
         return (self.psu > 0)[:, None, None, None, None] & (self.chan.transpose(0, 2, 1, 3) > 0)
@@ -91,7 +88,7 @@ class FactoredKernel:
     @property
     def nnz(self) -> int:
         """Number of (state, successor) pairs with positive probability."""
-        return int((self._input_counts() * self._live().sum(axis=(2, 4))).sum())
+        return int((self.counts * self._live().sum(axis=(2, 4))).sum())
 
     def support(self, rows: np.ndarray) -> int:
         """Number of (state of `rows`, successor) pairs with positive probability."""
@@ -99,7 +96,7 @@ class FactoredKernel:
 
     def image(self) -> np.ndarray:
         """Ascending states that some state reaches in one step."""
-        return np.flatnonzero(self._live() & (self._input_counts() > 0)[:, :, None, :, None])
+        return np.flatnonzero(self._live() & (self.counts > 0)[:, :, None, :, None])
 
     def predecessors(self, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """States of `rows` with a positive-probability successor in the boolean `mask`."""
@@ -110,9 +107,22 @@ class FactoredKernel:
     def push(self, pi: np.ndarray) -> np.ndarray:
         """The row vector pi K, summed over the nonzero entries of pi."""
         rows = np.flatnonzero(pi != 0)  # faster than flatnonzero(pi) on floats
-        nx1, nx2 = self.chan.shape[:2]
         w = np.bincount(self.cells(rows).ravel(), weights=(pi[rows][:, None] * self.psu).ravel(),
-                        minlength=self.psu.size * nx1 * nx2)
+                        minlength=self.counts.size)
+        return self._spread(w)
+
+    def push_uniform(self) -> np.ndarray:
+        """push(np.full(n, 1/n)) without the (state, fresh tuple) cells, bit for bit:
+        `push` adds k copies of psu[a] / n into a cell that k states reach, one by
+        one, so the cell holds the k-th sequential prefix sum of those copies."""
+        k = self.counts.reshape(self.psu.size, -1)
+        steps = np.zeros((self.psu.size, k.max() + 1))
+        steps[:, 1:] = (1.0 / self.n_states) * self.psu[:, None]
+        return self._spread(np.take_along_axis(np.cumsum(steps, axis=1), k, axis=1))
+
+    def _spread(self, w: np.ndarray) -> np.ndarray:
+        """Successor law from the (fresh tuple, x1, x2) weights w: w times the channel law."""
+        nx1, nx2 = self.chan.shape[:2]
         chan_io = self.chan.transpose(0, 2, 1, 3)  # (x1, y1, x2, y2)
         return (w.reshape(self.psu.size, nx1, 1, nx2, 1) * chan_io).ravel()
 
@@ -160,7 +170,7 @@ def build_chain(
         raise ValueError(f"state space of {kernel.n_states} reduced states exceeds cap {state_cap}")
 
     # a row sums psu[a] times the channel row sums of the (x1, x2) it reaches
-    reached = ((kernel._input_counts() > 0) & (kernel.psu > 0)[:, None, None]).any(axis=0)
+    reached = ((kernel.counts > 0) & (kernel.psu > 0)[:, None, None]).any(axis=0)
     off = np.abs(chan.sum(axis=(2, 3)) - 1.0)[reached]
     if abs(kernel.psu.sum() - 1.0) > 1e-12 or np.any(off > 1e-12):
         raise AssertionError("kernel rows failed to normalize")
@@ -171,17 +181,18 @@ def build_chain(
 def _solve_stationary(kernel):
     """Power iteration from the uniform start, with a half-lazy fallback.
 
-    `kernel` offers `n_states`, `push` (pi -> pi K), `image` and
-    `predecessors`, as FactoredKernel does.  Returns (pi, residual, unique),
-    where the residual is the L1 norm of pi K - pi for the returned vector,
-    and raises RuntimeError when it exceeds RESIDUAL_TOL.
+    `kernel` offers `n_states`, `push` (pi -> pi K), `push_uniform` (the
+    push of the uniform vector), `image` and `predecessors`, as FactoredKernel
+    does.  Returns (pi, residual, unique), where the residual is the L1 norm
+    of pi K - pi for the returned vector, and raises RuntimeError when it
+    exceeds RESIDUAL_TOL.
     The law is unique iff every state of the one-step image (so every
     state) reaches r = argmax pi: r is recurrent, so a second closed class
     would be a set of states that never reach it.
     """
     n = kernel.n_states
     pi = np.full(n, 1.0 / n)
-    first = kernel.push(pi)  # the only push over every state
+    first = kernel.push_uniform()  # pi K; every later push reads only the one-step image
     best, best_res = pi, float(np.abs(first - pi).sum())
     lazy = False
     stall = 0

@@ -360,6 +360,13 @@ class TestShannonBound:
         assert all(fr[i][0] <= fr[i + 1][0] for i in range(len(fr) - 1))
         assert all(r1 >= 0 and r2 >= 0 for r1, r2 in fr)
 
+    @pytest.mark.parametrize("grid", [1, 0, -5])
+    def test_grid_below_two_refused(self, grid):
+        # a grid below 2 would otherwise search a 2-point lattice and report
+        # 0.4427 on BMC, against 0.6169 at the default grid
+        with pytest.raises(ValueError, match="grid must be >= 2"):
+            shannon_nonadaptive_bound(tw.preset_bmc(), q_size=1, grid=grid)
+
     def test_deterministic_given_same_arguments(self):
         a = shannon_nonadaptive_bound(tw.preset_bmc(), q_size=2, grid=13)
         b = shannon_nonadaptive_bound(tw.preset_bmc(), q_size=2, grid=13)

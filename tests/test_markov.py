@@ -227,7 +227,7 @@ class TestStationary:
 
 class DenseKernel:
     """A hand-written transition matrix with the operator interface the
-    solver reads (n_states, push, image, predecessors)."""
+    solver reads (n_states, push, push_uniform, image, predecessors)."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=np.float64)
@@ -235,6 +235,9 @@ class DenseKernel:
 
     def push(self, pi):
         return pi @ self.matrix
+
+    def push_uniform(self):
+        return self.push(np.full(self.n_states, 1.0 / self.n_states))
 
     def image(self):
         return np.flatnonzero((self.matrix > 0).any(axis=0))

@@ -3,10 +3,12 @@
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import twjscc as tw
 from twjscc.coded_channel import fresh_law, io_index
+from twjscc.conditions import lift_hybrid
 from twjscc.markov import (
     RESIDUAL_TOL,
     FactoredKernel,
@@ -21,6 +23,7 @@ from util import (
     all_rows_image,
     all_rows_pair_marginal,
     all_rows_push,
+    bsc_codeword_scheme,
     dense_kernel,
     dense_pair_law,
     random_binary_channel,
@@ -207,3 +210,36 @@ def test_image_is_every_one_step_successor(case):
     assert np.array_equal(image, all_rows_image(sys))
     pi = rng.random(sys.n_states)
     assert np.isin(np.flatnonzero(sys.kernel.push(pi)), image).all()
+
+
+def cold_kernel(sys):
+    """The system's kernel rebuilt from its factors, with no cells gathered yet."""
+    k = sys.kernel
+    return FactoredKernel(sys.cfg.f1, sys.cfg.f2, k.psu.reshape(sys.reduced_shape[:4]), k.chan)
+
+
+def assert_uniform_push_is_gathered_push(sys):
+    n = sys.n_states
+    closed = cold_kernel(sys).push_uniform()
+    assert np.array_equal(closed, cold_kernel(sys).push(np.full(n, 1.0 / n)))
+
+
+@settings(deadline=None)
+@given(st.one_of(systems(), io_memory_systems(), tiny_fresh_systems()))
+def test_uniform_push_is_bit_equal_to_gathered_push(case):
+    sys, _ = case
+    assert_uniform_push_is_gathered_push(sys)
+
+
+@pytest.mark.parametrize("chain", ["criterion 8 lift", "dueck"])
+def test_uniform_push_is_bit_equal_on_workload_chains(chain):
+    if chain == "dueck":  # case 0 of the benchmark's eval_dueck pool (pool seed 20010261)
+        ch, src = tw.preset_dueck(), tw.preset_independent_bernoulli(0.89, 0.89)
+        cfg = random_configuration(np.random.default_rng([20010261, 0]), ch, src)
+    else:  # the lifted BSC(0.45) hybrid that criterion 8 and sim_crit8 simulate
+        ch, src = tw.preset_crossed_bitpipes(), tw.preset_independent_bernoulli(0.5, 0.5)
+        d = tw.hamming(src.s1)
+        cfg = lift_hybrid(bsc_codeword_scheme(ch, src, 0.45, d, d), ch, src)
+    sys = build_chain(cfg, ch, src)
+    assert sys.kernel.counts.max() > 1  # cells that several states reach
+    assert_uniform_push_is_gathered_push(sys)

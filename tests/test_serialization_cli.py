@@ -143,6 +143,11 @@ class TestExecute:
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["symmetric_max"] == pytest.approx(0.617, abs=0.002)
 
+    @pytest.mark.parametrize("grid", ["0", "-5"])
+    def test_shannon_bound_small_grid_exits_two(self, grid, capsys):
+        assert main(["shannon-bound", "--channel", "bmc", "--q", "1", "--grid", grid]) == 2
+        assert "grid must be >= 2" in capsys.readouterr().err
+
     def test_rd_point(self, capsys):
         assert main(["rd", "--source", "bernoulli:0.5", "--which", "1", "--D", "0.11"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -371,3 +376,11 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def test_module_entry_point_runs_the_cli():
+    # `python -m twjscc` works without the installed console script
+    out = subprocess.run([sys.executable, "-m", "twjscc", "presets"], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "bmc" in json.loads(out.stdout)["result"]["channels"]
