@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import serialization as ser
 from .conditions import _adaptive_report, eval_hybrid, eval_sscc, shannon_nonadaptive_bound, wz_scheme_rate
-from .markov import Z_AXES, build_chain, pair_marginal, stationary_vector
+from .markov import Z_AXES, build_chain, pair_marginal
 from .models import hamming
 from .rate_distortion import InfeasibleDistortion, rd_curve, rd_function, wz_curve, wz_function
 from .region import convexify, search_region, uncoded_configuration
@@ -171,10 +171,9 @@ def execute(spec: RunSpec) -> int:
         sys_ = build_chain(cfg, ch, src)
         report = _adaptive_report(sys_, tol=opt["tol"], simplify=opt["simplify"])
         if opt.get("marginals_csv"):
-            pi, _ = stationary_vector(sys_)
             rows = []
             for k, name in enumerate(Z_AXES):
-                marg = pair_marginal(sys_, pi, (k,)).probs
+                marg = pair_marginal(sys_, sys_.pi, (k,)).probs
                 rows.extend([name, sym, p] for sym, p in enumerate(marg))
             ser.write_atomic(opt["marginals_csv"], _csv_text(["axis", "symbol", "probability"], rows))
         _emit(spec, report.as_dict(), opt.get("out"))

@@ -58,7 +58,7 @@ class Configuration:
     tuples; the constructor accepts any table that broadcasts to that shape
     (see `_check_table`), so a table may leave out the arguments it ignores.
     prev_law may be None while a stationary previous-block law is still to
-    be computed (see markov.stationary_prev_law).
+    be computed (markov.build_chain solves and installs it).
     """
 
     u1: Alphabet

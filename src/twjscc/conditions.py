@@ -17,13 +17,7 @@ from math import comb, isfinite
 import numpy as np
 
 from .coded_channel import Configuration, _check_table
-from .markov import (
-    MarkovSystem,
-    build_chain,
-    pair_marginal,
-    stationary_prev_law,
-    stationary_vector,
-)
+from .markov import MarkovSystem, build_chain, pair_marginal, stationary_prev_law
 from .models import (
     DistortionMeasure,
     JointSource,
@@ -257,10 +251,10 @@ def eval_adaptive(
 def _adaptive_report(sys: MarkovSystem, tol: float = DEFAULT_TOL,
                      simplify: bool = False) -> ConditionReport:
     """eval_adaptive on a built system, reading its stationary vector."""
-    pi, res = stationary_vector(sys)
-    if res > PREV_LAW_TOL:
+    pi = sys.pi
+    if sys.residual > PREV_LAW_TOL:
         raise ValueError(
-            f"configuration's previous-block law is not stationary (residual {res:.3e})"
+            f"configuration's previous-block law is not stationary (residual {sys.residual:.3e})"
         )
     if not simplify:
         m = pair_marginal(sys, pi, (4, 6))
@@ -553,17 +547,19 @@ def shannon_nonadaptive_bound(
     """Optimize the non-adaptive random-coding rate pair over product inputs.
 
     Grid-searches independent input distributions (with local refinement
-    around the symmetric incumbent) and, for q_size >= 2, convexifies the
-    resulting rate cloud; time-sharing makes the reachable set the convex
-    hull of the product-input points, so any q_size >= 2 saturates it.
-    Returns the maximal symmetric rate and a weighted-sum frontier sweep
-    over the cloud's Pareto-maximal points (q_size = 1) or its hull.
+    around the symmetric incumbent); time-sharing makes the reachable set
+    the convex hull of the product-input points, so any q_size >= 2
+    saturates it.  Returns the maximal symmetric rate, of the best product
+    input (q_size = 1) or on the hull, and the frontier: for each of
+    SHANNON_FRONTIER_WEIGHTS weights lam, the hull vertex that maximizes
+    lam R1 + (1 - lam) R2.  A weighted sum is maximized at a hull vertex,
+    so the frontier is the same for every q_size.
     """
     if q_size < 1:
         raise ValueError("q_size must be >= 1")
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    from .region import _staircase, convexify  # region imports this module
+    from .region import convexify  # region imports this module
 
     lat1 = _simplex_lattice(ch.x1.size, _lattice_levels(ch.x1.size, grid))
     lat2 = _simplex_lattice(ch.x2.size, _lattice_levels(ch.x2.size, grid))
@@ -580,9 +576,8 @@ def shannon_nonadaptive_bound(
             best1, best2, best_sym = c1[i], c2[k], float(sym[i, k])
         clouds.append(np.stack([rates1.ravel(), rates2.ravel()], axis=1))
 
-    # upper-right frontier: the lower-left staircase, or hull, of the negated cloud
-    lower_left = _staircase if q_size == 1 else convexify
-    frontier_pool = -np.asarray(lower_left(-np.round(np.concatenate(clouds), 12))[::-1])
+    # upper-right hull: the lower-left hull of the negated cloud
+    frontier_pool = -np.asarray(convexify(-np.round(np.concatenate(clouds), 12))[::-1])
     if q_size == 1:
         symmetric_max = best_sym
     else:

@@ -7,10 +7,9 @@ previous-block components are verbatim copies of the prior step, the chain
 is represented internally on the reduced state (s1, s2, u1, u2, io1, io2),
 laid out as a previous-block law (`Configuration.prev_axes`), so a
 stationary vector is that law raveled; the 14-axis law is recovered as the
-law of two consecutive reduced states.  A system has one stationary law:
-`stationary_vector` alone writes it, reading the configuration's prev_law or
-else calling `solve_stationary`, which solves and refuses a non-unique law
-but writes nothing.
+law of two consecutive reduced states.  `build_chain` returns a frozen
+system that carries its law: the configuration's prev_law, or else the
+chain's unique stationary law from `solve_stationary`, installed as prev_law.
 """
 
 from __future__ import annotations
@@ -127,15 +126,15 @@ class FactoredKernel:
         return (w.reshape(self.psu.size, nx1, 1, nx2, 1) * chan_io).ravel()
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarkovSystem:
-    """Reduced-state chain for one configuration over one channel/source."""
+    """Reduced-state chain for one configuration over one channel/source,
+    with its vector pi (cfg.prev_law raveled) and the L1 residual of pi K - pi."""
 
     cfg: Configuration
     kernel: FactoredKernel
-    # written by stationary_vector only
-    reduced_stationary: np.ndarray | None = None
-    residual: float | None = None
+    pi: np.ndarray
+    residual: float
 
     @property
     def n_states(self) -> int:
@@ -151,23 +150,22 @@ class MarkovSystem:
         return (c.s1, c.s2, c.u1, c.u2) + c.prev_axes + (c.x1, c.x2, c.y1, c.y2)
 
 
-def build_chain(
-    cfg: Configuration,
-    ch: TwoWayChannel,
-    src: JointSource,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> MarkovSystem:
-    """Assemble the factored row-stochastic transition kernel.
+def build_chain(cfg: Configuration, ch: TwoWayChannel, src: JointSource) -> MarkovSystem:
+    """Assemble the factored row-stochastic transition kernel and the law.
 
     From a state (s', u', io'), the successor draws a fresh (s, u) pair,
     sets x_j deterministically through f_j fed with the copied previous
-    components, and draws (y1, y2) from the channel.
+    components, and draws (y1, y2) from the channel.  A supplied prev_law is
+    kept whatever its residual: each caller decides which residual it
+    accepts.  Without one the chain is solved (see solve_stationary).
     """
     cfg.check_against(ch, src)
     chan = ch.law.probs  # (nx1, nx2, ny1, ny2)
     kernel = FactoredKernel(cfg.f1, cfg.f2, fresh_law(cfg, src), chan)
-    if kernel.n_states > state_cap:
-        raise ValueError(f"state space of {kernel.n_states} reduced states exceeds cap {state_cap}")
+    if kernel.n_states > DEFAULT_STATE_CAP:
+        raise ValueError(
+            f"state space of {kernel.n_states} reduced states exceeds cap {DEFAULT_STATE_CAP}"
+        )
 
     # a row sums psu[a] times the channel row sums of the (x1, x2) it reaches
     reached = ((kernel.counts > 0) & (kernel.psu > 0)[:, None, None]).any(axis=0)
@@ -175,20 +173,28 @@ def build_chain(
     if abs(kernel.psu.sum() - 1.0) > 1e-12 or np.any(off > 1e-12):
         raise AssertionError("kernel rows failed to normalize")
 
-    return MarkovSystem(cfg, kernel)
+    if cfg.prev_law is None:
+        pi, residual = solve_stationary(kernel)
+        law = JointPmf(cfg.prev_axes, pi.reshape(kernel.state_shape))
+        return MarkovSystem(dataclasses.replace(cfg, prev_law=law), kernel, law.probs.ravel(),
+                            residual)
+    pi = cfg.prev_law.probs.ravel()
+    return MarkovSystem(cfg, kernel, pi, _residual(kernel, pi))
 
 
-def _solve_stationary(kernel):
-    """Power iteration from the uniform start, with a half-lazy fallback.
+def solve_stationary(kernel) -> tuple[np.ndarray, float]:
+    """The chain's stationary vector by power iteration from the uniform
+    start, with a half-lazy fallback, and the L1 residual of pi K - pi.
 
     `kernel` offers `n_states`, `push` (pi -> pi K), `push_uniform` (the
     push of the uniform vector), `image` and `predecessors`, as FactoredKernel
-    does.  Returns (pi, residual, unique), where the residual is the L1 norm
-    of pi K - pi for the returned vector, and raises RuntimeError when it
-    exceeds RESIDUAL_TOL.
-    The law is unique iff every state of the one-step image (so every
-    state) reaches r = argmax pi: r is recurrent, so a second closed class
-    would be a set of states that never reach it.
+    does.  Negative solver noise is clipped and the vector renormalized
+    before the residual is taken, so the residual is that of the returned
+    vector.  Raises RuntimeError when it exceeds RESIDUAL_TOL, and then
+    ValueError when the law is not unique: that is, unless every state of the
+    one-step image (so every state) reaches r = argmax pi, since r is
+    recurrent and a second closed class would be a set of states that never
+    reach it.
     """
     n = kernel.n_states
     pi = np.full(n, 1.0 / n)
@@ -219,6 +225,8 @@ def _solve_stationary(kernel):
         elif lazy and stall >= 2000:
             break
 
+    best = np.clip(best, 0.0, None)
+    best /= best.sum()
     best_res = _residual(kernel, best)
     if best_res > RESIDUAL_TOL:
         raise RuntimeError(
@@ -230,41 +238,9 @@ def _solve_stationary(kernel):
         grown = reach.copy()
         grown[rows] |= kernel.predecessors(reach, rows)
         if np.array_equal(grown, reach):
-            break
+            raise ValueError("stationary law is not unique: some states never reach argmax pi")
         reach = grown
-    return best, best_res, bool(reach[rows].all())
-
-
-def solve_stationary(sys: MarkovSystem) -> tuple[np.ndarray, float]:
-    """The chain's stationary vector from the uniform start and its L1
-    residual, ignoring any prev_law and writing nothing into `sys`.
-
-    Negative solver noise is clipped and the vector renormalized, so the
-    previous-block law read from it is exactly normalized.  A chain whose
-    stationary law is not unique raises ValueError.
-    """
-    pi, res, unique = _solve_stationary(sys.kernel)
-    if not unique:
-        raise ValueError("stationary law is not unique: some states never reach argmax pi")
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum(), res
-
-
-def stationary_vector(sys: MarkovSystem) -> tuple[np.ndarray, float]:
-    """The system's stationary reduced-state vector and its L1 residual.
-
-    With a prev_law in the configuration the vector is that law raveled,
-    whatever its residual: each caller decides which residual it accepts.
-    Without one the chain is solved (see solve_stationary).  This is the one
-    writer of the pair cached on `sys`, and a cached pair is reused.
-    """
-    if sys.reduced_stationary is None:
-        if sys.cfg.prev_law is None:
-            sys.reduced_stationary, sys.residual = solve_stationary(sys)
-        else:
-            pi = sys.cfg.prev_law.probs.reshape(-1)
-            sys.reduced_stationary, sys.residual = pi, _residual(sys.kernel, pi)
-    return sys.reduced_stationary, sys.residual
+    return best, best_res
 
 
 def pair_law(sys: MarkovSystem, pi_reduced: np.ndarray) -> JointPmf:
@@ -318,8 +294,8 @@ def pair_marginal(sys: MarkovSystem, pi_reduced: np.ndarray, keep: tuple[int, ..
 
 
 def stationary_distribution(sys: MarkovSystem) -> JointPmf:
-    """Stationary 14-axis state law (see stationary_vector)."""
-    return pair_law(sys, stationary_vector(sys)[0])
+    """Stationary 14-axis state law: the pair law of the system's vector."""
+    return pair_law(sys, sys.pi)
 
 
 def stationary_prev_law(cfg: Configuration, ch: TwoWayChannel, src: JointSource) -> JointPmf:
@@ -331,14 +307,9 @@ def stationary_prev_law(cfg: Configuration, ch: TwoWayChannel, src: JointSource)
     previous-block axes already.  A chain whose stationary law is not
     unique raises ValueError.
     """
-    return with_stationary_law(build_chain(cfg, ch, src)).cfg.prev_law
-
-
-def with_stationary_law(sys: MarkovSystem) -> MarkovSystem:
-    """The system on the same kernel, its configuration carrying the chain's
-    unique stationary law as prev_law (see stationary_prev_law)."""
-    prev = JointPmf(sys.cfg.prev_axes, solve_stationary(sys)[0].reshape(sys.reduced_shape))
-    return MarkovSystem(dataclasses.replace(sys.cfg, prev_law=prev), sys.kernel)
+    if cfg.prev_law is not None:
+        cfg = dataclasses.replace(cfg, prev_law=None)
+    return build_chain(cfg, ch, src).cfg.prev_law
 
 
 def _residual(kernel, pi: np.ndarray) -> float:
@@ -354,9 +325,9 @@ _RECON_KEEP_2 = (5, 7, 0, 2, 4, 6, 8, 12)  # prev_s2, prev_u2, then g1's argumen
 def decoder_marginals(sys: MarkovSystem) -> tuple[np.ndarray, np.ndarray]:
     """The laws the g-maps are scored against: (prev_s1, prev_u1, then g2's
     arguments) and (prev_s2, prev_u2, then g1's arguments), under the
-    system's stationary vector."""
-    pi, _ = stationary_vector(sys)
-    return pair_marginal(sys, pi, _RECON_KEEP_1).probs, pair_marginal(sys, pi, _RECON_KEEP_2).probs
+    system's vector."""
+    return (pair_marginal(sys, sys.pi, _RECON_KEEP_1).probs,
+            pair_marginal(sys, sys.pi, _RECON_KEEP_2).probs)
 
 
 def reconstruction_distortions(sys: MarkovSystem, d1: DistortionMeasure,
@@ -395,11 +366,10 @@ def check_configuration(
     if cfg.prev_law is None:
         raise ValueError("configuration has no previous-block law to check")
     sys = build_chain(cfg, ch, src)
-    _, residual = stationary_vector(sys)
     dist = reconstruction_distortions(sys, d1, d2)
     feasible = (
-        residual <= RESIDUAL_TOL
+        sys.residual <= RESIDUAL_TOL
         and dist[0] <= target1 + DISTORTION_SLACK
         and dist[1] <= target2 + DISTORTION_SLACK
     )
-    return ConfigurationCheck(feasible, dist, residual)
+    return ConfigurationCheck(feasible, dist, sys.residual)

@@ -29,7 +29,7 @@ from .conditions import (
     lift_hybrid,
     lift_sscc,
 )
-from .markov import build_chain, decoder_marginals, reconstruction_distortions, with_stationary_law
+from .markov import build_chain, decoder_marginals, reconstruction_distortions
 from .models import DistortionMeasure, JointSource, TwoWayChannel, bayes_decoder
 from .probability import Alphabet, ConditionalPmf
 
@@ -67,7 +67,7 @@ def uncoded_configuration(ch: TwoWayChannel, src: JointSource,
         x1=ch.x1, x2=ch.x2, y1=ch.y1, y2=ch.y2,
         recon1=d1.recon_alphabet, recon2=d2.recon_alphabet,
     )
-    sys = with_stationary_law(build_chain(cfg, ch, src))
+    sys = build_chain(cfg, ch, src)
     marg1, marg2 = decoder_marginals(sys)
     return dataclasses.replace(sys.cfg, g1=bayes_decoder(marg2, d2), g2=bayes_decoder(marg1, d1))
 
@@ -155,8 +155,6 @@ def _evaluate(cfg: Configuration, ch: TwoWayChannel, src: JointSource,
     A candidate without a previous-block law gets the chain's stationary law."""
     try:
         sys = build_chain(cfg, ch, src)
-        if cfg.prev_law is None:
-            sys = with_stationary_law(sys)
         report = _adaptive_report(sys)
     except (ValueError, RuntimeError) as exc:
         return str(exc)

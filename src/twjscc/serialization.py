@@ -40,18 +40,19 @@ CHANNEL_PRESETS = {
 }
 
 
-def source_preset(name: str) -> JointSource:
-    """Resolve a source preset: "example2" or "bernoulli:p1[:p2]"."""
+def source_preset(name: str) -> JointSource | None:
+    """The source a preset name gives ("example2", "bernoulli:p" or
+    "bernoulli:p1:p2"), or None for any other name."""
     if name == "example2":
         return preset_example2_source()
-    if name.startswith("bernoulli"):
-        parts = name.split(":")[1:]
-        if not parts:
-            raise ValueError("bernoulli preset needs probabilities, e.g. bernoulli:0.89")
-        p1 = float(parts[0])
-        p2 = float(parts[1]) if len(parts) > 1 else p1
-        return preset_independent_bernoulli(p1, p2)
-    raise ValueError(f"unknown source preset {name!r}")
+    kind, *probs = name.split(":")
+    if kind != "bernoulli" or len(probs) not in (1, 2):
+        return None
+    try:
+        p = [float(x) for x in probs]
+    except ValueError:
+        return None
+    return preset_independent_bernoulli(p[0], p[-1])
 
 
 def preset_names() -> dict:
@@ -327,8 +328,10 @@ def resolve_channel(spec: str) -> TwoWayChannel:
 
 
 def resolve_source(spec: str) -> JointSource:
-    if spec == "example2" or spec.startswith("bernoulli"):
-        return source_preset(spec)
+    """Interpret a CLI source argument as a preset name or a file path."""
+    src = source_preset(spec)
+    if src is not None:
+        return src
     if os.path.exists(spec):
         return load_source(spec)
     raise ValueError(f"source {spec!r} is neither a preset nor an existing file")

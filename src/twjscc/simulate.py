@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coded_channel import Configuration, fresh_law, io_index
-from .markov import build_chain, pair_marginal, stationary_vector
+from .markov import build_chain, pair_marginal
 from .markov import pair_law  # noqa: F401  unused; bench/test_bench.py deletes simulate.pair_law
 from .models import DistortionMeasure, JointSource, TwoWayChannel
 from .probability import typical_count_bounds
@@ -234,7 +234,7 @@ class SimContext:
             raise ValueError("simulation needs a configuration with a previous-block law")
         self.cfg, self.ch, self.src = cfg, ch, src
         sys = build_chain(cfg, ch, src)
-        self.pi, self.residual = stationary_vector(sys)
+        self.pi, self.residual = sys.pi, sys.residual
         self.state_shape = sys.reduced_shape
         self.support = sys.kernel.support(np.flatnonzero(self.pi != 0))
 

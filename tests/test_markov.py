@@ -7,7 +7,8 @@ import twjscc as tw
 from twjscc import markov
 from twjscc.coded_channel import fresh_law
 from twjscc.markov import (
-    _solve_stationary,
+    FactoredKernel,
+    _residual,
     build_chain,
     check_configuration,
     pair_law,
@@ -16,7 +17,6 @@ from twjscc.markov import (
     solve_stationary,
     stationary_distribution,
     stationary_prev_law,
-    stationary_vector,
 )
 from twjscc.probability import Alphabet, ConditionalPmf, JointPmf, marginalize
 from twjscc.region import identity_hybrid_configuration, uncoded_configuration
@@ -87,11 +87,12 @@ class TestKernel:
                 assert x1n[prev, a] == cfg.f1[s1, u1, s1p, u1p, io1p]
                 assert x2n[prev, a] == cfg.f2[s2, u2, s2p, u2p, io2p]
 
-    def test_state_cap_enforced(self, bmc_setup):
+    def test_state_cap_enforced(self, bmc_setup, monkeypatch):
         ch, src, d = bmc_setup
         cfg = uncoded_configuration(ch, src, d, d)
-        with pytest.raises(ValueError):
-            build_chain(cfg, ch, src, state_cap=10)
+        monkeypatch.setattr(markov, "DEFAULT_STATE_CAP", 10)
+        with pytest.raises(ValueError, match="exceeds cap 10"):
+            build_chain(cfg, ch, src)
 
     def test_copy_structure_of_next_state(self, bmc_setup):
         # the previous-block axes of the pair law reproduce the reduced
@@ -99,7 +100,7 @@ class TestKernel:
         ch, src, d = bmc_setup
         cfg = uncoded_configuration(ch, src, d, d)
         sys = build_chain(cfg, ch, src)
-        pi, _ = solve_stationary(sys)
+        pi = sys.pi
         prev_curr = pair_marginal(sys, pi, (4, 5, 6, 7, 8, 9)).probs
         assert np.allclose(prev_curr, pi.reshape(sys.reduced_shape), atol=1e-12)
 
@@ -111,7 +112,7 @@ class TestStationary:
         ch, src, d = bmc_setup
         cfg = uncoded_configuration(ch, src, d, d)
         sys = build_chain(cfg, ch, src)
-        pi, _ = solve_stationary(sys)
+        pi = sys.pi
         psu = fresh_law(cfg, src)
         expected = np.zeros(sys.reduced_shape)
         for s1 in range(2):
@@ -138,33 +139,33 @@ class TestStationary:
             x1=one, x2=one, y1=one, y2=one, recon1=one, recon2=one,
         )
         sys = build_chain(cfg, ch, src)
-        pi, _ = solve_stationary(sys)
+        pi = sys.pi
         assert pi.shape == (1,)
         assert pi[0] == pytest.approx(1.0)
 
     def test_residual_contract_on_presets(self, bmc_setup):
         ch, src, d = bmc_setup
         for cfg in (uncoded_configuration(ch, src, d, d), identity_hybrid_configuration(ch, src, d, d)):
-            _, res = solve_stationary(build_chain(cfg, ch, src))
+            _, res = solve_stationary(build_chain(cfg, ch, src).kernel)
             assert res <= 1e-10
 
-    def test_stationary_vector_reads_prev_law_else_solves(self):
+    def test_system_reads_prev_law_else_solves(self):
         rng = np.random.default_rng(12)
         ch = random_binary_channel(rng)
         src = random_joint_source(rng)
         cfg = random_configuration(rng, ch, src)
         solved = build_chain(cfg, ch, src)
-        pi, res = stationary_vector(solved)
+        pi, res = solved.pi, solved.residual
         prev = stationary_prev_law(cfg, ch, src)
         assert res <= 1e-10 and np.all(pi >= 0)
         assert np.array_equal(pi.reshape(prev.shape), prev.probs)
-        assert stationary_vector(solved)[0] is pi
-        # a supplied law is returned as is, with its residual, stationary or not
+        assert np.array_equal(solved.cfg.prev_law.probs.ravel(), pi)
+        # a supplied law is kept as is, with its residual, stationary or not
         law = np.full(pi.shape, 1.0 / pi.size)
         cfg = dataclasses.replace(cfg, prev_law=JointPmf(prev.axes, law.reshape(prev.shape)))
         given = build_chain(cfg, ch, src)
-        pi, res = stationary_vector(given)
-        assert np.array_equal(pi, law)
+        pi, res = given.pi, given.residual
+        assert np.array_equal(pi, law) and given.cfg is cfg
         assert res == float(np.abs(given.kernel.push(law) - law).sum()) > 1e-3
 
     def test_state_layout_is_prev_law(self):
@@ -176,7 +177,7 @@ class TestStationary:
         cfg = dataclasses.replace(cfg, prev_law=stationary_prev_law(cfg, ch, src))
         sys = build_chain(cfg, ch, src)
         assert sys.reduced_shape == cfg.prev_law.shape
-        assert np.array_equal(stationary_vector(sys)[0], cfg.prev_law.probs.ravel())
+        assert np.array_equal(sys.pi, cfg.prev_law.probs.ravel())
         assert sys.z_axes[4:10] == cfg.prev_law.axes == cfg.prev_axes
 
     def test_full_state_law_round_trip(self, bmc_setup):
@@ -196,7 +197,7 @@ class TestStationary:
         src = random_joint_source(rng)
         cfg = random_configuration(rng, ch, src)
         sys = build_chain(cfg, ch, src)
-        pi, _ = solve_stationary(sys)
+        pi = sys.pi
         z = dense_pair_law(sys, pi)
         for keep in [(k,) for k in range(14)] + [(4, 6), (6, 1, 3, 5, 7, 9, 11, 13), (8, 13, 0)]:
             dense = marginalize(z, keep).probs
@@ -214,14 +215,14 @@ class TestStationary:
         d = tw.hamming(src.s1)
         cfg = lift_hybrid(bsc_codeword_scheme(ch, src, 0.45, d, d), ch, src)
         sys = build_chain(cfg, ch, src)
-        pi, _ = stationary_vector(sys)
+        pi = sys.pi
         assert np.array_equal(pair_law(sys, pi).probs, dense_pair_law(sys, pi).probs)
         rng = np.random.default_rng(9)
         for _ in range(5):
             ch = random_binary_channel(rng)
             src = random_joint_source(rng)
             sys = build_chain(random_configuration(rng, ch, src), ch, src)
-            pi, _ = solve_stationary(sys)
+            pi = sys.pi
             assert np.abs(pair_law(sys, pi).probs - dense_pair_law(sys, pi).probs).max() <= 1e-15
 
 
@@ -251,10 +252,9 @@ class TestSolverPaths:
         # A<->B two-cycle fed by transient C: plain iteration oscillates,
         # the half-lazy kernel settles on the cycle's stationary law
         k = DenseKernel([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        pi, res, unique = _solve_stationary(k)
+        pi, res = solve_stationary(k)  # returns only a unique law
         assert res <= 1e-10
         assert np.allclose(pi, [0.5, 0.5, 0.0], atol=1e-9)
-        assert unique is True
 
     def test_slow_chain_fails_with_reason(self, monkeypatch):
         # spectral gap far too small for three iterations from the uniform
@@ -263,17 +263,17 @@ class TestSolverPaths:
         a, b = 1e-6, 3e-6
         k = DenseKernel([[1 - a, a], [b, 1 - b]])
         with pytest.raises(RuntimeError, match="did not converge"):
-            _solve_stationary(k)
+            solve_stationary(k)
 
     def test_non_uniqueness_flagged_on_block_diagonal_chain(self):
         # two closed 2-state classes, each mixing fast: the solve converges
-        # and reachability finds the class that never reaches argmax pi
+        # (a residual above RESIDUAL_TOL raises RuntimeError first) and
+        # reachability finds the class that never reaches argmax pi
         block = np.array([[0.3, 0.7], [0.6, 0.4]])
         other = np.array([[0.8, 0.2], [0.5, 0.5]])
         k = DenseKernel(np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), other]]))
-        pi, res, unique = _solve_stationary(k)
-        assert res <= 1e-10
-        assert unique is False
+        with pytest.raises(ValueError, match="not unique"):
+            solve_stationary(k)
 
 
 @pytest.fixture
@@ -284,9 +284,10 @@ def echo_setup():
 class TestUniqueness:
     def test_crossed_pipes_echo_has_several_closed_classes(self, echo_setup):
         cfg, ch, src = echo_setup
-        sys = build_chain(cfg, ch, src)
-        assert sys.n_states == 64
-        assert _solve_stationary(sys.kernel)[2] is False
+        kernel = FactoredKernel(cfg.f1, cfg.f2, fresh_law(cfg, src), ch.law.probs)
+        assert kernel.n_states == 64
+        with pytest.raises(ValueError, match="not unique"):
+            solve_stationary(kernel)
 
     def test_non_unique_prev_law_refused(self, echo_setup):
         with pytest.raises(ValueError, match="not unique"):
@@ -302,34 +303,48 @@ class TestUniqueness:
     def test_bmc_uncoded_is_unique(self, bmc_setup):
         ch, src, d = bmc_setup
         sys = build_chain(uncoded_configuration(ch, src, d, d), ch, src)
-        assert _solve_stationary(sys.kernel)[2] is True
+        assert solve_stationary(sys.kernel)[1] <= 1e-10  # raises for a non-unique law
 
     def test_dueck_configuration_is_unique(self):
         # case 0 of the benchmark's eval_dueck pool (pool seed 20010261)
         ch = tw.preset_dueck()
         src = tw.preset_independent_bernoulli(0.89, 0.89)
         cfg = random_configuration(np.random.default_rng([20010261, 0]), ch, src)
-        sys = build_chain(cfg, ch, src)
+        sys = build_chain(cfg, ch, src)  # solves: raises for a non-unique law
         assert sys.n_states == 16384
-        assert _solve_stationary(sys.kernel)[2] is True
+        assert sys.residual <= 1e-10
 
 
 class TestOneStationaryLaw:
     def test_solve_leaves_the_supplied_law_in_place(self, bmc_setup):
-        # a solve writes nothing into the system, so every reader still
-        # takes the configuration's (here non-stationary) previous-block law
+        # a solve of the kernel writes nothing into the system, so every
+        # reader still takes the configuration's (here non-stationary)
+        # previous-block law; the system itself cannot be reassigned
         ch, src, d = bmc_setup
         cfg = uncoded_configuration(ch, src, d, d)
         law = np.full(cfg.prev_law.shape, 1.0 / cfg.prev_law.probs.size)
         sys = build_chain(dataclasses.replace(cfg, prev_law=JointPmf(cfg.prev_axes, law)), ch, src)
-        solve_stationary(sys)
-        pi, res = stationary_vector(sys)
-        assert np.array_equal(pi, law.ravel()) and res == pytest.approx(1.90625, abs=1e-12)
+        solved, _ = solve_stationary(sys.kernel)
+        assert not np.array_equal(solved, law.ravel())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.pi = solved
+        assert np.array_equal(sys.pi, law.ravel())
+        assert sys.residual == pytest.approx(1.90625, abs=1e-12)
         assert reconstruction_distortions(sys, d, d) == (0.5, 0.5)
 
     def test_solve_refuses_non_unique_law(self, echo_setup):
         with pytest.raises(ValueError, match="not unique"):
-            solve_stationary(build_chain(*echo_setup))
+            build_chain(*echo_setup)
+
+    def test_solved_residual_is_that_of_the_solved_law(self):
+        # the residual is taken after the clip and renormalization, so it is
+        # the residual of the law the system carries, bit for bit
+        rng = np.random.default_rng(11)
+        ch, src = tw.preset_bmc(), tw.preset_example2_source()
+        for _ in range(60):
+            sys = build_chain(random_configuration(rng, ch, src), ch, src)
+            assert np.array_equal(sys.pi, sys.cfg.prev_law.probs.ravel())
+            assert sys.residual == _residual(sys.kernel, sys.pi)
 
 
 class TestStationaryPrevLaw:
@@ -354,7 +369,7 @@ class TestStationaryPrevLaw:
             prev = stationary_prev_law(cfg, ch, src)
             cfg = dataclasses.replace(cfg, prev_law=prev)
             sys = build_chain(cfg, ch, src)
-            assert stationary_vector(sys)[1] <= 1e-10
+            assert sys.residual <= 1e-10
             # the stationary previous-block marginal reproduces the law itself
             pi = prev.probs.ravel()
             marg = pair_marginal(sys, pi, (4, 5, 6, 7, 8, 9)).probs

@@ -12,12 +12,12 @@ from twjscc.conditions import lift_hybrid
 from twjscc.markov import (
     RESIDUAL_TOL,
     FactoredKernel,
-    _solve_stationary,
+    _residual,
     build_chain,
     pair_marginal,
     solve_stationary,
 )
-from twjscc.probability import Alphabet, ConditionalPmf, marginalize
+from twjscc.probability import Alphabet, ConditionalPmf, JointPmf, marginalize
 
 from util import (
     all_rows_image,
@@ -57,14 +57,8 @@ def models(draw):
 
 
 @st.composite
-def systems(draw):
-    cfg, ch, src, rng = draw(models())
-    return build_chain(cfg, ch, src), rng
-
-
-@st.composite
-def io_memory_systems(draw):
-    """Systems with a deterministic channel and f tables that read only the
+def io_memory_models(draw):
+    """Models with a deterministic channel and f tables that read only the
     previous io: the inputs then follow a deterministic map, and every cycle
     of it is a closed class, so the stationary law is often not unique."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -76,22 +70,50 @@ def io_memory_systems(draw):
     cfg = random_configuration(rng, ch, src, draw(st.integers(1, 2)), draw(st.integers(1, 2)))
     f1, f2 = (np.ascontiguousarray(np.broadcast_to(rng.integers(2, size=4), f.shape))
               for f in (cfg.f1, cfg.f2))
-    cfg = dataclasses.replace(cfg, f1=f1, f2=f2)
-    return build_chain(cfg, ch, src), rng
+    return dataclasses.replace(cfg, f1=f1, f2=f2), ch, src, rng
+
+
+def kernel_of(cfg, ch, src):
+    """The chain's transition kernel, built from its factors without a solve."""
+    return FactoredKernel(cfg.f1, cfg.f2, fresh_law(cfg, src), ch.law.probs)
 
 
 @st.composite
-def tiny_fresh_systems(draw):
-    """Systems in which one fresh tuple has probability about 1e-323: its
+def kernels(draw, model_strategy):
+    """(configuration, kernel, rng) of a model drawn from `model_strategy`."""
+    cfg, ch, src, rng = draw(model_strategy)
+    return cfg, kernel_of(cfg, ch, src), rng
+
+
+@st.composite
+def tiny_fresh_kernels(draw):
+    """Kernels in which one fresh tuple has probability about 1e-323: its
     successors are reachable, yet pushing the uniform vector underflows to
-    0.0 on them."""
-    sys, rng = draw(systems())
-    psu = sys.kernel.psu.copy()
-    psu[draw(st.integers(0, psu.size - 1))] = 1e-323
+    0.0 on them.  No source and codeword laws give this fresh law, so these
+    are kernels, not systems."""
+    cfg, ch, src, rng = draw(models())
+    psu = fresh_law(cfg, src)
+    psu.flat[draw(st.integers(0, psu.size - 1))] = 1e-323
     psu /= psu.sum()
-    kernel = FactoredKernel(sys.cfg.f1, sys.cfg.f2, psu.reshape(sys.reduced_shape[:4]),
-                            sys.kernel.chan)
-    return dataclasses.replace(sys, kernel=kernel), rng
+    return cfg, FactoredKernel(cfg.f1, cfg.f2, psu, ch.law.probs), rng
+
+
+def all_kernels():
+    return st.one_of(kernels(models()), kernels(io_memory_models()), tiny_fresh_kernels())
+
+
+def uniform_law(cfg):
+    """The uniform previous-block law of `cfg`, stationary for few chains."""
+    shape = tuple(a.size for a in cfg.prev_axes)
+    return JointPmf(cfg.prev_axes, np.full(shape, 1.0 / np.prod(shape)))
+
+
+@st.composite
+def systems(draw):
+    """Systems of random models under a supplied uniform previous-block law,
+    which build_chain keeps without a solve."""
+    cfg, ch, src, rng = draw(models())
+    return build_chain(dataclasses.replace(cfg, prev_law=uniform_law(cfg)), ch, src), rng
 
 
 @st.composite
@@ -143,18 +165,18 @@ def loop_kernel(cfg, ch, src):
 @given(models())
 def test_dense_form_matches_loop_kernel(case):
     cfg, ch, src, _ = case
-    sys = build_chain(cfg, ch, src)
-    dense = dense_kernel(sys.kernel)
+    kernel = kernel_of(cfg, ch, src)
+    dense = dense_kernel(kernel)
     assert np.array_equal(dense, loop_kernel(cfg, ch, src))
-    assert sys.kernel.nnz == np.count_nonzero(dense > 0)
+    assert kernel.nnz == np.count_nonzero(dense > 0)
 
 
 @settings(deadline=None)
-@given(systems())
+@given(kernels(models()))
 def test_push_is_row_vector_times_dense(case):
-    sys, rng = case
-    pi = rng.dirichlet(np.ones(sys.n_states))
-    assert np.abs(sys.kernel.push(pi) - pi @ dense_kernel(sys.kernel)).max() <= 1e-15
+    _, kernel, rng = case
+    pi = rng.dirichlet(np.ones(kernel.n_states))
+    assert np.abs(kernel.push(pi) - pi @ dense_kernel(kernel)).max() <= 1e-15
 
 
 @settings(deadline=None)
@@ -167,20 +189,25 @@ def test_pair_marginal_matches_marginalized_pair_law(case, keep):
 
 
 @settings(deadline=None)
-@given(systems())
+@given(models())
 def test_solved_vector_is_fixed_point(case):
-    sys, _ = case
-    pi, _ = solve_stationary(sys)
-    assert np.abs(pi @ dense_kernel(sys.kernel) - pi).sum() <= RESIDUAL_TOL
+    cfg, ch, src, _ = case
+    sys = build_chain(cfg, ch, src)
+    assert np.abs(sys.pi @ dense_kernel(sys.kernel) - sys.pi).sum() <= RESIDUAL_TOL
 
 
 @settings(deadline=None)
-@given(st.one_of(systems(), io_memory_systems()))
+@given(st.one_of(kernels(models()), kernels(io_memory_models())))
 def test_uniqueness_verdict_matches_closed_classes(case):
-    sys, _ = case
-    unique = _solve_stationary(sys.kernel)[2]
+    _, kernel, _ = case
+    try:
+        solve_stationary(kernel)
+        unique = True
+    except ValueError as exc:
+        assert "not unique" in str(exc)
+        unique = False
     event(f"unique={unique}")
-    assert unique == (closed_classes(dense_kernel(sys.kernel)) == 1)
+    assert unique == (closed_classes(dense_kernel(kernel)) == 1)
 
 
 @settings(deadline=None)
@@ -203,32 +230,31 @@ def test_pair_marginal_over_nonzero_rows_is_bit_equal_to_all_rows(case, data, ke
 
 
 @settings(deadline=None)
-@given(st.one_of(systems(), io_memory_systems(), tiny_fresh_systems()))
+@given(all_kernels())
 def test_image_is_every_one_step_successor(case):
-    sys, rng = case
-    image = sys.kernel.image()
-    assert np.array_equal(image, all_rows_image(sys))
-    pi = rng.random(sys.n_states)
-    assert np.isin(np.flatnonzero(sys.kernel.push(pi)), image).all()
+    cfg, kernel, rng = case
+    image = kernel.image()
+    assert np.array_equal(image, all_rows_image(cfg, kernel))
+    pi = rng.random(kernel.n_states)
+    assert np.isin(np.flatnonzero(kernel.push(pi)), image).all()
 
 
-def cold_kernel(sys):
-    """The system's kernel rebuilt from its factors, with no cells gathered yet."""
-    k = sys.kernel
-    return FactoredKernel(sys.cfg.f1, sys.cfg.f2, k.psu.reshape(sys.reduced_shape[:4]), k.chan)
+def cold_kernel(cfg, kernel):
+    """The kernel rebuilt from its factors, with no cells gathered yet."""
+    return FactoredKernel(cfg.f1, cfg.f2, kernel.psu.reshape(kernel.state_shape[:4]), kernel.chan)
 
 
-def assert_uniform_push_is_gathered_push(sys):
-    n = sys.n_states
-    closed = cold_kernel(sys).push_uniform()
-    assert np.array_equal(closed, cold_kernel(sys).push(np.full(n, 1.0 / n)))
+def assert_uniform_push_is_gathered_push(cfg, kernel):
+    n = kernel.n_states
+    closed = cold_kernel(cfg, kernel).push_uniform()
+    assert np.array_equal(closed, cold_kernel(cfg, kernel).push(np.full(n, 1.0 / n)))
 
 
 @settings(deadline=None)
-@given(st.one_of(systems(), io_memory_systems(), tiny_fresh_systems()))
+@given(all_kernels())
 def test_uniform_push_is_bit_equal_to_gathered_push(case):
-    sys, _ = case
-    assert_uniform_push_is_gathered_push(sys)
+    cfg, kernel, _ = case
+    assert_uniform_push_is_gathered_push(cfg, kernel)
 
 
 @pytest.mark.parametrize("chain", ["criterion 8 lift", "dueck"])
@@ -240,6 +266,43 @@ def test_uniform_push_is_bit_equal_on_workload_chains(chain):
         ch, src = tw.preset_crossed_bitpipes(), tw.preset_independent_bernoulli(0.5, 0.5)
         d = tw.hamming(src.s1)
         cfg = lift_hybrid(bsc_codeword_scheme(ch, src, 0.45, d, d), ch, src)
-    sys = build_chain(cfg, ch, src)
-    assert sys.kernel.counts.max() > 1  # cells that several states reach
-    assert_uniform_push_is_gathered_push(sys)
+    kernel = build_chain(cfg, ch, src).kernel
+    assert kernel.counts.max() > 1  # cells that several states reach
+    assert_uniform_push_is_gathered_push(cfg, kernel)
+
+
+@settings(deadline=None)
+@given(st.one_of(models(), io_memory_models()))
+def test_built_system_carries_its_law(case):
+    cfg, ch, src, _ = case
+    # without a law: the solved law, installed as prev_law, and the residual
+    # of that very vector
+    try:
+        sys = build_chain(cfg, ch, src)
+    except ValueError as exc:
+        assert "not unique" in str(exc)
+        event("not unique")
+    else:
+        assert np.array_equal(sys.pi, sys.cfg.prev_law.probs.ravel())
+        assert sys.residual == _residual(sys.kernel, sys.pi)
+    # with a supplied law, stationary or not: that law, unchanged
+    law = uniform_law(cfg)
+    given = build_chain(dataclasses.replace(cfg, prev_law=law), ch, src)
+    assert given.cfg.prev_law is law and np.array_equal(given.pi, law.probs.ravel())
+    assert given.residual == _residual(given.kernel, law.probs.ravel())
+    for field in ("cfg", "kernel", "pi", "residual"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(given, field, getattr(given, field))
+
+
+@settings(deadline=None)
+@given(all_kernels())
+def test_solved_residual_is_that_of_the_returned_vector(case):
+    _, kernel, _ = case
+    try:
+        pi, res = solve_stationary(kernel)
+    except ValueError:
+        event("not unique")
+    else:
+        assert res == _residual(kernel, pi) <= RESIDUAL_TOL
+        assert pi.min() >= 0.0 and abs(pi.sum() - 1.0) <= 1e-12

@@ -11,6 +11,7 @@ import twjscc as tw
 from twjscc import serialization as ser
 from twjscc.cli import _emit, execute, main, parse_args
 from twjscc.conditions import adaptive_scheme_stationary
+from twjscc.probability import binary_entropy
 from twjscc.region import uncoded_configuration
 
 from util import (
@@ -159,6 +160,30 @@ class TestExecute:
         lines = open(out).read().strip().splitlines()
         assert lines[0] == "D,R,iterations,residual"
         assert len(lines) == 4
+
+    def test_source_file_named_like_a_preset_loads(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        ser.save_source(tw.preset_independent_bernoulli(0.3, 0.3), "bernoulli_law.json")
+        assert main(["rd", "--source", "bernoulli_law.json", "--D", "0.1"]) == 0
+        rate = json.loads(capsys.readouterr().out)["result"]["rate"]
+        assert rate == pytest.approx(binary_entropy(0.3) - binary_entropy(0.1), abs=1e-9)
+
+    @pytest.mark.parametrize("spec", ["bernoulli:0.5:0.3:0.9", "bernoullifoo:0.2", "bernoulli",
+                                      "bernoulli:", "bernoulli:x"])
+    def test_spec_outside_the_preset_grammar_exits_two(self, spec, capsys):
+        assert main(["rd", "--source", spec, "--D", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert f"source {spec!r} is neither a preset nor an existing file" in captured.err
+        assert captured.out == ""
+
+    def test_source_preset_grammar(self):
+        for spec, p in (("bernoulli:0.2", (0.2, 0.2)), ("bernoulli:0.5:0.3", (0.5, 0.3))):
+            law = tw.preset_independent_bernoulli(*p).law.probs
+            assert np.array_equal(ser.resolve_source(spec).law.probs, law)
+            assert np.array_equal(ser.source_preset(spec).law.probs, law)
+        assert ser.source_preset("bernoullifoo:0.2") is None
+        with pytest.raises(ValueError, match="outside"):
+            ser.resolve_source("bernoulli:1.5")
 
     def test_missing_file_exits_two(self, capsys):
         code = main(["eval-hybrid", "--scheme", "/nonexistent.json",

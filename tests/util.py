@@ -124,22 +124,21 @@ def bsc_codeword_scheme(ch, src, q, d1, d2) -> HybridScheme:
     return HybridScheme(pu1, pu2, f, f, g1, g2, d1.recon_alphabet, d2.recon_alphabet)
 
 
-def all_rows_inputs(sys):
+def all_rows_inputs(cfg, kernel):
     """x1, x2 of every state under every fresh tuple, as (states, fresh
     tuples) tables read from f1/f2 over the whole state grid."""
-    cfg = sys.cfg
-    prev = np.unravel_index(np.arange(sys.n_states), sys.reduced_shape)
+    prev = np.unravel_index(np.arange(kernel.n_states), kernel.state_shape)
     s1p, s2p, u1p, u2p, io1p, io2p = (c[:, None] for c in prev)
-    s1, s2, u1, u2 = np.unravel_index(np.arange(sys.kernel.psu.size), sys.reduced_shape[:4])
+    s1, s2, u1, u2 = np.unravel_index(np.arange(kernel.psu.size), kernel.state_shape[:4])
     return cfg.f1[s1, u1, s1p, u1p, io1p], cfg.f2[s2, u2, s2p, u2p, io2p]
 
 
-def all_rows_image(sys) -> np.ndarray:
+def all_rows_image(cfg, kernel) -> np.ndarray:
     """Ascending states reached in one step from some state: the inputs of
     every (state, fresh tuple) pair with psu > 0, then every output pair
     with positive channel probability."""
-    x1n, x2n = all_rows_inputs(sys)
-    psu, chan = sys.kernel.psu, sys.kernel.chan
+    x1n, x2n = all_rows_inputs(cfg, kernel)
+    psu, chan = kernel.psu, kernel.chan
     produced = np.zeros((psu.size,) + chan.shape[:2], dtype=bool)
     produced[np.arange(psu.size), x1n, x2n] = True
     produced &= (psu > 0)[:, None, None]
@@ -149,7 +148,7 @@ def all_rows_image(sys) -> np.ndarray:
 def _all_rows_weights(sys, pi, outer):
     """bincount of pi[prev] psu[a] over every (state, fresh tuple) pair into
     (kept outer Z coordinates, x1, x2) cells."""
-    x1n, x2n = all_rows_inputs(sys)
+    x1n, x2n = all_rows_inputs(sys.cfg, sys.kernel)
     nx1, nx2 = sys.kernel.chan.shape[:2]
     grid = sys.reduced_shape + sys.reduced_shape[:4]
     g = np.indices(grid, sparse=True)
