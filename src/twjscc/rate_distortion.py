@@ -95,17 +95,18 @@ def _ba_step(p_t, law, excess, beta, slack=None, fits=64):
     return p_t, beta, value, gap / math.log(2)
 
 
-def _alternate(p_t, law, excess, beta, slack=None, max_iter=5000, tol=_R_TOL / 10):
+def _alternate(p_t, law, excess, beta, slack=None, max_iter=5000):
     """Updates per leading index of excess (k, s, t), with slack one Newton
     step of the slope each, each pair extrapolated (SQUAREM, Varadhan and
-    Roland 2008) where that lowers the value, until every gap is at most tol:
-    the channels, slopes, the value after each plain update and the gaps."""
+    Roland 2008) where that lowers the value, until every gap is at most
+    _R_TOL / 10: the channels, slopes, the value after each plain update and
+    the gaps."""
     history = []
     while True:
         p1, beta, g0, _ = _ba_step(p_t, law, excess, beta, slack, 1)
         p2, beta, g1, gap = _ba_step(p1, law, excess, beta, slack, 1)
         history += [g0, g1]
-        if np.all(gap <= tol) or len(history) >= max_iter:
+        if np.all(gap <= _R_TOL / 10) or len(history) >= max_iter:
             return p2, beta, history, gap
         r, v = p1 - p_t, p2 - 2 * p1 + p_t
         a = np.sqrt((r * r).sum(axis=(-2, -1)) / np.maximum((v * v).sum(axis=(-2, -1)), _FLOOR))
@@ -115,28 +116,6 @@ def _alternate(p_t, law, excess, beta, slack=None, max_iter=5000, tol=_R_TOL / 1
         p3, b3, g3, _ = _ba_step(jump, law, excess, beta, slack, 1)
         keep = g3 <= g1
         p_t, beta = np.where(keep[:, None, None], p3, p2), np.where(keep, b3, beta)
-
-
-@dataclass(frozen=True)
-class BaResult:
-    rate: float
-    distortion: float
-    iterations: int
-    objective_history: tuple[float, ...]
-
-
-def blahut_arimoto(p: np.ndarray, dist_table: np.ndarray, beta: float,
-                   max_iter: int = 5000, tol: float = 1e-13) -> BaResult:
-    """Fixed-slope Blahut-Arimoto: minimizes I + beta * D, I in bits.  Returns
-    the converged (rate, distortion) point and the per-iteration Lagrangian
-    values, which are non-increasing; the last lies within tol of the minimum."""
-    p = _as_vector(p)
-    dist = np.asarray(dist_table, dtype=np.float64)
-    law = _law(p[:, None])
-    p_t, _, history, _ = _alternate(np.full((1,) + dist.shape, 1.0 / dist.shape[1]), law,
-                                    dist[None], np.array([float(beta)]), None, max_iter, tol)
-    return BaResult(max(float(_rate(p_t[0], law)), 0.0), float(p @ (p_t[0] * dist).sum(axis=1)),
-                    len(history), tuple(float(g[0]) for g in history))
 
 
 def _constrained(law, excess, slack, p_t):

@@ -2,18 +2,21 @@
 
 Candidates are full configurations, and each is evaluated on one system
 chain: a candidate without a previous-block law gets the chain's stationary
-law installed, and the adaptive condition report, the decoder distortions
-and the installed law's residual are all read off that same `MarkovSystem`.
-A candidate is kept when certified (strictly satisfied, or sitting on the
-boundary, which is tagged); otherwise its evaluation names the reason.  A
-handful of structured candidates (uncoded, identity-codeword hybrid,
-separate coding) always precede the random draws so the classical schemes
-are recovered regardless of sampling luck.
+law installed, and its decoder distortions, condition report and the
+installed law's residual are all read off that same `MarkovSystem`.
+Distortions come first: a candidate that a kept point covers (no larger in
+either distortion) is "dominated" and its conditions are never read; any
+other is kept when certified (strictly satisfied, or on the tagged boundary)
+or its evaluation names the reason.  Structured candidates (uncoded, codeword
+hybrids, separate coding) are built as the search reaches them, ahead of the
+random draws; the search stops once (0, 0) is kept, as no distortion is
+negative.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +128,18 @@ def _sscc_candidates(ch: TwoWayChannel, src: JointSource,
     return out
 
 
+def _structured_candidates(ch: TwoWayChannel, src: JointSource,
+                           d1: DistortionMeasure, d2: DistortionMeasure):
+    """The structured candidates in search order, each built when reached."""
+    for build in (uncoded_configuration, constant_codeword_hybrid_configuration,
+                  identity_hybrid_configuration, _sscc_candidates):
+        try:
+            built = build(ch, src, d1, d2)
+        except (ValueError, RuntimeError):  # a failed structured build uses no budget
+            continue
+        yield from built if isinstance(built, list) else [built]
+
+
 def _random_candidate(rng: np.random.Generator, ch: TwoWayChannel, src: JointSource,
                       d1: DistortionMeasure, d2: DistortionMeasure,
                       aux1: int, aux2: int) -> Configuration:
@@ -148,19 +163,27 @@ def _random_candidate(rng: np.random.Generator, ch: TwoWayChannel, src: JointSou
     )
 
 
+def _covers(kept: Sequence[RegionPoint], a: float, b: float) -> bool:
+    """Whether a kept point is at most (a, b) in both coordinates."""
+    return any(q.d1 <= a and q.d2 <= b for q in kept)
+
+
 def _evaluate(cfg: Configuration, ch: TwoWayChannel, src: JointSource,
-              d1: DistortionMeasure, d2: DistortionMeasure) -> RegionPoint | str:
+              d1: DistortionMeasure, d2: DistortionMeasure,
+              kept: Sequence[RegionPoint] = ()) -> RegionPoint | str:
     """Certify one candidate on its one system chain, or name why not: the
-    message of the error that stopped the evaluation, or "condition violated".
-    A candidate without a previous-block law gets the chain's stationary law."""
+    message of the error that stopped the evaluation, "dominated" (a kept
+    point covers its distortions) or "condition violated"."""
     try:
         sys = build_chain(cfg, ch, src)
+        dist = reconstruction_distortions(sys, d1, d2)
+        if _covers(kept, *dist):
+            return "dominated"
         report = _adaptive_report(sys)
     except (ValueError, RuntimeError) as exc:
         return str(exc)
     if not (report.satisfied or report.boundary):
         return "condition violated"
-    dist = reconstruction_distortions(sys, d1, d2)
     return RegionPoint(d1=dist[0], d2=dist[1], certificate=sys.cfg, report=report,
                        boundary=report.boundary, stationary_residual=sys.residual)
 
@@ -187,9 +210,9 @@ def search_region(
 ) -> list[RegionPoint]:
     """Seeded candidate search returning Pareto-minimal certified points.
 
-    Deterministic for a fixed (seed, budget): structured candidates are
-    injected first, then random configurations drawn from the seeded
-    generator.  Boundary certificates are kept and flagged.
+    Deterministic for a fixed (seed, budget): structured candidates come
+    first, then random configurations from the seeded generator, until the
+    budget is spent or (0, 0) is kept.  Boundary certificates are flagged.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -198,19 +221,15 @@ def search_region(
     if min(aux1, aux2) < 1:
         raise ValueError(f"auxiliary alphabet sizes must be >= 1, got {aux1} and {aux2}")
 
-    candidates: list[Configuration] = []
-    for build in (uncoded_configuration, constant_codeword_hybrid_configuration,
-                  identity_hybrid_configuration, _sscc_candidates):
-        try:
-            built = build(ch, src, d1, d2)
-        except (ValueError, RuntimeError):  # a failed structured build uses no budget
-            continue
-        candidates += built if isinstance(built, list) else [built]
-
+    structured = _structured_candidates(ch, src, d1, d2)
     points: list[RegionPoint] = []
-    for k in range(budget):
-        cfg = candidates[k] if k < len(candidates) else _random_candidate(rng, ch, src, d1, d2, aux1, aux2)
-        point = _evaluate(cfg, ch, src, d1, d2)
+    for _ in range(budget):
+        if _covers(points, 0.0, 0.0):  # distortions are >= 0: nothing can enter
+            break
+        cfg = next(structured, None)
+        if cfg is None:
+            cfg = _random_candidate(rng, ch, src, d1, d2, aux1, aux2)
+        point = _evaluate(cfg, ch, src, d1, d2, points)
         if not isinstance(point, str):  # a str names why the candidate failed
             points = _pareto_min(points + [point])
     return points

@@ -58,7 +58,7 @@ def source_preset(name: str) -> JointSource | None:
 def preset_names() -> dict:
     return {
         "channels": sorted(CHANNEL_PRESETS),
-        "sources": ["example2", "bernoulli(p)"],
+        "sources": ["example2", "bernoulli:p", "bernoulli:p1:p2"],
     }
 
 

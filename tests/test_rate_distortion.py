@@ -9,7 +9,6 @@ from twjscc.conditions import wz_scheme_rate
 from twjscc.probability import Alphabet, bernoulli, binary_entropy, conditional_entropy
 from twjscc.rate_distortion import (
     InfeasibleDistortion,
-    blahut_arimoto,
     rd_curve,
     rd_function,
     wz_curve,
@@ -52,23 +51,6 @@ class TestRdFunction:
         d = tw.hamming(p.axes[0])
         r = rd_function(p, d, 0.2)
         assert 0.0 < r < np.log2(3)
-
-
-class TestBlahutArimoto:
-    def test_objective_monotone_nonincreasing(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            p = rng.dirichlet(np.ones(3))
-            dist = rng.uniform(0.0, 2.0, size=(3, 3))
-            np.fill_diagonal(dist, 0.0)
-            res = blahut_arimoto(p, dist, beta=rng.uniform(0.5, 5.0))
-            hist = np.array(res.objective_history)
-            assert np.all(np.diff(hist) <= 1e-12)
-
-    def test_returns_consistent_rate_distortion(self):
-        res = blahut_arimoto(np.array([0.5, 0.5]), 1.0 - np.eye(2), beta=2.0)
-        assert 0.0 <= res.rate <= 1.0
-        assert 0.0 <= res.distortion <= 0.5
 
 
 class TestRdCurve:

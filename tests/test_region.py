@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import twjscc as tw
-from twjscc import conditions, markov, region
+from twjscc import conditions, markov, rate_distortion, region
 from twjscc.conditions import eval_adaptive
 from twjscc.markov import (
     build_chain,
@@ -23,14 +23,30 @@ from twjscc.region import (
     uncoded_configuration,
 )
 
-from util import echo_configuration, random_configuration
+from util import echo_configuration, exhaustive_search, random_configuration
+
+SETTINGS = {
+    "bmc-example2": (tw.preset_bmc, tw.preset_example2_source),
+    "bmc-bernoulli:0.5": (tw.preset_bmc, lambda: tw.preset_independent_bernoulli(0.5, 0.5)),
+    "bitpipes-bernoulli:0.3:0.6": (tw.preset_crossed_bitpipes,
+                                   lambda: tw.preset_independent_bernoulli(0.3, 0.6)),
+    "bitpipes-example2": (tw.preset_crossed_bitpipes, tw.preset_example2_source),
+}
+
+
+def _setting(name):
+    ch, src = SETTINGS[name][0](), SETTINGS[name][1]()
+    return ch, src, tw.hamming(src.s1)
 
 
 @pytest.fixture(scope="module")
 def bmc_example2():
-    ch = tw.preset_bmc()
-    src = tw.preset_example2_source()
-    return ch, src, tw.hamming(src.s1)
+    return _setting("bmc-example2")
+
+
+@pytest.fixture(scope="module")
+def bmc_uniform():
+    return _setting("bmc-bernoulli:0.5")
 
 
 def _three_call_path(cfg, ch, src, d):
@@ -164,8 +180,8 @@ class TestEvaluate:
             pytest.fail("no violating candidate drawn")
         assert _evaluate(cfg, ch, src, d, d) == "condition violated"
 
-    def test_one_chain_per_candidate(self, bmc_example2, monkeypatch):
-        ch, src, d = bmc_example2
+    def test_one_chain_per_candidate(self, bmc_uniform, monkeypatch):
+        ch, src, d = bmc_uniform
         calls = []
 
         def counted(*args, **kwargs):
@@ -177,8 +193,8 @@ class TestEvaluate:
         search_region(ch, src, d, d, budget=30, seed=0)
         assert 30 < len(calls) <= 30 + 4  # one per candidate, plus the structured builds
 
-    def test_failed_structured_build_uses_no_budget(self, bmc_example2, monkeypatch):
-        ch, src, d = bmc_example2
+    def test_failed_structured_build_uses_no_budget(self, bmc_uniform, monkeypatch):
+        ch, src, d = bmc_uniform
         draws = []
         draw = region._random_candidate
 
@@ -195,6 +211,100 @@ class TestEvaluate:
         monkeypatch.setattr(region, "uncoded_configuration", fail)
         search_region(ch, src, d, d, budget=10, seed=0)
         assert len(draws) - base == base + 1
+
+
+def _assert_same_points(got, want):
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert (p.d1, p.d2, p.boundary) == (q.d1, q.d2, q.boundary)
+        assert p.report == q.report
+        assert p.stationary_residual == q.stationary_residual
+        for name in ("f1", "f2", "g1", "g2"):
+            assert np.asarray(getattr(p.certificate, name)).tobytes() == \
+                np.asarray(getattr(q.certificate, name)).tobytes()
+        assert p.certificate.prev_law.probs.tobytes() == q.certificate.prev_law.probs.tobytes()
+
+
+class TestPruning:
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_search_equals_exhaustive_oracle(self, setting, seed):
+        ch, src, d = _setting(setting)
+        _assert_same_points(search_region(ch, src, d, d, budget=40, seed=seed),
+                            exhaustive_search(ch, src, d, d, budget=40, seed=seed))
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_random_fronts_equal_exhaustive_oracle(self, setting, monkeypatch):
+        # with every structured build failing, random candidates alone make
+        # fronts of several points, and most candidates are dominated
+        def fail(*args):
+            raise ValueError("build failed")
+
+        for name in ("uncoded_configuration", "constant_codeword_hybrid_configuration",
+                     "identity_hybrid_configuration", "_sscc_candidates"):
+            monkeypatch.setattr(region, name, fail)
+        ch, src, d = _setting(setting)
+        got = search_region(ch, src, d, d, budget=40, seed=2)
+        assert len(got) >= 2
+        _assert_same_points(got, exhaustive_search(ch, src, d, d, budget=40, seed=2))
+
+    def test_dominated_candidate_skips_the_conditions(self, bmc_example2, monkeypatch):
+        ch, src, d = bmc_example2
+        cfg = uncoded_configuration(ch, src, d, d)
+        lossless = _evaluate(cfg, ch, src, d, d)
+        assert (lossless.d1, lossless.d2) == (0.0, 0.0)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("conditions read")
+
+        monkeypatch.setattr(region, "_adaptive_report", unread)
+        rng = np.random.default_rng(4)
+        for c in [cfg] + [random_configuration(rng, ch, src) for _ in range(5)]:
+            assert _evaluate(c, ch, src, d, d, [lossless]) == "dominated"
+        # a kept point at (0, 0.5) does not cover (0, 0): the conditions are read
+        with pytest.raises(AssertionError, match="conditions read"):
+            _evaluate(cfg, ch, src, d, d, [dataclasses.replace(lossless, d2=0.5)])
+
+    def test_lossless_search_builds_one_chain(self, bmc_example2, monkeypatch):
+        ch, src, d = bmc_example2
+        chains, wz, draws = [], [], []
+
+        def counted(log, fn):
+            def wrapped(*args, **kwargs):
+                log.append(1)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for mod in (markov, region, conditions):
+            monkeypatch.setattr(mod, "build_chain", counted(chains, build_chain))
+        monkeypatch.setattr(rate_distortion, "wz_function", counted(wz, rate_distortion.wz_function))
+        monkeypatch.setattr(region, "_random_candidate", counted(draws, region._random_candidate))
+        pts = search_region(ch, src, d, d, budget=100, seed=1)
+        assert [(p.d1, p.d2) for p in pts] == [(0.0, 0.0)]
+        assert (len(chains), len(wz), len(draws)) == (2, 0, 0)  # uncoded build, its evaluation
+
+    def test_failed_lossless_build_uses_no_budget(self, bmc_example2, monkeypatch):
+        # the constant-codeword hybrid takes the first budget slot, certifies
+        # (0, 0), and the search stops there
+        ch, src, d = bmc_example2
+        draws = []
+        draw = region._random_candidate
+
+        def counted(*args):
+            draws.append(1)
+            return draw(*args)
+
+        def fail(*args):
+            raise ValueError("build failed")
+
+        monkeypatch.setattr(region, "uncoded_configuration", fail)
+        monkeypatch.setattr(region, "_random_candidate", counted)
+        hybrid = constant_codeword_hybrid_configuration(ch, src, d, d)
+        for budget in (1, 100):
+            pts = search_region(ch, src, d, d, budget=budget, seed=0)
+            assert [(p.d1, p.d2) for p in pts] == [(0.0, 0.0)]
+            assert pts[0].certificate.f1.tobytes() == hybrid.f1.tobytes()
+        assert draws == []
 
 
 class TestConvexify:

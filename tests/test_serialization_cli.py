@@ -128,7 +128,17 @@ class TestParseArgs:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc["result"]["channels"]) >= {"bmc", "dueck"}
         assert "example2" in doc["result"]["sources"]
-        assert "bernoulli(p)" in doc["result"]["sources"]
+        assert {"bernoulli:p", "bernoulli:p1:p2"} <= set(doc["result"]["sources"])
+
+    def test_every_listed_preset_resolves(self, capsys):
+        assert main(["presets"]) == 0
+        doc = json.loads(capsys.readouterr().out)["result"]
+        for spec in doc["sources"]:
+            spec = spec.replace("p1", "0.3").replace("p2", "0.6").replace(":p", ":0.3")
+            assert main(["rd", "--source", spec, "--D", "0.1"]) == 0, spec
+        for name in doc["channels"]:
+            assert main(["shannon-bound", "--channel", name, "--q", "1", "--grid", "3"]) == 0, name
+        capsys.readouterr()
 
 
 class TestExecute:

@@ -8,14 +8,17 @@ from pathlib import Path
 import numpy as np
 
 import twjscc as tw
+from twjscc import region
 from twjscc.conditions import (
     AdaptiveChannelScheme,
     HybridScheme,
     WZScheme,
+    _adaptive_report,
     bayes_hybrid_decoders,
 )
+from twjscc.markov import build_chain, reconstruction_distortions
 from twjscc.probability import Alphabet, ConditionalPmf, JointPmf, _plogp_sum
-from twjscc.region import uncoded_configuration
+from twjscc.region import RegionPoint, uncoded_configuration
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -85,6 +88,35 @@ def echo_configuration():
     echo = np.ascontiguousarray(np.broadcast_to(np.arange(4) % 2, (2, 1, 2, 1, 4)))  # y = io % 2
     cfg = dataclasses.replace(uncoded_configuration(ch, src, d, d), prev_law=None, f1=echo, f2=echo)
     return cfg, ch, src
+
+
+def exhaustive_search(ch, src, d1, d2, budget, seed) -> list[RegionPoint]:
+    """search_region without pruning: every structured candidate built up
+    front, then every candidate solved, reported and measured, under the
+    same Pareto filter."""
+    rng = np.random.default_rng(seed)
+    candidates = []
+    for build in (region.uncoded_configuration, region.constant_codeword_hybrid_configuration,
+                  region.identity_hybrid_configuration, region._sscc_candidates):
+        try:
+            built = build(ch, src, d1, d2)
+        except (ValueError, RuntimeError):
+            continue
+        candidates += built if isinstance(built, list) else [built]
+    points = []
+    for k in range(budget):
+        cfg = candidates[k] if k < len(candidates) else region._random_candidate(
+            rng, ch, src, d1, d2, src.s1.size, src.s2.size)
+        try:
+            chain = build_chain(cfg, ch, src)
+            report = _adaptive_report(chain)
+        except (ValueError, RuntimeError):
+            continue
+        if report.satisfied or report.boundary:
+            dist = reconstruction_distortions(chain, d1, d2)
+            point = RegionPoint(dist[0], dist[1], chain.cfg, report, report.boundary, chain.residual)
+            points = region._pareto_min(points + [point])
+    return points
 
 
 def random_adaptive_scheme(rng, ch) -> AdaptiveChannelScheme:
