@@ -154,6 +154,15 @@ def _in_bounds(counts, bounds) -> np.ndarray:
     return (lo <= counts) & (counts <= hi)
 
 
+def _packed_words(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows packed along the last axis into 64-bit words; the tail
+    of the last word is zero, so it adds nothing to a popcount."""
+    packed = np.packbits(bits, axis=-1)
+    words = np.zeros(packed.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view(np.uint64)
+
+
 def _typical_candidates(own: np.ndarray, book: np.ndarray, bounds) -> np.ndarray:
     """Ascending indices of the codewords jointly typical with `own`.
 
@@ -163,24 +172,25 @@ def _typical_candidates(own: np.ndarray, book: np.ndarray, bounds) -> np.ndarray
     N_o, the count of o in `own`, so if some N_o lies outside
     [sum_a lo, sum_a hi] no codeword is typical; this also decides every
     own cell that does not occur, since all lo share the sign of 1 - eps.
-    Otherwise the counts over the cells that occur are one-hot products,
-    exact in float32 for n < 2**24, and the last letter's count is N_o
-    minus the others.
+    Otherwise each occurring cell's positions and each thermometer plane
+    `book > a` are packed into 64-bit words, the plane as (words, m); gt_a,
+    a cell's count of letters > a, is the popcount of their AND, and letter
+    a's count gt_(a-1) - gt_a (gt_(-1) = N_o) is exact at every n <= MAX_N.
     """
     lo, hi = bounds
     n_own = np.bincount(own, minlength=len(lo))
     if np.any(n_own < lo.sum(axis=1)) or np.any(n_own > hi.sum(axis=1)):
         return np.empty(0, dtype=np.intp)
-    cells, col = np.unique(own, return_inverse=True)
-    onehot = np.zeros((len(own), len(cells)), dtype=np.float32)
-    onehot[np.arange(len(own)), col] = 1.0
+    cells = np.flatnonzero(n_own)
+    masks = _packed_words(own == cells[:, None])
     ok = np.ones(len(book), dtype=bool)
-    counted = np.zeros((len(book), len(cells)), dtype=np.float32)
+    above = n_own[cells, None]
     for a in range(lo.shape[1] - 1):
-        counts = (book == a).astype(np.float32) @ onehot
-        counted += counts
-        ok &= _in_bounds(counts, (lo[cells, a], hi[cells, a])).all(axis=1)
-    ok &= _in_bounds(n_own[cells] - counted, (lo[cells, -1], hi[cells, -1])).all(axis=1)
+        plane = np.ascontiguousarray(_packed_words(book > a).T)
+        gt = np.stack([np.bitwise_count(plane & w[:, None]).sum(axis=0, dtype=np.int64) for w in masks])
+        ok &= _in_bounds(above - gt, (lo[cells, a, None], hi[cells, a, None])).all(axis=0)
+        above = gt
+    ok &= _in_bounds(above, (lo[cells, -1, None], hi[cells, -1, None])).all(axis=0)
     return np.flatnonzero(ok)
 
 

@@ -205,6 +205,43 @@ class TestSampling:
         assert peak <= out.nbytes + slice_cells * (8 + 1) + 64 * 1024
 
 
+class TestTypicalCandidates:
+    @staticmethod
+    def codeword(rng, own, counts):
+        """A codeword whose letter counts in own cell o are counts[o]."""
+        row = np.zeros(len(own), dtype=np.uint8)
+        for o, t in enumerate(counts):
+            at = np.flatnonzero(own == o)
+            row[at] = rng.permutation(np.repeat(np.arange(len(t)), t))
+        return row
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, simulate.MAX_N])
+    def test_counts_on_and_one_past_each_bound(self, n):
+        # three letters over own cells 0 and 1 (cell 2 never occurs); the
+        # in-bound rows hold the base counts c, which sit on lo = c under
+        # the first bounds and on hi = c under the second; every other row
+        # moves one letter of one cell, one count past lo or past hi
+        rng = np.random.default_rng(n)
+        n_own = np.array([n - n // 3, n // 3, 0])
+        own = rng.permutation(np.repeat(np.arange(3), n_own))
+        c = np.array([np.bincount(np.arange(k) % 3, minlength=3) for k in n_own])
+        moved = []
+        for o, a, b in np.ndindex(2, 3, 3):
+            if a != b and c[o, a] > 0:
+                t = c.copy()
+                t[o, a] -= 1
+                t[o, b] += 1
+                moved.append(t)
+        tables = [c] * 4 + moved
+        order = rng.permutation(len(tables))
+        book = np.stack([self.codeword(rng, own, tables[i]) for i in order])
+        expected = np.flatnonzero(order < 4)
+        for bounds in ((c, np.repeat(n_own[:, None], 3, axis=1)), (np.zeros_like(c), c)):
+            got = simulate._typical_candidates(own, book, bounds)
+            assert got.dtype == np.intp
+            assert got.tolist() == expected.tolist()
+
+
 class TestEncode:
     def test_planted_codeword_always_selected(self, pipes_identity):
         ch, src, d, cfg = pipes_identity

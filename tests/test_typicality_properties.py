@@ -48,8 +48,8 @@ def search_instances(draw):
     cells, own cells that do not occur, and exactly typical codewords.
     """
     own_cells = draw(st.integers(1, 8))
-    letters = draw(st.integers(2, 3))
-    n = draw(st.integers(1, 64))
+    letters = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 200))
     m = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     shape = (own_cells, letters)
