@@ -286,6 +286,10 @@ def execute(spec: RunSpec) -> int:
 
     if cmd == "simulate":
         if opt.get("preset") == "bmc-example2":
+            model = [f"--{k}" for k in ("config", "channel", "source") if opt.get(k)]
+            model += [f"--{k}" for k in ("dist1", "dist2") if opt[k] != "hamming"]
+            if model:
+                raise ValueError(f"--preset fixes the model; it takes no {', '.join(model)}")
             ch = ser.resolve_channel("bmc")
             src = ser.resolve_source("example2")
             d1, d2 = hamming(src.s1), hamming(src.s2)

@@ -17,7 +17,7 @@ from math import comb, isfinite
 import numpy as np
 
 from .coded_channel import Configuration, _check_table
-from .markov import MarkovSystem, build_chain, pair_marginal, stationary_prev_law
+from .markov import MarkovSystem, build_chain, decoder_marginals, stationary_prev_law
 from .models import (
     DistortionMeasure,
     JointSource,
@@ -250,31 +250,23 @@ def eval_adaptive(
 
 def _adaptive_report(sys: MarkovSystem, tol: float = DEFAULT_TOL,
                      simplify: bool = False) -> ConditionReport:
-    """eval_adaptive on a built system, reading its stationary vector."""
-    pi = sys.pi
+    """eval_adaptive on a built system, by one rule on each view law M_j of
+    `decoder_marginals`: raw, I(M[0]; M[1]) against I(M[1]; M[2:]), the
+    other terminal's view, whose input x adds nothing, being f of the rest;
+    simplified, both conditioned on that terminal's (prev_s, prev_u) =
+    (M[4], M[5]), and the right side keeping only its output y = M[7]."""
     if sys.residual > PREV_LAW_TOL:
         raise ValueError(
             f"configuration's previous-block law is not stationary (residual {sys.residual:.3e})"
         )
-    if not simplify:
-        m = pair_marginal(sys, pi, (4, 6))
-        lhs1 = mutual_information(m, (0,), (1,))
-        m = pair_marginal(sys, pi, (6, 1, 3, 5, 7, 9, 11, 13))
-        rhs1 = mutual_information(m, (0,), (1, 2, 3, 4, 5, 6, 7))
-        m = pair_marginal(sys, pi, (5, 7))
-        lhs2 = mutual_information(m, (0,), (1,))
-        m = pair_marginal(sys, pi, (7, 0, 2, 4, 6, 8, 10, 12))
-        rhs2 = mutual_information(m, (0,), (1, 2, 3, 4, 5, 6, 7))
-    else:
-        m = pair_marginal(sys, pi, (4, 6, 5, 7))
-        lhs1 = conditional_mutual_information(m, (0,), (1,), (2, 3))
-        m = pair_marginal(sys, pi, (6, 13, 5, 7))
-        rhs1 = conditional_mutual_information(m, (0,), (1,), (2, 3))
-        m = pair_marginal(sys, pi, (5, 7, 4, 6))
-        lhs2 = conditional_mutual_information(m, (0,), (1,), (2, 3))
-        m = pair_marginal(sys, pi, (7, 12, 4, 6))
-        rhs2 = conditional_mutual_information(m, (0,), (1,), (2, 3))
-    return ConditionReport.from_values(lhs1, rhs1, lhs2, rhs2, tol)
+    sides = []
+    for m in decoder_marginals(sys):
+        if simplify:
+            sides += [conditional_mutual_information(m, (0,), (1,), (4, 5)),
+                      conditional_mutual_information(m, (1,), (7,), (4, 5))]
+        else:
+            sides += [mutual_information(m, (0,), (1,)), mutual_information(m, (1,), tuple(range(2, 8)))]
+    return ConditionReport.from_values(*sides, tol)
 
 
 # ---------------------------------------------------------------------------

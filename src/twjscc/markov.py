@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -148,6 +149,11 @@ class MarkovSystem:
     def z_axes(self) -> tuple[Alphabet, ...]:
         c = self.cfg
         return (c.s1, c.s2, c.u1, c.u2) + c.prev_axes + (c.x1, c.x2, c.y1, c.y2)
+
+    @cached_property
+    def _views(self) -> tuple[JointPmf, JointPmf]:  # see decoder_marginals
+        return (pair_marginal(self, self.pi, (4, 6, 1, 3, 5, 7, 9, 13)),
+                pair_marginal(self, self.pi, (5, 7, 0, 2, 4, 6, 8, 12)))
 
 
 def build_chain(cfg: Configuration, ch: TwoWayChannel, src: JointSource) -> MarkovSystem:
@@ -317,17 +323,13 @@ def _residual(kernel, pi: np.ndarray) -> float:
     return float(np.abs(kernel.push(pi) - pi).sum())
 
 
-# Z-axis index groups of the decoder marginals.
-_RECON_KEEP_1 = (4, 6, 1, 3, 5, 7, 9, 13)  # prev_s1, prev_u1, then g2's arguments
-_RECON_KEEP_2 = (5, 7, 0, 2, 4, 6, 8, 12)  # prev_s2, prev_u2, then g1's arguments
-
-
-def decoder_marginals(sys: MarkovSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The laws the g-maps are scored against: (prev_s1, prev_u1, then g2's
-    arguments) and (prev_s2, prev_u2, then g1's arguments), under the
-    system's vector."""
-    return (pair_marginal(sys, sys.pi, _RECON_KEEP_1).probs,
-            pair_marginal(sys, sys.pi, _RECON_KEEP_2).probs)
+def decoder_marginals(sys: MarkovSystem) -> tuple[JointPmf, JointPmf]:
+    """The view laws (M_1, M_2) that the decoders, the rate conditions and
+    the simulator read, formed once per system.  M_1 = (prev_s1, prev_u1,
+    s2, u2, prev_s2, prev_u2, prev_io2, y2) is the source terminal 2
+    rebuilds, then g2's arguments; M_2 mirrors it.  Terminal j's input x_j
+    is left out, being f_j of the other letters of its view."""
+    return sys._views
 
 
 def reconstruction_distortions(sys: MarkovSystem, d1: DistortionMeasure,
@@ -339,8 +341,8 @@ def reconstruction_distortions(sys: MarkovSystem, d1: DistortionMeasure,
     the true previous codeword of terminal 1), and symmetrically; the
     distortion for source j is measured against the previous-block source.
     """
-    marg1, marg2 = decoder_marginals(sys)
-    return decoder_distortion(marg1, sys.cfg.g2, d1), decoder_distortion(marg2, sys.cfg.g1, d2)
+    m1, m2 = decoder_marginals(sys)
+    return decoder_distortion(m1.probs, sys.cfg.g2, d1), decoder_distortion(m2.probs, sys.cfg.g1, d2)
 
 
 @dataclass(frozen=True)

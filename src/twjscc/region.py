@@ -71,8 +71,8 @@ def uncoded_configuration(ch: TwoWayChannel, src: JointSource,
         recon1=d1.recon_alphabet, recon2=d2.recon_alphabet,
     )
     sys = build_chain(cfg, ch, src)
-    marg1, marg2 = decoder_marginals(sys)
-    return dataclasses.replace(sys.cfg, g1=bayes_decoder(marg2, d2), g2=bayes_decoder(marg1, d1))
+    m1, m2 = decoder_marginals(sys)
+    return dataclasses.replace(sys.cfg, g1=bayes_decoder(m2.probs, d2), g2=bayes_decoder(m1.probs, d1))
 
 
 def constant_codeword_hybrid_configuration(ch: TwoWayChannel, src: JointSource,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coded_channel import Configuration, fresh_law, io_index
-from .markov import build_chain, pair_marginal
+from .markov import build_chain, decoder_marginals
 from .markov import pair_law  # noqa: F401  unused; bench/test_bench.py deletes simulate.pair_law
 from .models import DistortionMeasure, JointSource, TwoWayChannel
 from .probability import typical_count_bounds
@@ -234,7 +234,10 @@ class SimContext:
 
     Typicality references are held as (own cell, codeword letter) tables
     under ("enc", j) and ("dec", j); `count_bounds` turns them into integer
-    count bounds once per (n, eps).  The full-state law is never formed:
+    count bounds once per (n, eps).  The decoder reference at terminal j is
+    the other terminal's view law (`decoder_marginals`) summed over its
+    source, codeword axis last, on own cells (s, u, prev_s, prev_u, prev_io,
+    y) of shape `own_shape[j]`.  The full-state law is never formed:
     `full_state_typical` reads the visited cells off `pi`, `psu` and the
     channel law, and `support` counts the law's positive cells.
     """
@@ -250,9 +253,7 @@ class SimContext:
 
         psu = fresh_law(cfg, src)
         self.psu = psu.reshape(-1)
-        # decoder reference: own 7-tuple first, candidate codeword axis last
-        dec_keep = {1: (0, 2, 4, 6, 8, 10, 12, 7), 2: (1, 3, 5, 7, 9, 11, 13, 6)}
-        dec = {j: pair_marginal(sys, self.pi, keep).probs for j, keep in dec_keep.items()}
+        dec = {j: np.moveaxis(m.probs.sum(axis=0), 0, -1) for j, m in zip((2, 1), decoder_marginals(sys))}
         self.own_shape = {j: m.shape[:-1] for j, m in dec.items()}
         self.refs = {
             ("enc", 1): psu.sum(axis=(1, 3)),
@@ -322,25 +323,22 @@ def encode_block(ctx: SimContext, j: int, s_block: np.ndarray, prev: tuple,
     return mj, u, x, len(cand) > 0
 
 
-def decode_block(ctx: SimContext, j: int, own: dict, codebook_prev: np.ndarray,
+def decode_block(ctx: SimContext, j: int, own: tuple, codebook_prev: np.ndarray,
                  params: SimParams, rng: np.random.Generator):
     """Decode the other terminal's previous-block index at terminal j.
 
-    own carries this terminal's current-block sequences under keys
-    s, u, ps, pu, pio, x, y.  Returns (index, reconstruction,
-    candidate_indices); with no typical candidate the index is uniform.
+    own is terminal j's view, g_j's arguments after the codeword: the
+    current-block (s, u, prev_s, prev_u, prev_io, y) sequences.  Returns
+    (index, reconstruction, candidates); with no candidate it is uniform.
     """
     cfg = ctx.cfg
-    own_flat = np.ravel_multi_index(
-        (own["s"], own["u"], own["ps"], own["pu"], own["pio"], own["x"], own["y"]),
-        ctx.own_shape[j],
-    )
+    own_flat = np.ravel_multi_index(own, ctx.own_shape[j])
     m, n = codebook_prev.shape
     cand = _typical_candidates(own_flat, codebook_prev,
                                ctx.count_bounds(("dec", j), n, params.eps))
     m_hat = _pick(rng, cand, m)
     g = cfg.g1 if j == 1 else cfg.g2
-    recon = g[codebook_prev[m_hat], own["s"], own["u"], own["ps"], own["pu"], own["pio"], own["y"]]
+    recon = g[(codebook_prev[m_hat], *own)]
     return m_hat, recon, cand
 
 
@@ -398,10 +396,7 @@ def run_simulation(
             f3 += not block_typical
 
             if b >= 2:
-                own1 = {"s": s1, "u": u1, "ps": prev1[0], "pu": prev1[1], "pio": prev1[2],
-                        "x": x1, "y": y1}
-                own2 = {"s": s2, "u": u2, "ps": prev2[0], "pu": prev2[1], "pio": prev2[2],
-                        "x": x2, "y": y2}
+                own1, own2 = (s1, u1, *prev1, y1), (s2, u2, *prev2, y2)
                 for j, own, other in ((1, own1, 2), (2, own2, 1)):
                     book = (books.u2 if other == 2 else books.u1)[b - 2]
                     m_hat, recon, cand = decode_block(ctx, j, own, book, params, rng)
@@ -414,8 +409,7 @@ def run_simulation(
                         claim_app += 1
                         claim_bad += m_hat != truth
                         g = cfg.g1 if j == 1 else cfg.g2
-                        genie = g[book[truth], own["s"], own["u"], own["ps"], own["pu"],
-                                  own["pio"], own["y"]]
+                        genie = g[(book[truth], *own)]
                         unexplained += bool(np.any(recon != genie))
                     d = d1 if other == 1 else d2
                     dist_sum[b - 2, other - 1] += d.table[s_hist[other][b - 1], recon].mean()

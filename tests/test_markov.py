@@ -430,6 +430,75 @@ class TestReconstruction:
         assert dist[1] == pytest.approx(2 / 3, abs=1e-12)
 
 
+@pytest.fixture
+def marginal_calls(monkeypatch):
+    """Kept axes of each pair_marginal call made through markov, conditions
+    or simulate, wherever those modules bind the name."""
+    from twjscc import conditions, simulate
+
+    calls = []
+    real = markov.pair_marginal
+
+    def counted(sys, pi, keep):
+        calls.append(keep)
+        return real(sys, pi, keep)
+
+    for mod in (markov, conditions, simulate):
+        if hasattr(mod, "pair_marginal"):
+            monkeypatch.setattr(mod, "pair_marginal", counted)
+    return calls
+
+
+class TestDecoderMarginals:
+    """Every layer reads the same two view laws, formed once per system."""
+
+    def test_formed_once_per_system(self, bmc_setup, marginal_calls):
+        ch, src, d = bmc_setup
+        sys = build_chain(uncoded_configuration(ch, src, d, d), ch, src)
+        marginal_calls.clear()
+        first = markov.decoder_marginals(sys)
+        assert markov.decoder_marginals(sys) is first
+        reconstruction_distortions(sys, d, d)
+        assert len(marginal_calls) == 2
+
+    @pytest.mark.parametrize("simplify", [False, True])
+    def test_eval_adaptive(self, bmc_setup, marginal_calls, simplify):
+        from twjscc.conditions import eval_adaptive
+
+        ch, src, d = bmc_setup
+        cfg = uncoded_configuration(ch, src, d, d)
+        marginal_calls.clear()
+        eval_adaptive(cfg, ch, src, simplify=simplify)
+        assert len(marginal_calls) == 2
+
+    def test_evaluate_shares_the_pair_between_distortions_and_report(self, bmc_setup,
+                                                                      marginal_calls):
+        from twjscc.region import _evaluate
+
+        ch, src, d = bmc_setup
+        cfg = uncoded_configuration(ch, src, d, d)
+        marginal_calls.clear()
+        assert not isinstance(_evaluate(cfg, ch, src, d, d), str)  # neither dominated nor failed
+        assert len(marginal_calls) == 2
+
+    def test_search_region(self, bmc_setup, marginal_calls):
+        from twjscc.region import search_region
+
+        ch, src, d = bmc_setup
+        search_region(ch, src, d, d, budget=100, seed=1)
+        # the uncoded build's Bayes decoders, then its evaluation
+        assert len(marginal_calls) == 4
+
+    def test_sim_context(self, bmc_setup, marginal_calls):
+        from twjscc.simulate import SimContext
+
+        ch, src, d = bmc_setup
+        cfg = uncoded_configuration(ch, src, d, d)
+        marginal_calls.clear()
+        SimContext(cfg, ch, src)
+        assert len(marginal_calls) == 2
+
+
 class TestFeasibility:
     def test_perfect_configuration_feasible_at_zero(self, bmc_setup):
         ch, src, d = bmc_setup

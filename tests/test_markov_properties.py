@@ -4,11 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import twjscc as tw
 from twjscc.coded_channel import fresh_law, io_index
-from twjscc.conditions import lift_hybrid
+from twjscc.conditions import _UNIT_SOURCE, _adaptive_report, embed_adaptive_scheme, lift_hybrid
 from twjscc.markov import (
     RESIDUAL_TOL,
     FactoredKernel,
@@ -17,7 +17,14 @@ from twjscc.markov import (
     pair_marginal,
     solve_stationary,
 )
-from twjscc.probability import Alphabet, ConditionalPmf, JointPmf, marginalize
+from twjscc.probability import (
+    Alphabet,
+    ConditionalPmf,
+    JointPmf,
+    conditional_mutual_information,
+    marginalize,
+    mutual_information,
+)
 
 from util import (
     all_rows_image,
@@ -26,6 +33,7 @@ from util import (
     bsc_codeword_scheme,
     dense_kernel,
     dense_pair_law,
+    random_adaptive_scheme,
     random_binary_channel,
     random_configuration,
     random_joint_source,
@@ -71,6 +79,16 @@ def io_memory_models(draw):
     f1, f2 = (np.ascontiguousarray(np.broadcast_to(rng.integers(2, size=4), f.shape))
               for f in (cfg.f1, cfg.f2))
     return dataclasses.replace(cfg, f1=f1, f2=f2), ch, src, rng
+
+
+@st.composite
+def adaptive_scheme_models(draw):
+    """Channel-only schemes embedded on the unit source."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ch = random_binary_channel(rng)
+    if draw(st.booleans()):
+        ch = with_zeros(rng, ch)
+    return embed_adaptive_scheme(random_adaptive_scheme(rng, ch)), ch, _UNIT_SOURCE, rng
 
 
 def kernel_of(cfg, ch, src):
@@ -306,3 +324,36 @@ def test_solved_residual_is_that_of_the_returned_vector(case):
     else:
         assert res == _residual(kernel, pi) <= RESIDUAL_TOL
         assert pi.min() >= 0.0 and abs(pi.sum() - 1.0) <= 1e-12
+
+
+# Per-quantity Z-axis keeps of the adaptive report: (lhs, rhs) for each
+# terminal, raw and simplified.  The raw right sides keep the other
+# terminal's input x as well.
+RAW_REPORT_KEEPS = (((4, 6), (6, 1, 3, 5, 7, 9, 11, 13)), ((5, 7), (7, 0, 2, 4, 6, 8, 10, 12)))
+SIMPLIFIED_REPORT_KEEPS = (((4, 6, 5, 7), (6, 13, 5, 7)), ((5, 7, 4, 6), (7, 12, 4, 6)))
+
+
+def per_quantity_report(sys, simplify):
+    """(lhs1, rhs1, lhs2, rhs2), each side from its own pair marginal."""
+    sides = []
+    for lhs, rhs in SIMPLIFIED_REPORT_KEEPS if simplify else RAW_REPORT_KEEPS:
+        ml, mr = pair_marginal(sys, sys.pi, lhs), pair_marginal(sys, sys.pi, rhs)
+        if simplify:
+            sides += [conditional_mutual_information(m, (0,), (1,), (2, 3)) for m in (ml, mr)]
+        else:
+            sides += [mutual_information(ml, (0,), (1,)), mutual_information(mr, (0,), tuple(range(1, 8)))]
+    return sides
+
+
+@settings(deadline=None)
+@given(st.one_of(models(), io_memory_models(), adaptive_scheme_models()))
+def test_adaptive_report_matches_per_quantity_marginals(case):
+    cfg, ch, src, _ = case
+    try:
+        sys = build_chain(cfg, ch, src)
+    except ValueError:  # no unique stationary law
+        assume(False)
+    for simplify in (False, True):
+        rep = _adaptive_report(sys, simplify=simplify)
+        got = (rep.lhs1, rep.rhs1, rep.lhs2, rep.rhs2)
+        assert np.abs(np.subtract(got, per_quantity_report(sys, simplify))).max() <= 1e-12

@@ -238,6 +238,22 @@ class TestExecute:
         header = open(csv).read().splitlines()[0]
         assert header == "n,B,eps,eps1,R1,R2,d1_hat,d2_hat,err_cover,err_typ,err_confuse,trials"
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--channel", "dueck"], "--channel"),
+        (["--source", "bernoulli:0.3"], "--source"),
+        (["--config", "nosuchfile.json"], "--config"),
+        (["--dist1", "nosuchfile.json"], "--dist1"),
+        (["--dist2", "nosuchfile.json"], "--dist2"),
+        (["--channel", "dueck", "--source", "bernoulli:0.3"], "--channel, --source"),
+    ])
+    def test_simulate_preset_refuses_model_flags(self, flags, named, capsys):
+        code = main(["simulate", "--preset", "bmc-example2", "--n", "16", "--B", "2",
+                     "--trials", "1"] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert named in captured.err
+        assert captured.out == ""
+
     def test_search_region_csv_and_certificates(self, tmp_path, capsys):
         csv = str(tmp_path / "region.csv")
         certs = str(tmp_path / "certs")

@@ -313,10 +313,7 @@ class TestDecode:
             pu2 = ps2.copy()
             pio2 = rng.integers(0, 2, n) * 2 + rng.integers(0, 2, n)
             s2 = rng.integers(0, 2, n)
-            own = {
-                "s": s2, "u": s2.copy(), "ps": ps2, "pu": pu2, "pio": pio2,
-                "x": pu2.copy(), "y": pu1.copy(),
-            }
+            own = (s2, s2.copy(), ps2, pu2, pio2, pu1.copy())
             book = rng.integers(0, 2, size=(m, n))
             truth = int(rng.integers(m))
             book[truth] = pu1
@@ -337,12 +334,8 @@ class TestDecode:
         rng = np.random.default_rng(0)
         n = 16
         book = np.zeros((1, n), dtype=int)
-        own = {
-            "s": rng.integers(0, 2, n), "u": np.zeros(n, dtype=int),
-            "ps": rng.integers(0, 2, n), "pu": np.zeros(n, dtype=int),
-            "pio": rng.integers(0, 4, n), "x": rng.integers(0, 2, n),
-            "y": rng.integers(0, 2, n),
-        }
+        own = (rng.integers(0, 2, n), np.zeros(n, dtype=int), rng.integers(0, 2, n),
+               np.zeros(n, dtype=int), rng.integers(0, 4, n), rng.integers(0, 2, n))
         m_hat, recon, cand = decode_block(ctx, 2, own, book, params, rng)
         assert m_hat == 0
 
