@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .probability import typical_count_bounds
 
 MAX_CODEBOOK = 2 ** 16  # largest codebook a simulation may draw
 MAX_N = 1024  # longest block length
+DRAW_CHUNK = 2 ** 15  # letters per fill of _letter_sample's uniform buffer
 
 
 def codebook_size(n: int, rate: float) -> int:
@@ -46,6 +48,10 @@ class SimParams:
     trials: int = 1
 
     def __post_init__(self):
+        for name in ("n", "blocks", "trials", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         for name in ("eps", "eps1", "rate1", "rate2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} {getattr(self, name)} is not finite")
@@ -131,21 +137,23 @@ def _letter_sample(rng: np.random.Generator, cdf: np.ndarray, shape: tuple) -> n
     """Letters drawn from a short CDF in the smallest unsigned dtype.
 
     Each letter counts the CDF entries at or below its uniform draw, which
-    is the index `_cdf_sample` returns for the same draw.  The draws are
-    made one leading-axis slice at a time into one reused buffer of
-    doubles (the same stream as one draw of the whole shape), and the
-    counts are written straight into the slice, so nothing is allocated
-    per slice.  With one letter `cdf[0]` is the pinned 1.0 and every count
-    is 0.
+    is the index `_cdf_sample` returns for the same draw.  The flat output
+    is filled DRAW_CHUNK letters at a time from one reused buffer of doubles
+    (the same stream as one draw of the whole shape), and the counts are
+    written straight into the output, so beyond it only the buffer and its
+    bool twin are allocated.  With one letter `cdf[0]` is the pinned 1.0
+    and every count is 0.
     """
     out = np.empty(shape, dtype=np.min_scalar_type(len(cdf) - 1))
-    r = np.empty(shape[1:])
-    hit = np.empty(shape[1:], dtype=bool)
-    for part in out:
-        rng.random(out=r)
-        np.greater_equal(r, cdf[0], out=part, casting="unsafe")
+    r = np.empty(min(DRAW_CHUNK, out.size))
+    hit = np.empty(len(r), dtype=bool)
+    for start in range(0, out.size, DRAW_CHUNK):
+        part = out.reshape(-1)[start:start + DRAW_CHUNK]
+        u = r[:len(part)]
+        rng.random(out=u)
+        np.greater_equal(u, cdf[0], out=part, casting="unsafe")
         for c in cdf[1:-1]:
-            part += np.greater_equal(r, c, out=hit)
+            part += np.greater_equal(u, c, out=hit[:len(part)])
     return out
 
 
@@ -342,6 +350,57 @@ def decode_block(ctx: SimContext, j: int, own: tuple, codebook_prev: np.ndarray,
     return m_hat, recon, cand
 
 
+def _run_trial(ctx: SimContext, dists: dict, params: SimParams, rng: np.random.Generator,
+               dist_sum: np.ndarray, tally: Counter) -> None:
+    """Run one trial's B+1 blocks, adding its per-block distortions (terminal
+    j's source under `dists[j]`) to `dist_sum` and its event counts to
+    `tally`.  The trial's codebooks and every view into them die on return."""
+    cfg, ch, blocks = ctx.cfg, ctx.ch, params.blocks
+    books = generate_codebooks(cfg, ctx.src, params, rng)
+    prev1, prev2 = books.init_prev[0::2], books.init_prev[1::2]  # each (s, u, io)
+    prev_state = np.ravel_multi_index(books.init_prev, ctx.state_shape)
+    sent = [None]  # sent[b] = (m1, m2), the indices encoded in block b
+
+    for b in range(1, blocks + 2):
+        if b <= blocks:
+            s1, s2 = ctx.sample_source(rng, params.n)
+            m1, u1, x1, cov1 = encode_block(ctx, 1, s1, prev1, books.u1[b - 1], params, rng)
+            m2, u2, x2, cov2 = encode_block(ctx, 2, s2, prev2, books.u2[b - 1], params, rng)
+            tally["cover1"] += not cov1
+            tally["cover2"] += not cov2
+            sent.append((m1, m2))
+        else:
+            s1, s2, u1, u2 = (np.asarray(a) for a in books.termination)
+            x1 = cfg.f1[s1, u1, prev1[0], prev1[1], prev1[2]]
+            x2 = cfg.f2[s2, u2, prev2[0], prev2[1], prev2[2]]
+        y1, y2 = ctx.sample_channel(rng, x1, x2)
+        io1, io2 = io_index(x1, y1, ch.y1.size), io_index(x2, y2, ch.y2.size)
+        state = np.ravel_multi_index((s1, s2, u1, u2, io1, io2), ctx.state_shape)
+        block_typical = ctx.full_state_typical(prev_state * ctx.pi.size + state, params.eps)
+        tally["typicality"] += not block_typical
+
+        if b >= 2:
+            own1, own2 = (s1, u1, *prev1, y1), (s2, u2, *prev2, y2)
+            # the other terminal's previous-block source is its prev[0]
+            for j, own, other, s_other in ((1, own1, 2, prev2[0]), (2, own2, 1, prev1[0])):
+                book = (books.u2 if other == 2 else books.u1)[b - 2]
+                m_hat, recon, cand = decode_block(ctx, j, own, book, params, rng)
+                truth = sent[b - 1][other - 1]
+                wrong_typical = bool(np.any(cand != truth))
+                tally[f"confusion{other}"] += wrong_typical
+                tally["decodes"] += 1
+                tally["correct"] += m_hat == truth
+                if block_typical and not wrong_typical:
+                    tally["claim_app"] += 1
+                    tally["claim_bad"] += m_hat != truth
+                    g = cfg.g1 if j == 1 else cfg.g2
+                    genie = g[(book[truth], *own)]
+                    tally["unexplained"] += bool(np.any(recon != genie))
+                dist_sum[b - 2, other - 1] += dists[other].table[s_other, recon].mean()
+
+        prev1, prev2, prev_state = (s1, u1, io1), (s2, u2, io2), state
+
+
 def run_simulation(
     cfg: Configuration,
     ch: TwoWayChannel,
@@ -350,86 +409,30 @@ def run_simulation(
     d2: DistortionMeasure,
     params: SimParams,
 ) -> SimReport:
-    """Simulate the full B+1-block scheme over independent seeded trials."""
+    """Simulate the full B+1-block scheme over independent seeded trials.
+
+    Each trial runs in `_run_trial` on its own generator, so only one
+    trial's codebooks are alive at a time."""
     t0 = time.perf_counter()
     ctx = SimContext(cfg, ch, src)
-    n, blocks = params.n, params.blocks
-
-    children = np.random.SeedSequence(params.seed).spawn(params.trials)
-
+    blocks = params.blocks
     dist_sum = np.zeros((blocks, 2))
-    cover = [0, 0]
-    f3 = 0
-    confusion = [0, 0]
-    correct = 0
-    total_decodes = 0
-    claim_app = 0
-    claim_bad = 0
-    unexplained = 0
-
-    for child in children:
-        rng = np.random.default_rng(child)
-        books = generate_codebooks(cfg, src, params, rng)
-        ps1, ps2, pu1, pu2, pio1, pio2 = (np.asarray(a) for a in books.init_prev)
-        prev1, prev2 = (ps1, pu1, pio1), (ps2, pu2, pio2)
-        prev_state = np.ravel_multi_index(books.init_prev, ctx.state_shape)
-        true_m = {1: [None] * (blocks + 2), 2: [None] * (blocks + 2)}
-        s_hist = {1: [None] * (blocks + 2), 2: [None] * (blocks + 2)}
-
-        for b in range(1, blocks + 2):
-            if b <= blocks:
-                s1, s2 = ctx.sample_source(rng, n)
-                m1, u1, x1, cov1 = encode_block(ctx, 1, s1, prev1, books.u1[b - 1], params, rng)
-                m2, u2, x2, cov2 = encode_block(ctx, 2, s2, prev2, books.u2[b - 1], params, rng)
-                cover[0] += not cov1
-                cover[1] += not cov2
-                true_m[1][b] = m1
-                true_m[2][b] = m2
-            else:
-                s1, s2, u1, u2 = (np.asarray(a) for a in books.termination)
-                x1 = cfg.f1[s1, u1, prev1[0], prev1[1], prev1[2]]
-                x2 = cfg.f2[s2, u2, prev2[0], prev2[1], prev2[2]]
-            y1, y2 = ctx.sample_channel(rng, x1, x2)
-            io1, io2 = io_index(x1, y1, ch.y1.size), io_index(x2, y2, ch.y2.size)
-            state = np.ravel_multi_index((s1, s2, u1, u2, io1, io2), ctx.state_shape)
-            block_typical = ctx.full_state_typical(prev_state * ctx.pi.size + state, params.eps)
-            f3 += not block_typical
-
-            if b >= 2:
-                own1, own2 = (s1, u1, *prev1, y1), (s2, u2, *prev2, y2)
-                for j, own, other in ((1, own1, 2), (2, own2, 1)):
-                    book = (books.u2 if other == 2 else books.u1)[b - 2]
-                    m_hat, recon, cand = decode_block(ctx, j, own, book, params, rng)
-                    truth = true_m[other][b - 1]
-                    wrong_typical = bool(np.any(cand != truth))
-                    confusion[other - 1] += wrong_typical
-                    total_decodes += 1
-                    correct += m_hat == truth
-                    if block_typical and not wrong_typical:
-                        claim_app += 1
-                        claim_bad += m_hat != truth
-                        g = cfg.g1 if j == 1 else cfg.g2
-                        genie = g[(book[truth], *own)]
-                        unexplained += bool(np.any(recon != genie))
-                    d = d1 if other == 1 else d2
-                    dist_sum[b - 2, other - 1] += d.table[s_hist[other][b - 1], recon].mean()
-
-            s_hist[1][b] = s1
-            s_hist[2][b] = s2
-            prev1, prev2, prev_state = (s1, u1, io1), (s2, u2, io2), state
+    tally = Counter()
+    for child in np.random.SeedSequence(params.seed).spawn(params.trials):
+        _run_trial(ctx, {1: d1, 2: d2}, params, np.random.default_rng(child), dist_sum, tally)
 
     per_block = dist_sum / params.trials
     return SimReport(
         distortion1=float(per_block[:, 0].mean()),
         distortion2=float(per_block[:, 1].mean()),
         per_block=tuple((float(a), float(b)) for a, b in per_block),
-        err_cover=(cover[0], cover[1]),
-        err_typicality=f3,
-        err_confusion=(confusion[0], confusion[1]),
-        decode_accuracy=correct / total_decodes if total_decodes else 1.0,
-        claim_applicable=claim_app,
-        claim_violations=claim_bad,
-        unexplained_mismatch=unexplained,
+        err_cover=(tally["cover1"], tally["cover2"]),
+        err_typicality=tally["typicality"],
+        err_confusion=(tally["confusion1"], tally["confusion2"]),
+        decode_accuracy=tally["correct"] / tally["decodes"] if tally["decodes"] else 1.0,
+        claim_applicable=tally["claim_app"],
+        claim_violations=tally["claim_bad"],
+        unexplained_mismatch=tally["unexplained"],
         trials=params.trials,
         jscc_rate=blocks / (blocks + 1),
         stationary_residual=ctx.residual,

@@ -58,6 +58,16 @@ class TestParams:
         with pytest.raises(ValueError):
             SimParams(n=64, blocks=1, eps=0.2, eps1=0.1, rate1=1.0, rate2=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 16.0), ("n", True), ("blocks", 2.0), ("blocks", True),
+        ("trials", 2.0), ("trials", True), ("seed", 1.5), ("seed", True),
+    ])
+    def test_integer_fields_must_be_int(self, field, value):
+        kwargs = dict(n=16, blocks=2, eps=0.3, eps1=0.1, rate1=0.0, rate2=0.0, seed=0, trials=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            SimParams(**kwargs)
+
     def test_block_length_cap(self):
         with pytest.raises(ValueError):
             SimParams(n=5000, blocks=1, eps=0.2, eps1=0.1, rate1=0.0, rate2=0.0)
@@ -122,6 +132,25 @@ class _ZeroDraw:
         return out
 
 
+DRAW_LAWS = [
+    [1.0],
+    [0.3, 0.7],
+    [0.2, 0.5, 0.3],
+    [0.4, 0.0, 0.6],  # a letter of probability 0
+    [1 / 14] * 14,  # sums end below 1
+]
+
+
+def slice_formula(rng, cdf, shape):
+    """The letters of `_letter_sample`, drawn one leading-axis slice at a
+    time and counted by a sum of comparisons."""
+    want = []
+    for _ in range(shape[0]):
+        r = rng.random(shape[1:])
+        want.append(sum((r >= c for c in cdf[:-1]), np.zeros(shape[1:], dtype=int)))
+    return np.stack(want)
+
+
 class TestSampling:
     def test_top_draw_stays_in_alphabet(self):
         # uniform laws on 14 cells: the cumulative sums end at
@@ -170,24 +199,26 @@ class TestSampling:
         books = generate_codebooks(cfg1, src1, params, zero)
         assert np.all(books.u1 == 1) and np.all(books.u2 == 0)
 
-    @pytest.mark.parametrize("probs", [
-        [1.0],
-        [0.3, 0.7],
-        [0.2, 0.5, 0.3],
-        [0.4, 0.0, 0.6],  # a letter of probability 0
-        [1 / 14] * 14,  # sums end below 1
-    ])
+    @pytest.mark.parametrize("probs", DRAW_LAWS)
     def test_in_place_draw_matches_slice_formula(self, probs):
         cdf = simulate._cdf(np.array(probs))
         shape = (3, 17, 11)
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
         got = simulate._letter_sample(rng, cdf, shape)
-        want = []
-        for _ in range(shape[0]):
-            r = ref.random(shape[1:])
-            want.append(sum((r >= c for c in cdf[:-1]), np.zeros(shape[1:], dtype=int)))
         assert got.dtype == np.min_scalar_type(len(cdf) - 1)
-        assert np.array_equal(got, np.stack(want))
+        assert np.array_equal(got, slice_formula(ref, cdf, shape))
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("chunk", [1000, 10 ** 6])  # ends mid-row; more than the output
+    @pytest.mark.parametrize("probs", DRAW_LAWS)
+    def test_draw_does_not_depend_on_the_buffer_size(self, monkeypatch, chunk, probs):
+        monkeypatch.setattr(simulate, "DRAW_CHUNK", chunk)
+        cdf = simulate._cdf(np.array(probs))
+        shape = (2, 3001, 17)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        got = simulate._letter_sample(rng, cdf, shape)
+        assert got.dtype == np.min_scalar_type(len(cdf) - 1)
+        assert np.array_equal(got, slice_formula(ref, cdf, shape))
         assert rng.random() == ref.random()
 
     def test_in_place_draw_allocates_one_slice(self):
@@ -201,8 +232,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        slice_cells = shape[1] * shape[2]
-        assert peak <= out.nbytes + slice_cells * (8 + 1) + 64 * 1024
+        assert peak <= out.nbytes + simulate.DRAW_CHUNK * (8 + 1) + 64 * 1024
 
 
 class TestTypicalCandidates:
@@ -418,6 +448,25 @@ class TestRunSimulation:
         rep = run_simulation(cfg, ch, _UNIT_SOURCE, d, d, params)
         assert rep.decode_accuracy >= 0.25
         assert rep.claim_violations == 0
+
+    def test_peak_memory_is_one_trials_codebooks(self):
+        ch = tw.preset_crossed_bitpipes()
+        src = tw.preset_independent_bernoulli(0.5, 0.5)
+        d = tw.hamming(src.s1)
+        cfg = lift_hybrid(bsc_codeword_scheme(ch, src, 0.45, d, d), ch, src)
+        params = SimParams(n=256, blocks=3, eps=0.3, eps1=0.15, rate1=0.04, rate2=0.04,
+                           seed=5, trials=2)
+        # a first run makes the imports a simulation triggers, which are not its memory
+        run_simulation(cfg, ch, src, d, d, dataclasses.replace(params, trials=1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_simulation(cfg, ch, src, d, d, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        books = 2 * params.blocks * codebook_size(params.n, params.rate1) * params.n
+        assert peak <= books + 1.5 * 2 ** 20
 
     def test_jscc_rate_reported(self, bmc_example2):
         ch, src, d, cfg = bmc_example2
