@@ -4,7 +4,8 @@ Covers four condition families: the adaptive block-Markov conditions on the
 stationary system chain, the single-block (non-adaptive) hybrid-coding
 conditions, the separate source-channel conditions pairing Wyner-Ziv rates
 with an adaptive channel scheme, and the non-adaptive Shannon random-coding
-bound with time-sharing.
+bound with time-sharing.  The hybrid conditions, distortions and Bayes
+decoders are read off the chain of the scheme's lift.
 """
 
 from __future__ import annotations
@@ -17,21 +18,15 @@ from math import comb, isfinite
 import numpy as np
 
 from .coded_channel import Configuration, _check_table
-from .markov import MarkovSystem, build_chain, decoder_marginals, stationary_prev_law
-from .models import (
-    DistortionMeasure,
-    JointSource,
-    TwoWayChannel,
-    bayes_decoder,
-    decoder_distortion,
-)
+from .markov import (MarkovSystem, bayes_decoders, build_chain, decoder_marginals,
+                     reconstruction_distortions, stationary_prev_law)
+from .models import DistortionMeasure, JointSource, TwoWayChannel
 from .probability import (
     Alphabet,
     ConditionalPmf,
     JointPmf,
     _plogp,
     conditional_mutual_information,
-    marginalize,
     mutual_information,
 )
 
@@ -121,76 +116,22 @@ class HybridScheme:
         return self.pu2_given_s2.out_axes[0]
 
 
-# Axes of the single-block law that the decoders are scored against.
-_HYBRID_KEEP_1 = (0, 2, 1, 3, 7)  # s1, then g2's arguments (u1, s2, u2, y2)
-_HYBRID_KEEP_2 = (1, 3, 0, 2, 6)  # s2, then g1's arguments (u2, s1, u1, y1)
+_LIFT_G_READS = (0, 3, 4, 6)  # (prev_u_other, prev_s, prev_u, y): the g arguments a lift reads
 
 
-def one_shot_hybrid_law(pu1: ConditionalPmf, pu2: ConditionalPmf, f1: np.ndarray, f2: np.ndarray,
-                        ch: TwoWayChannel, src: JointSource) -> JointPmf:
-    """Single-block law over (s1, s2, u1, u2, x1, x2, y1, y2) of the encoder
-    half of a hybrid scheme: the codeword conditionals and x_j = f_j(s_j, u_j)."""
-    f1 = _check_table("f1", f1, pu1.probs.shape, ch.x1.size)
-    f2 = _check_table("f2", f2, pu2.probs.shape, ch.x2.size)
-    t = src.law.probs[:, :, None, None] * pu1.probs[:, None, :, None] * pu2.probs[None, :, None, :]
-    e1 = np.eye(ch.x1.size)[f1]  # (s1, u1, x1)
-    e2 = np.eye(ch.x2.size)[f2]
-    full = np.einsum("abcd,acx,bdw,xwyz->abcdxwyz", t, e1, e2, ch.law.probs)
-    axes = (pu1.given_axes[0], pu2.given_axes[0], pu1.out_axes[0], pu2.out_axes[0],
-            ch.x1, ch.x2, ch.y1, ch.y2)
-    return JointPmf(axes, full)
-
-
-@dataclass(frozen=True)
-class HybridEvaluation:
-    report: ConditionReport
-    distortions: tuple[float, float]
-
-
-def eval_hybrid(
-    hs: HybridScheme,
-    ch: TwoWayChannel,
-    src: JointSource,
-    d1: DistortionMeasure,
-    d2: DistortionMeasure,
-) -> HybridEvaluation:
-    """Evaluate the single-block conditions and the decoders' distortions."""
-    law = one_shot_hybrid_law(hs.pu1_given_s1, hs.pu2_given_s2, hs.f1, hs.f2, ch, src)
-    lhs1 = conditional_mutual_information(law, (0,), (2,), (1, 3))
-    rhs1 = conditional_mutual_information(law, (2,), (7,), (1, 3))
-    lhs2 = conditional_mutual_information(law, (1,), (3,), (0, 2))
-    rhs2 = conditional_mutual_information(law, (3,), (6,), (0, 2))
-    report = ConditionReport.from_values(lhs1, rhs1, lhs2, rhs2)
-
-    # terminal 1 rebuilds s2 via g1(u2, s1, u1, y1); terminal 2 mirrors
-    m2 = marginalize(law, _HYBRID_KEEP_2).probs
-    m1 = marginalize(law, _HYBRID_KEEP_1).probs
-    g1 = _check_table("g1", hs.g1, m2.shape[1:], hs.recon2.size)
-    g2 = _check_table("g2", hs.g2, m1.shape[1:], hs.recon1.size)
-    dist2 = decoder_distortion(m2, g1, d2)
-    dist1 = decoder_distortion(m1, g2, d1)
-    return HybridEvaluation(report, (dist1, dist2))
-
-
-def bayes_hybrid_decoders(
-    pu1: ConditionalPmf,
-    pu2: ConditionalPmf,
-    f1: np.ndarray,
-    f2: np.ndarray,
-    ch: TwoWayChannel,
-    src: JointSource,
-    d1: DistortionMeasure,
-    d2: DistortionMeasure,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal deterministic decoders for a single-block scheme.
-
-    Ties break toward the lowest reconstruction index.
-    """
-    law = one_shot_hybrid_law(pu1, pu2, f1, f2, ch, src)
-    # g1(u2, s1, u1, y1) estimates s2; g2 mirrors
-    g1 = bayes_decoder(marginalize(law, _HYBRID_KEEP_2).probs, d2)
-    g2 = bayes_decoder(marginalize(law, _HYBRID_KEEP_1).probs, d1)
-    return g1, g2
+def _lifted_configuration(hs: HybridScheme, ch: TwoWayChannel) -> Configuration:
+    """The lift of `hs` without a law, its tables checked in their single-block
+    shapes first: f reads (prev_s, prev_u), and g the arguments `_LIFT_G_READS`."""
+    f1 = _check_table("f1", hs.f1, hs.pu1_given_s1.probs.shape, ch.x1.size)
+    f2 = _check_table("f2", hs.f2, hs.pu2_given_s2.probs.shape, ch.x2.size)
+    g1 = _check_table("g1", hs.g1, (hs.u2.size, hs.s1.size, hs.u1.size, ch.y1.size), hs.recon2.size)
+    g2 = _check_table("g2", hs.g2, (hs.u1.size, hs.s2.size, hs.u2.size, ch.y2.size), hs.recon1.size)
+    return Configuration(
+        u1=hs.u1, u2=hs.u2, pu1_given_s1=hs.pu1_given_s1, pu2_given_s2=hs.pu2_given_s2, prev_law=None,
+        f1=f1[None, None, :, :, None], f2=f2[None, None, :, :, None],
+        g1=g1[:, None, None, :, :, None, :], g2=g2[:, None, None, :, :, None, :],
+        x1=ch.x1, x2=ch.x2, y1=ch.y1, y2=ch.y2, recon1=hs.recon1, recon2=hs.recon2,
+    )
 
 
 def lift_hybrid(hs: HybridScheme, ch: TwoWayChannel, src: JointSource) -> Configuration:
@@ -200,28 +141,37 @@ def lift_hybrid(hs: HybridScheme, ch: TwoWayChannel, src: JointSource) -> Config
     current block's channel output is the one produced while that pair was
     on the air; the reconstruction map therefore feeds the single-block
     decoder with the previous pair and the current output.  The stationary
-    previous-block law is solved and installed.
+    law is installed; it is unique, as a state's successor depends only on
+    the fresh tuple and its (s, u), so every row of K^2 is the same.
     """
-    # f reads (prev_s, prev_u); g reads (u_other, prev_s, prev_u, y) at axes (0, 3, 4, 6)
-    cfg = Configuration(
-        u1=hs.u1,
-        u2=hs.u2,
-        pu1_given_s1=hs.pu1_given_s1,
-        pu2_given_s2=hs.pu2_given_s2,
-        prev_law=None,
-        f1=hs.f1[None, None, :, :, None],
-        f2=hs.f2[None, None, :, :, None],
-        g1=hs.g1[:, None, None, :, :, None, :],
-        g2=hs.g2[:, None, None, :, :, None, :],
-        x1=ch.x1,
-        x2=ch.x2,
-        y1=ch.y1,
-        y2=ch.y2,
-        recon1=hs.recon1,
-        recon2=hs.recon2,
-    )
-    prev = stationary_prev_law(cfg, ch, src)
-    return dataclasses.replace(cfg, prev_law=prev)
+    return build_chain(_lifted_configuration(hs, ch), ch, src).cfg
+
+
+@dataclass(frozen=True)
+class HybridEvaluation:
+    report: ConditionReport
+    distortions: tuple[float, float]
+
+
+def eval_hybrid(hs: HybridScheme, ch: TwoWayChannel, src: JointSource,
+                d1: DistortionMeasure, d2: DistortionMeasure) -> HybridEvaluation:
+    """Evaluate the single-block conditions and the decoders' distortions on
+    the lifted chain: its simplified report is the single-block one."""
+    sys = build_chain(_lifted_configuration(hs, ch), ch, src)
+    return HybridEvaluation(_adaptive_report(sys, simplify=True), reconstruction_distortions(sys, d1, d2))
+
+
+def bayes_hybrid_decoders(pu1: ConditionalPmf, pu2: ConditionalPmf, f1: np.ndarray, f2: np.ndarray,
+                          ch: TwoWayChannel, src: JointSource,
+                          d1: DistortionMeasure, d2: DistortionMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal deterministic decoders for a single-block scheme: the lifted
+    chain's, on the arguments a lifted g reads.  Ties break toward the lowest
+    reconstruction index.
+    """
+    hs = HybridScheme(pu1, pu2, f1, f2, 0, 0, d1.recon_alphabet, d2.recon_alphabet)
+    sys = build_chain(_lifted_configuration(hs, ch), ch, src)
+    g1, g2 = bayes_decoders(sys, d1, d2, reads=_LIFT_G_READS)
+    return g1[:, 0, 0, :, :, 0, :], g2[:, 0, 0, :, :, 0, :]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .coded_channel import Configuration, fresh_law
-from .models import DistortionMeasure, JointSource, TwoWayChannel, decoder_distortion
+from .models import DistortionMeasure, JointSource, TwoWayChannel, bayes_decoder, decoder_distortion
 from .probability import Alphabet, JointPmf
 
 # Axis order of the full per-block state law.
@@ -343,6 +343,16 @@ def reconstruction_distortions(sys: MarkovSystem, d1: DistortionMeasure,
     """
     m1, m2 = decoder_marginals(sys)
     return decoder_distortion(m1.probs, sys.cfg.g2, d1), decoder_distortion(m2.probs, sys.cfg.g1, d2)
+
+
+def bayes_decoders(sys: MarkovSystem, d1: DistortionMeasure, d2: DistortionMeasure,
+                   reads: tuple[int, ...] = tuple(range(7))) -> tuple[np.ndarray, np.ndarray]:
+    """Decoder tables (g1, g2) minimizing the reconstruction distortions among
+    tables that read only the g arguments `reads`: each view law is summed over
+    the others, which keep size 1.  Ties break toward the lowest index."""
+    drop = tuple(1 + k for k in range(7) if k not in reads)  # view axis 0 is the source
+    m1, m2 = (m.probs.sum(axis=drop, keepdims=True) for m in decoder_marginals(sys))
+    return bayes_decoder(m2, d2), bayes_decoder(m1, d1)
 
 
 @dataclass(frozen=True)

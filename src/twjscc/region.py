@@ -23,17 +23,17 @@ import numpy as np
 
 from .coded_channel import Configuration
 from .conditions import (
+    _LIFT_G_READS,
     AdaptiveChannelScheme,
     ConditionReport,
     HybridScheme,
     _adaptive_report,
+    _lifted_configuration,
     adaptive_scheme_stationary,
-    bayes_hybrid_decoders,
-    lift_hybrid,
     lift_sscc,
 )
-from .markov import build_chain, decoder_marginals, reconstruction_distortions
-from .models import DistortionMeasure, JointSource, TwoWayChannel, bayes_decoder
+from .markov import bayes_decoders, build_chain, reconstruction_distortions
+from .models import DistortionMeasure, JointSource, TwoWayChannel
 from .probability import Alphabet, ConditionalPmf
 
 
@@ -55,6 +55,15 @@ def _dirichlet_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return gam / gam.sum(axis=1, keepdims=True)
 
 
+def _with_bayes_decoders(cfg: Configuration, ch: TwoWayChannel, src: JointSource,
+                         d1: DistortionMeasure, d2: DistortionMeasure,
+                         reads: tuple[int, ...] = tuple(range(7))) -> Configuration:
+    """`cfg` with its chain's law and Bayes decoders (see `bayes_decoders`) installed."""
+    sys = build_chain(cfg, ch, src)
+    g1, g2 = bayes_decoders(sys, d1, d2, reads)
+    return dataclasses.replace(sys.cfg, g1=g1, g2=g2)
+
+
 def uncoded_configuration(ch: TwoWayChannel, src: JointSource,
                           d1: DistortionMeasure, d2: DistortionMeasure) -> Configuration:
     """Constant codewords, x_j = current s_j, and the optimal deterministic
@@ -70,9 +79,7 @@ def uncoded_configuration(ch: TwoWayChannel, src: JointSource,
         x1=ch.x1, x2=ch.x2, y1=ch.y1, y2=ch.y2,
         recon1=d1.recon_alphabet, recon2=d2.recon_alphabet,
     )
-    sys = build_chain(cfg, ch, src)
-    m1, m2 = decoder_marginals(sys)
-    return dataclasses.replace(sys.cfg, g1=bayes_decoder(m2.probs, d2), g2=bayes_decoder(m1.probs, d1))
+    return _with_bayes_decoders(cfg, ch, src, d1, d2)
 
 
 def constant_codeword_hybrid_configuration(ch: TwoWayChannel, src: JointSource,
@@ -84,9 +91,8 @@ def constant_codeword_hybrid_configuration(ch: TwoWayChannel, src: JointSource,
     pu2 = ConditionalPmf((src.s2,), (unit,), np.ones((src.s2.size, 1)))
     f1 = np.minimum(np.arange(src.s1.size), ch.x1.size - 1)[:, None]
     f2 = np.minimum(np.arange(src.s2.size), ch.x2.size - 1)[:, None]
-    g1, g2 = bayes_hybrid_decoders(pu1, pu2, f1, f2, ch, src, d1, d2)
-    hs = HybridScheme(pu1, pu2, f1, f2, g1, g2, d1.recon_alphabet, d2.recon_alphabet)
-    return lift_hybrid(hs, ch, src)
+    hs = HybridScheme(pu1, pu2, f1, f2, 0, 0, d1.recon_alphabet, d2.recon_alphabet)
+    return _with_bayes_decoders(_lifted_configuration(hs, ch), ch, src, d1, d2, _LIFT_G_READS)
 
 
 def identity_hybrid_configuration(ch: TwoWayChannel, src: JointSource,
@@ -98,9 +104,8 @@ def identity_hybrid_configuration(ch: TwoWayChannel, src: JointSource,
     pu2 = ConditionalPmf((src.s2,), (u2,), np.eye(src.s2.size))
     f1 = np.minimum(np.arange(u1.size), ch.x1.size - 1)[None, :].repeat(src.s1.size, axis=0)
     f2 = np.minimum(np.arange(u2.size), ch.x2.size - 1)[None, :].repeat(src.s2.size, axis=0)
-    g1, g2 = bayes_hybrid_decoders(pu1, pu2, f1, f2, ch, src, d1, d2)
-    hs = HybridScheme(pu1, pu2, f1, f2, g1, g2, d1.recon_alphabet, d2.recon_alphabet)
-    return lift_hybrid(hs, ch, src)
+    hs = HybridScheme(pu1, pu2, f1, f2, 0, 0, d1.recon_alphabet, d2.recon_alphabet)
+    return _with_bayes_decoders(_lifted_configuration(hs, ch), ch, src, d1, d2, _LIFT_G_READS)
 
 
 def _sscc_candidates(ch: TwoWayChannel, src: JointSource,

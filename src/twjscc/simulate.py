@@ -12,6 +12,7 @@ wrong codeword index passing the typicality test).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -53,8 +54,11 @@ class SimParams:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
         for name in ("eps", "eps1", "rate1", "rate2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} {getattr(self, name)} is not finite")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} {value} is not finite")
         if not (self.eps > self.eps1 > 0):
             raise ValueError("need eps > eps1 > 0")
         if not 1 <= self.n <= MAX_N:

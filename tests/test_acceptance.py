@@ -15,7 +15,6 @@ from twjscc.conditions import (
     AdaptiveChannelScheme,
     adaptive_scheme_stationary,
     eval_adaptive,
-    eval_hybrid,
     eval_sscc,
     lift_hybrid,
     lift_sscc,
@@ -41,6 +40,7 @@ from util import (
     random_hybrid_scheme,
     random_joint_source,
     random_wz_scheme,
+    single_block_hybrid,
 )
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -122,7 +122,7 @@ def test_criterion_5_reduction_equalities():
         ch = random_binary_channel(rng)
         d = tw.hamming(src.s1)
         hs = random_hybrid_scheme(rng, src, ch, d, d)
-        hyb = eval_hybrid(hs, ch, src, d, d).report
+        hyb = single_block_hybrid(hs, ch, src, d, d).report
         thm = eval_adaptive(lift_hybrid(hs, ch, src), ch, src)
         worst_hybrid = max(
             worst_hybrid,
@@ -135,7 +135,7 @@ def test_criterion_5_reduction_equalities():
         ch = random_binary_channel(rng)
         d = tw.hamming(src.s1)
         hs = random_hybrid_scheme(rng, src, ch, d, d)
-        hyb = eval_hybrid(hs, ch, src, d, d).report
+        hyb = single_block_hybrid(hs, ch, src, d, d).report
         thm = eval_adaptive(lift_hybrid(hs, ch, src), ch, src)
         worst_margin = max(
             worst_margin,

@@ -28,11 +28,13 @@ from twjscc.region import uncoded_configuration
 from util import (
     _pair_rates,
     bsc_codeword_scheme,
+    one_shot_hybrid_law,
     random_adaptive_scheme,
     random_binary_channel,
     random_hybrid_scheme,
     random_joint_source,
     random_wz_scheme,
+    single_block_hybrid,
 )
 
 
@@ -88,6 +90,16 @@ class TestEvalHybrid:
         assert ev.distortions == (0.0, 0.0)
         assert ev.report.boundary
 
+    def test_simulated_bsc_scheme_decoders_are_pinned(self):
+        # the benchmark's simulated scheme: crossed bit-pipes, fair coins, BSC(0.45) codewords
+        ch = tw.preset_crossed_bitpipes()
+        src = tw.preset_independent_bernoulli(0.5, 0.5)
+        d = tw.hamming(src.s1)
+        hs = bsc_codeword_scheme(ch, src, 0.45, d, d)
+        want = [[[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 1], [0, 1]], [[0, 1], [0, 1]]]]
+        for got in bayes_hybrid_decoders(hs.pu1_given_s1, hs.pu2_given_s2, hs.f1, hs.f2, ch, src, d, d):
+            assert got.dtype == np.int64 and got.tolist() == want
+
 
 class TestLiftHybrid:
     def test_report_equality_on_independent_sources(self):
@@ -97,7 +109,7 @@ class TestLiftHybrid:
             ch = random_binary_channel(rng)
             d = tw.hamming(src.s1)
             hs = random_hybrid_scheme(rng, src, ch, d, d)
-            hyb = eval_hybrid(hs, ch, src, d, d)
+            hyb = single_block_hybrid(hs, ch, src, d, d)
             thm = eval_adaptive(lift_hybrid(hs, ch, src), ch, src)
             for a, b in (
                 (thm.lhs1, hyb.report.lhs1), (thm.rhs1, hyb.report.rhs1),
@@ -112,7 +124,7 @@ class TestLiftHybrid:
             ch = random_binary_channel(rng)
             d = tw.hamming(src.s1)
             hs = random_hybrid_scheme(rng, src, ch, d, d)
-            hyb = eval_hybrid(hs, ch, src, d, d)
+            hyb = single_block_hybrid(hs, ch, src, d, d)
             cfg = lift_hybrid(hs, ch, src)
             thm = eval_adaptive(cfg, ch, src)
             assert thm.rhs1 - thm.lhs1 == pytest.approx(hyb.report.rhs1 - hyb.report.lhs1, abs=1e-9)
@@ -129,7 +141,7 @@ class TestLiftHybrid:
             ch = random_binary_channel(rng)
             d = tw.hamming(src.s1)
             hs = random_hybrid_scheme(rng, src, ch, d, d, bayes=True)
-            hyb = eval_hybrid(hs, ch, src, d, d)
+            hyb = single_block_hybrid(hs, ch, src, d, d)
             cfg = lift_hybrid(hs, ch, src)
             lifted = reconstruction_distortions(build_chain(cfg, ch, src), d, d)
             assert lifted[0] == pytest.approx(hyb.distortions[0], abs=1e-9)
@@ -146,8 +158,6 @@ class TestLiftHybrid:
     def test_lifted_stationary_marginal_equals_single_block_law(self):
         # under the lifted dynamics, the previous pair together with the
         # current channel symbols carries exactly the single-block law
-        from twjscc.conditions import one_shot_hybrid_law
-
         rng = np.random.default_rng(21)
         for _ in range(5):
             src = random_joint_source(rng)

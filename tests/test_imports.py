@@ -1,17 +1,24 @@
-"""Every module of the package uses each name it imports at top level.
+"""Every module of the package uses each name it imports at top level, and
+every private name it defines at top level is used.
 
-The repository runs no linter, so this is its unused-import check, made
-with `ast` alone.  `__init__.py` re-exports by importing, `from __future__`
-binds nothing, and a line marked `# noqa: F401` keeps its import on purpose.
+The repository runs no linter, so these are its unused-import and dead-name
+checks, made with `ast` alone.  `__init__.py` re-exports by importing, `from
+__future__` binds nothing, and a line marked `# noqa: F401` keeps its import
+on purpose.  A private (`_name`) module-level function, class or constant
+counts as used when `src/` or `bench/` reads it, imports it by name or spells
+it as a string anywhere outside its own definition.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twjscc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "twjscc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")])
 
 
 def _imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -48,3 +55,54 @@ def test_check_sees_an_unused_import():
     lines = ["import os", "import sys  # noqa: F401", "from .m import a, b as c", "", "c()"]
     names = _imported_names(tree, lines)
     assert set(names) - _used_names(tree) == {"os", "a"}
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, defining statement) of each private top-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(tree: ast.Module, skip: ast.stmt | None = None) -> set[str]:
+    """Names the module reads, imports by name or spells as a string, outside the statement `skip`."""
+    refs = set()
+    for node in (n for top in tree.body if top is not skip for n in ast.walk(top)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+@cache
+def _reader_trees() -> dict[Path, ast.Module]:
+    return {p: ast.parse(p.read_text()) for p in READERS}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    trees = _reader_trees()
+    elsewhere = set().union(*(_references(t) for p, t in trees.items() if p != path))
+    tree = trees[path]
+    dead = [name for name, node in _private_definitions(tree)
+            if name not in elsewhere and name not in _references(tree, skip=node)]
+    assert not dead, f"{path.name} defines private names that src/ and bench/ never use: {dead}"
+
+
+def test_check_sees_a_dead_private_name():
+    tree = ast.parse("_A = 1\n_B = _A\n_C: int = 2\n\ndef _f():\n    return _f()\n\nclass _K:\n    pass\n")
+    defined = {name: node for name, node in _private_definitions(tree)}
+    assert set(defined) == {"_A", "_B", "_C", "_f", "_K"}
+    dead = {name for name, node in defined.items() if name not in _references(tree, skip=node)}
+    assert dead == {"_B", "_C", "_f", "_K"}

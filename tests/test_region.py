@@ -180,8 +180,9 @@ class TestEvaluate:
             pytest.fail("no violating candidate drawn")
         assert _evaluate(cfg, ch, src, d, d) == "condition violated"
 
-    def test_one_chain_per_candidate(self, bmc_uniform, monkeypatch):
-        ch, src, d = bmc_uniform
+    @staticmethod
+    def _count_chains(monkeypatch) -> list:
+        """A list that gains one entry per `build_chain` call from here on."""
         calls = []
 
         def counted(*args, **kwargs):
@@ -190,8 +191,21 @@ class TestEvaluate:
 
         for mod in (markov, region, conditions):
             monkeypatch.setattr(mod, "build_chain", counted)
+        return calls
+
+    def test_one_chain_per_candidate(self, bmc_uniform, monkeypatch):
+        ch, src, d = bmc_uniform
+        calls = self._count_chains(monkeypatch)
         search_region(ch, src, d, d, budget=30, seed=0)
         assert 30 < len(calls) <= 30 + 4  # one per candidate, plus the structured builds
+
+    @pytest.mark.parametrize("build", [uncoded_configuration, constant_codeword_hybrid_configuration,
+                                       identity_hybrid_configuration])
+    def test_one_chain_per_structured_builder(self, bmc_uniform, monkeypatch, build):
+        ch, src, d = bmc_uniform
+        calls = self._count_chains(monkeypatch)
+        build(ch, src, d, d)
+        assert len(calls) == 1
 
     def test_failed_structured_build_uses_no_budget(self, bmc_uniform, monkeypatch):
         ch, src, d = bmc_uniform

@@ -68,6 +68,15 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{field} must be an int"):
             SimParams(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps", "0.3"), ("eps1", True), ("rate1", True), ("rate2", None),
+    ])
+    def test_float_fields_must_be_real(self, field, value):
+        kwargs = dict(n=16, blocks=2, eps=0.3, eps1=0.1, rate1=0.0, rate2=0.0, seed=0, trials=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            SimParams(**kwargs)
+
     def test_block_length_cap(self):
         with pytest.raises(ValueError):
             SimParams(n=5000, blocks=1, eps=0.2, eps1=0.1, rate1=0.0, rate2=0.0)

@@ -9,15 +9,26 @@ import numpy as np
 
 import twjscc as tw
 from twjscc import region
+from twjscc.coded_channel import _check_table
 from twjscc.conditions import (
     AdaptiveChannelScheme,
+    ConditionReport,
+    HybridEvaluation,
     HybridScheme,
     WZScheme,
     _adaptive_report,
     bayes_hybrid_decoders,
 )
 from twjscc.markov import build_chain, reconstruction_distortions
-from twjscc.probability import Alphabet, ConditionalPmf, JointPmf, _plogp_sum
+from twjscc.models import bayes_decoder, decoder_distortion
+from twjscc.probability import (
+    Alphabet,
+    ConditionalPmf,
+    JointPmf,
+    _plogp_sum,
+    conditional_mutual_information,
+    marginalize,
+)
 from twjscc.region import RegionPoint, uncoded_configuration
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -58,6 +69,59 @@ def random_hybrid_scheme(rng, src, ch, d1, d2, bayes=False) -> HybridScheme:
         g1 = rng.integers(0, d2.recon_alphabet.size, size=(2, src.s1.size, 2, ch.y1.size))
         g2 = rng.integers(0, d1.recon_alphabet.size, size=(2, src.s2.size, 2, ch.y2.size))
     return HybridScheme(pu1, pu2, f1, f2, g1, g2, d1.recon_alphabet, d2.recon_alphabet)
+
+
+# The single-block hybrid law and its readout: the independent oracle that
+# the lifted chain's reports, distortions and Bayes decoders are checked against.
+
+# Axes of the single-block law that the decoders are scored against.
+_HYBRID_KEEP_1 = (0, 2, 1, 3, 7)  # s1, then g2's arguments (u1, s2, u2, y2)
+_HYBRID_KEEP_2 = (1, 3, 0, 2, 6)  # s2, then g1's arguments (u2, s1, u1, y1)
+
+
+def one_shot_hybrid_law(pu1: ConditionalPmf, pu2: ConditionalPmf, f1: np.ndarray, f2: np.ndarray,
+                        ch: tw.TwoWayChannel, src: tw.JointSource) -> JointPmf:
+    """Single-block law over (s1, s2, u1, u2, x1, x2, y1, y2) of the encoder
+    half of a hybrid scheme: the codeword conditionals and x_j = f_j(s_j, u_j)."""
+    f1 = _check_table("f1", f1, pu1.probs.shape, ch.x1.size)
+    f2 = _check_table("f2", f2, pu2.probs.shape, ch.x2.size)
+    t = src.law.probs[:, :, None, None] * pu1.probs[:, None, :, None] * pu2.probs[None, :, None, :]
+    e1 = np.eye(ch.x1.size)[f1]  # (s1, u1, x1)
+    e2 = np.eye(ch.x2.size)[f2]
+    full = np.einsum("abcd,acx,bdw,xwyz->abcdxwyz", t, e1, e2, ch.law.probs)
+    axes = (pu1.given_axes[0], pu2.given_axes[0], pu1.out_axes[0], pu2.out_axes[0],
+            ch.x1, ch.x2, ch.y1, ch.y2)
+    return JointPmf(axes, full)
+
+
+def single_block_hybrid(hs: HybridScheme, ch, src, d1, d2) -> HybridEvaluation:
+    """The single-block conditions and the decoders' distortions, read off
+    `one_shot_hybrid_law`."""
+    law = one_shot_hybrid_law(hs.pu1_given_s1, hs.pu2_given_s2, hs.f1, hs.f2, ch, src)
+    lhs1 = conditional_mutual_information(law, (0,), (2,), (1, 3))
+    rhs1 = conditional_mutual_information(law, (2,), (7,), (1, 3))
+    lhs2 = conditional_mutual_information(law, (1,), (3,), (0, 2))
+    rhs2 = conditional_mutual_information(law, (3,), (6,), (0, 2))
+    report = ConditionReport.from_values(lhs1, rhs1, lhs2, rhs2)
+
+    # terminal 1 rebuilds s2 via g1(u2, s1, u1, y1); terminal 2 mirrors
+    m2 = marginalize(law, _HYBRID_KEEP_2).probs
+    m1 = marginalize(law, _HYBRID_KEEP_1).probs
+    g1 = _check_table("g1", hs.g1, m2.shape[1:], hs.recon2.size)
+    g2 = _check_table("g2", hs.g2, m1.shape[1:], hs.recon1.size)
+    dist2 = decoder_distortion(m2, g1, d2)
+    dist1 = decoder_distortion(m1, g2, d1)
+    return HybridEvaluation(report, (dist1, dist2))
+
+
+def single_block_bayes_decoders(pu1, pu2, f1, f2, ch, src, d1, d2) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal deterministic single-block decoders, read off
+    `one_shot_hybrid_law`; ties break toward the lowest reconstruction index."""
+    law = one_shot_hybrid_law(pu1, pu2, f1, f2, ch, src)
+    # g1(u2, s1, u1, y1) estimates s2; g2 mirrors
+    g1 = bayes_decoder(marginalize(law, _HYBRID_KEEP_2).probs, d2)
+    g2 = bayes_decoder(marginalize(law, _HYBRID_KEEP_1).probs, d1)
+    return g1, g2
 
 
 def random_configuration(rng, ch, src, aux1=2, aux2=2) -> tw.Configuration:
