@@ -4,11 +4,7 @@ from .probability import (
     Alphabet,
     ConditionalPmf,
     JointPmf,
-    binary_entropy,
-    conditional_entropy,
     conditional_mutual_information,
-    entropy,
-    joint_typicality_test,
     marginalize,
     mutual_information,
     product,
@@ -17,7 +13,6 @@ from .models import (
     DistortionMeasure,
     JointSource,
     TwoWayChannel,
-    expected_distortion,
     hamming,
     preset_bmc,
     preset_crossed_bitpipes,
@@ -29,7 +24,6 @@ from .coded_channel import Configuration
 from .markov import (
     MarkovSystem,
     build_chain,
-    check_configuration,
     reconstruction_distortions,
     stationary_distribution,
     stationary_prev_law,
@@ -39,12 +33,10 @@ from .conditions import (
     ConditionReport,
     HybridScheme,
     WZScheme,
-    adaptive_scheme_stationary,
     eval_adaptive,
     eval_hybrid,
     eval_sscc,
     lift_hybrid,
-    lift_sscc,
     shannon_nonadaptive_bound,
 )
 from .rate_distortion import RdCurve, rd_curve, rd_function, wz_curve, wz_function

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import numbers
 from dataclasses import dataclass
 from math import comb, isfinite
 
@@ -226,9 +227,9 @@ def _adaptive_report(sys: MarkovSystem, tol: float = DEFAULT_TOL,
 
 @dataclass(frozen=True)
 class AdaptiveChannelScheme:
-    """Channel-only adaptive scheme with memoryless codeword variables v_j,
-    encoders x_j = gamma_j(v_j, prev_v_j, prev_io_j), and a previous-block
-    law that factors as P(v1) P(v2) P(prev_v1, prev_v2, prev_io1, prev_io2)."""
+    """Channel-only adaptive scheme with memoryless codeword variables v_j and
+    encoders x_j = gamma_j(v_j, prev_v_j, prev_io_j); its stationary law is
+    never an input, but solved on the chain of `embed_adaptive_scheme`."""
 
     v1: Alphabet
     v2: Alphabet
@@ -240,7 +241,6 @@ class AdaptiveChannelScheme:
     x2: Alphabet
     y1: Alphabet
     y2: Alphabet
-    prev_vw_law: JointPmf | None = None  # on prev_axes
 
     def __post_init__(self):
         for nm, pv, v in (("pv1", self.pv1, self.v1), ("pv2", self.pv2, self.v2)):
@@ -253,17 +253,6 @@ class AdaptiveChannelScheme:
         for nm, v, x, y in (("gamma1", self.v1, self.x1, self.y1), ("gamma2", self.v2, self.x2, self.y2)):
             shape = (v.size, v.size, x.size * y.size)
             object.__setattr__(self, nm, _check_table(nm, getattr(self, nm), shape, x.size))
-
-    @property
-    def prev_axes(self) -> tuple[Alphabet, ...]:
-        """Axes of `prev_vw_law`: the two codewords and the two flattened
-        input/output pairs of the previous block."""
-        return (
-            Alphabet(self.v1.size, "prev_v1"),
-            Alphabet(self.v2.size, "prev_v2"),
-            Alphabet(self.x1.size * self.y1.size, "prev_io1"),
-            Alphabet(self.x2.size * self.y2.size, "prev_io2"),
-        )
 
 
 @dataclass(frozen=True)
@@ -286,12 +275,13 @@ def embed_adaptive_scheme(scheme: AdaptiveChannelScheme) -> Configuration:
 
     The source alphabets are singletons, the codeword variables play u_j,
     and the reconstruction maps are trivial; the system chain then reduces
-    exactly to the scheme's own chain on (v, x, y).
+    exactly to the scheme's own chain on (v, x, y), which `build_chain`
+    solves, as the configuration has no law.
     """
     unit = Alphabet(1, "unit")
     pu1 = ConditionalPmf((unit,), (scheme.v1,), scheme.pv1[None, :])
     pu2 = ConditionalPmf((unit,), (scheme.v2,), scheme.pv2[None, :])
-    cfg = Configuration(
+    return Configuration(
         u1=scheme.v1,
         u2=scheme.v2,
         pu1_given_s1=pu1,
@@ -308,20 +298,6 @@ def embed_adaptive_scheme(scheme: AdaptiveChannelScheme) -> Configuration:
         recon1=unit,
         recon2=unit,
     )
-    if scheme.prev_vw_law is None:
-        return cfg
-    expect = tuple(a.size for a in scheme.prev_axes)
-    if scheme.prev_vw_law.shape != expect:
-        raise ValueError(f"prev_vw_law shape {scheme.prev_vw_law.shape}, expected {expect}")
-    prev = scheme.prev_vw_law.probs.reshape(1, 1, *expect)
-    return dataclasses.replace(cfg, prev_law=JointPmf(cfg.prev_axes, prev))
-
-
-def adaptive_scheme_stationary(scheme: AdaptiveChannelScheme, ch: TwoWayChannel) -> JointPmf:
-    """Stationary law of the scheme on its `prev_axes`."""
-    prev = stationary_prev_law(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE)
-    axes = scheme.prev_axes
-    return JointPmf(axes, prev.probs.reshape(tuple(a.size for a in axes)))
 
 
 def eval_sscc(
@@ -332,13 +308,15 @@ def eval_sscc(
 ) -> ConditionReport:
     """Compare supplied compression rates with the adaptive channel rates.
 
-    rate_j is the Wyner-Ziv rate for source j; the right-hand sides are the
-    adaptive conditions' right-hand sides on the embedded chain, the
-    information the other terminal's current view carries about prev_v_j.
-    Given the rest of that view its fresh v is independent of prev_v_j, so
-    this is the information its (x, y, prev_v, prev_io) view carries.
+    rate_j, a finite nonnegative real, is the Wyner-Ziv rate for source j;
+    the right-hand sides are the adaptive conditions' right-hand sides on the
+    solved embedded chain, the information the other terminal's current view
+    carries about prev_v_j.  Given the rest of that view its fresh v is
+    independent of prev_v_j, so this is what its (x, y, prev_v, prev_io) view carries.
     """
     for name, rate in (("rate1", rate1), ("rate2", rate2)):
+        if not isinstance(rate, numbers.Real) or isinstance(rate, bool):
+            raise ValueError(f"{name} must be a real number, got {rate!r}")
         if not (isfinite(rate) and rate >= 0):
             raise ValueError(f"{name} {rate} must be finite and nonnegative")
     rep = _adaptive_report(build_chain(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE))
@@ -364,14 +342,23 @@ def lift_sscc(
     scheme: AdaptiveChannelScheme,
     wz1: WZScheme,
     wz2: WZScheme,
+    ch: TwoWayChannel,
     src: JointSource,
 ) -> Configuration:
     """Build the configuration realizing WZ compression over the adaptive
     channel scheme: u_j packs (t_j, v_j) as t * |V_j| + v, the channel
     encoder uses only the v parts, and reconstruction applies the WZ
-    decoders to (prev_s_own, prev_t_other)."""
-    if scheme.prev_vw_law is None:
-        raise ValueError("scheme needs a stationary prev_vw_law; see adaptive_scheme_stationary")
+    decoders to (prev_s_own, prev_t_other).  The law is the source and
+    test-channel law times the scheme's own stationary law, solved on `ch`;
+    the lifted chain is never solved.
+    """
+    return _lift_sscc(scheme, stationary_prev_law(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE),
+                      wz1, wz2, src)
+
+
+def _lift_sscc(scheme: AdaptiveChannelScheme, law: JointPmf,
+               wz1: WZScheme, wz2: WZScheme, src: JointSource) -> Configuration:
+    """`lift_sscc` with `law`, the stationary law of the embedded scheme."""
     ns1, ns2 = src.s1.size, src.s2.size
     nv1, nv2 = scheme.v1.size, scheme.v2.size
     nu1, nu2 = wz1.t.size * nv1, wz2.t.size * nv2
@@ -398,7 +385,7 @@ def lift_sscc(
     a2 = wz1.h[:, t_of_u1].T  # (u1, prev_s2)
 
     st = np.einsum("ab,at,bw->abtw", src.law.probs, wz1.p_t_given_s.probs, wz2.p_t_given_s.probs)
-    full = np.multiply.outer(st, scheme.prev_vw_law.probs)
+    full = np.multiply.outer(st, law.probs[0, 0])  # (prev_v1, prev_v2, prev_io1, prev_io2)
     # axes (s1, s2, t1, t2, v1, v2, io1, io2) -> (s1, s2, (t1,v1), (t2,v2), io1, io2)
     full = np.transpose(full, (0, 1, 2, 4, 3, 5, 6, 7))
     prev_probs = np.ascontiguousarray(full).reshape(ns1, ns2, nu1, nu2, *full.shape[-2:])

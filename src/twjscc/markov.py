@@ -1,4 +1,4 @@
-"""System Markov chain: kernel construction, stationary laws, feasibility.
+"""System Markov chain: kernel construction, stationary laws, pair marginals.
 
 The full per-block state has 14 components: the fresh (s1, s2, u1, u2),
 the previous block's (s, u) pairs, the previous flattened channel
@@ -36,7 +36,6 @@ DEFAULT_STATE_CAP = 2 ** 24
 RESIDUAL_TOL = 1e-10  # largest residual a solve may return
 SOLVE_TARGET = 1e-13  # residual at which power iteration stops
 SOLVE_MAX_ITER = 100_000
-DISTORTION_SLACK = 1e-9  # floating-point slack of check_configuration's targets
 
 
 class FactoredKernel:
@@ -353,35 +352,3 @@ def bayes_decoders(sys: MarkovSystem, d1: DistortionMeasure, d2: DistortionMeasu
     drop = tuple(1 + k for k in range(7) if k not in reads)  # view axis 0 is the source
     m1, m2 = (m.probs.sum(axis=drop, keepdims=True) for m in decoder_marginals(sys))
     return bayes_decoder(m2, d2), bayes_decoder(m1, d1)
-
-
-@dataclass(frozen=True)
-class ConfigurationCheck:
-    """Outcome of the stationarity-plus-distortion feasibility test."""
-
-    feasible: bool
-    distortions: tuple[float, float]
-    stationary_residual: float
-
-
-def check_configuration(
-    cfg: Configuration,
-    ch: TwoWayChannel,
-    src: JointSource,
-    d1: DistortionMeasure,
-    d2: DistortionMeasure,
-    target1: float,
-    target2: float,
-) -> ConfigurationCheck:
-    """Decide whether cfg's own previous-block law is stationary and meets
-    both distortion targets (with floating-point slack at the boundary)."""
-    if cfg.prev_law is None:
-        raise ValueError("configuration has no previous-block law to check")
-    sys = build_chain(cfg, ch, src)
-    dist = reconstruction_distortions(sys, d1, d2)
-    feasible = (
-        sys.residual <= RESIDUAL_TOL
-        and dist[0] <= target1 + DISTORTION_SLACK
-        and dist[1] <= target2 + DISTORTION_SLACK
-    )
-    return ConfigurationCheck(feasible, dist, sys.residual)

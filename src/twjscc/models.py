@@ -158,10 +158,3 @@ def hamming(alphabet: Alphabet) -> DistortionMeasure:
     """Hamming distortion d(s, s_hat) = 1{s != s_hat} on a common alphabet."""
     n = alphabet.size
     return DistortionMeasure(alphabet, alphabet, 1.0 - np.eye(n))
-
-
-def expected_distortion(joint: JointPmf, d: DistortionMeasure) -> float:
-    """Mean distortion of a joint (source, reconstruction) law."""
-    if joint.shape != d.table.shape:
-        raise ValueError(f"joint shape {joint.shape} does not match distortion table {d.table.shape}")
-    return float(np.sum(joint.probs * d.table))

@@ -9,7 +9,7 @@ and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -123,24 +123,11 @@ def _plogp_sum(probs: np.ndarray) -> float:
     return float(np.sum(p * np.log2(p)))
 
 
-def entropy(p: JointPmf) -> float:
-    """Shannon entropy of the full joint, in bits."""
-    return -_plogp_sum(p.probs)
-
-
 def _subset_entropy(p: JointPmf, axes: tuple[int, ...]) -> float:
     if not axes:
         return 0.0
     drop = tuple(a for a in range(p.naxes) if a not in axes)
     return -_plogp_sum(p.probs.sum(axis=drop) if drop else p.probs)
-
-
-def conditional_entropy(p: JointPmf, target: AxisSet, given: AxisSet = ()) -> float:
-    """H(target | given) = H(target, given) - H(given), in bits."""
-    t = _as_axes(p, target, "target")
-    g = _as_axes(p, given, "given")
-    _check_disjoint(t, g)
-    return _subset_entropy(p, tuple(sorted(t + g))) - _subset_entropy(p, g)
 
 
 def mutual_information(p: JointPmf, a: AxisSet, b: AxisSet) -> float:
@@ -183,21 +170,6 @@ def product(p: JointPmf, q: JointPmf) -> JointPmf:
     return JointPmf(p.axes + q.axes, np.multiply.outer(p.probs, q.probs))
 
 
-def _joint_counts(sequences: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """Joint count tensor of per-letter symbol tuples."""
-    seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
-    if len(seqs) != len(shape):
-        raise ValueError(f"expected {len(shape)} sequences, got {len(seqs)}")
-    n = len(seqs[0])
-    if n < 1:
-        raise ValueError("sequences must have length >= 1")
-    for s in seqs:
-        if len(s) != n:
-            raise ValueError("sequences have mismatched lengths")
-    flat = np.ravel_multi_index(tuple(seqs), shape)
-    return np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
-
-
 # Relative distance within which n * p * (1 +- eps) is taken to be an integer.
 SNAP_TOL = 1e-9
 
@@ -221,26 +193,6 @@ def typical_count_bounds(ref: np.ndarray, n: int, eps: float) -> tuple[np.ndarra
     lo = np.ceil(_snap(base * (1.0 - eps))).astype(np.int64)
     hi = np.floor(_snap(base * (1.0 + eps))).astype(np.int64)
     return lo, hi
-
-
-def joint_typicality_test(sequences: Sequence[np.ndarray], reference: JointPmf, eps: float) -> bool:
-    """Robust joint typicality: every cell satisfies |emp - p| <= eps * p.
-
-    Symbols with zero reference probability must not appear (the eps * p
-    bound is then zero).  With eps = 0 this accepts exactly the sequences
-    whose empirical pmf equals the reference.  The test is made on integer
-    counts, see `typical_count_bounds`.
-    """
-    counts = _joint_counts(sequences, reference.shape)
-    lo, hi = typical_count_bounds(reference.probs, int(counts.sum()), eps)
-    return bool(np.all((lo <= counts) & (counts <= hi)))
-
-
-def binary_entropy(x: float) -> float:
-    """Entropy of a Bernoulli(x) variable in bits."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
 
 
 def bernoulli(p: float, label: str = "") -> JointPmf:

@@ -24,15 +24,16 @@ import numpy as np
 from .coded_channel import Configuration
 from .conditions import (
     _LIFT_G_READS,
+    _UNIT_SOURCE,
     AdaptiveChannelScheme,
     ConditionReport,
     HybridScheme,
     _adaptive_report,
+    _lift_sscc,
     _lifted_configuration,
-    adaptive_scheme_stationary,
-    lift_sscc,
+    embed_adaptive_scheme,
 )
-from .markov import bayes_decoders, build_chain, reconstruction_distortions
+from .markov import bayes_decoders, build_chain, reconstruction_distortions, stationary_prev_law
 from .models import DistortionMeasure, JointSource, TwoWayChannel
 from .probability import Alphabet, ConditionalPmf
 
@@ -120,14 +121,13 @@ def _sscc_candidates(ch: TwoWayChannel, src: JointSource,
         Alphabet(2, "v1"), Alphabet(2, "v2"), np.full(2, 0.5), np.full(2, 0.5),
         x_of_v, x_of_v, ch.x1, ch.x2, ch.y1, ch.y2,
     )
-    prev = adaptive_scheme_stationary(scheme, ch)
-    scheme = dataclasses.replace(scheme, prev_vw_law=prev)
+    law = stationary_prev_law(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE)  # one solve, every lift
     out = []
     for frac in (0.0, 0.1, 0.25):
         try:
             wz1 = wz_function(src, 1, d1, frac * d1.d_max).scheme
             wz2 = wz_function(src, 2, d2, frac * d2.d_max).scheme
-            out.append(lift_sscc(scheme, wz1, wz2, src))
+            out.append(_lift_sscc(scheme, law, wz1, wz2, src))
         except (InfeasibleDistortion, ValueError):
             continue
     return out

@@ -267,8 +267,6 @@ def save_adaptive_scheme(scheme: AdaptiveChannelScheme, path: str | None = None)
         "gamma1": np.asarray(scheme.gamma1).ravel().tolist(),
         "gamma2": np.asarray(scheme.gamma2).ravel().tolist(),
     }
-    if scheme.prev_vw_law is not None:
-        doc["prev_vw_law"] = scheme.prev_vw_law.probs.tolist()
     return _dump(doc, path)
 
 
@@ -278,7 +276,7 @@ def load_adaptive_scheme(doc: dict) -> AdaptiveChannelScheme:
     x1, x2 = Alphabet(doc["x1"], "x1"), Alphabet(doc["x2"], "x2")
     y1, y2 = Alphabet(doc["y1"], "y1"), Alphabet(doc["y2"], "y2")
     nio1, nio2 = x1.size * y1.size, x2.size * y2.size
-    scheme = AdaptiveChannelScheme(
+    return AdaptiveChannelScheme(
         v1=v1, v2=v2,
         pv1=np.asarray(doc["pv1"], dtype=np.float64),
         pv2=np.asarray(doc["pv2"], dtype=np.float64),
@@ -286,10 +284,6 @@ def load_adaptive_scheme(doc: dict) -> AdaptiveChannelScheme:
         gamma2=np.asarray(doc["gamma2"], dtype=np.int64).reshape(v2.size, v2.size, nio2),
         x1=x1, x2=x2, y1=y1, y2=y2,
     )
-    if "prev_vw_law" not in doc:
-        return scheme
-    prev = JointPmf(scheme.prev_axes, np.asarray(doc["prev_vw_law"], dtype=np.float64))
-    return dataclasses.replace(scheme, prev_vw_law=prev)
 
 
 def save_wz_scheme(scheme: WZScheme, path: str | None = None) -> str:

@@ -13,7 +13,6 @@ import pytest
 import twjscc as tw
 from twjscc.conditions import (
     AdaptiveChannelScheme,
-    adaptive_scheme_stationary,
     eval_adaptive,
     eval_sscc,
     lift_hybrid,
@@ -23,17 +22,20 @@ from twjscc.conditions import (
 )
 from twjscc.markov import (
     build_chain,
-    check_configuration,
     pair_marginal,
     stationary_prev_law,
 )
-from twjscc.probability import Alphabet, bernoulli, binary_entropy, conditional_entropy
+from twjscc.probability import Alphabet, bernoulli
 from twjscc.rate_distortion import rd_function, wz_function
 from twjscc.region import uncoded_configuration
 from twjscc.simulate import SimParams, run_simulation
 
 from util import (
+    binary_entropy,
     bsc_codeword_scheme,
+    check_configuration,
+    conditional_entropy,
+    entropy,
     random_adaptive_scheme,
     random_binary_channel,
     random_configuration,
@@ -50,7 +52,7 @@ def _report(num: int, desc: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_biased_coin_entropy():
-    h = tw.entropy(bernoulli(0.89))
+    h = entropy(bernoulli(0.89))
     ok = abs(h - 0.4999) <= 1e-3
     _report(1, "entropy of Ber(0.89) is 0.4999 +/- 1e-3", ok, f"H={h:.6f}")
 
@@ -147,11 +149,10 @@ def test_criterion_5_reduction_equalities():
         src = tw.preset_independent_bernoulli(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8))
         ch = random_binary_channel(rng)
         scheme = random_adaptive_scheme(rng, ch)
-        scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
         wz1 = random_wz_scheme(rng, src, 1)
         wz2 = random_wz_scheme(rng, src, 2)
         cor = eval_sscc(scheme, wz_scheme_rate(wz1, src, 1), wz_scheme_rate(wz2, src, 2), ch)
-        thm = eval_adaptive(lift_sscc(scheme, wz1, wz2, src), ch, src)
+        thm = eval_adaptive(lift_sscc(scheme, wz1, wz2, ch, src), ch, src)
         worst_sscc = max(
             worst_sscc,
             abs(thm.lhs1 - cor.lhs1), abs(thm.rhs1 - cor.rhs1),
@@ -254,8 +255,7 @@ def test_criterion_9_paired_input_channel_machinery():
     gamma = np.ascontiguousarray(np.broadcast_to((2 * np.arange(2))[:, None, None], (2, 2, nio)))
     scheme = AdaptiveChannelScheme(v, v, np.full(2, 0.5), np.full(2, 0.5), gamma, gamma,
                                    dueck.x1, dueck.x2, dueck.y1, dueck.y2)
-    scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, dueck))
-    rate = tw.entropy(bernoulli(0.89))
+    rate = entropy(bernoulli(0.89))
     rep = eval_sscc(scheme, rate, rate, dueck)
     quantities = (rep.lhs1, rep.rhs1, rep.lhs2, rep.rhs2)
     ok = (

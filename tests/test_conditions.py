@@ -8,8 +8,9 @@ from twjscc.conditions import (
     AdaptiveChannelScheme,
     ConditionReport,
     HybridScheme,
-    adaptive_scheme_stationary,
+    _UNIT_SOURCE,
     bayes_hybrid_decoders,
+    embed_adaptive_scheme,
     eval_adaptive,
     eval_hybrid,
     eval_sscc,
@@ -22,11 +23,12 @@ from twjscc.conditions import (
     wz_scheme_rate,
 )
 from twjscc.markov import build_chain, pair_marginal, reconstruction_distortions
-from twjscc.probability import Alphabet, ConditionalPmf, binary_entropy, mutual_information
+from twjscc.probability import Alphabet, ConditionalPmf, mutual_information
 from twjscc.region import uncoded_configuration
 
 from util import (
     _pair_rates,
+    binary_entropy,
     bsc_codeword_scheme,
     one_shot_hybrid_law,
     random_adaptive_scheme,
@@ -231,45 +233,49 @@ class TestEvalAdaptive:
         assert b.rhs1 == pytest.approx(a.rhs1, abs=1e-10)
 
 
+def _pipes_identity_scheme():
+    """Crossed bit-pipes and the memoryless scheme x_j = v_j on them."""
+    ch = tw.preset_crossed_bitpipes()
+    v = Alphabet(2, "v")
+    gamma = np.ascontiguousarray(np.broadcast_to(np.arange(2)[:, None, None], (2, 2, 4)))
+    scheme = AdaptiveChannelScheme(
+        v, v, np.full(2, 0.5), np.full(2, 0.5), gamma, gamma,
+        ch.x1, ch.x2, ch.y1, ch.y2,
+    )
+    return scheme, ch
+
+
 class TestSeparateCoding:
     def test_memoryless_identity_on_bitpipes_carries_one_bit(self):
-        ch = tw.preset_crossed_bitpipes()
-        v = Alphabet(2, "v")
-        gamma = np.ascontiguousarray(np.broadcast_to(np.arange(2)[:, None, None], (2, 2, 4)))
-        scheme = AdaptiveChannelScheme(
-            v, v, np.full(2, 0.5), np.full(2, 0.5), gamma, gamma,
-            ch.x1, ch.x2, ch.y1, ch.y2,
-        )
-        scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
+        scheme, ch = _pipes_identity_scheme()
         rep = eval_sscc(scheme, 0.5, 0.5, ch)
         assert rep.rhs1 == pytest.approx(1.0, abs=1e-9)
         assert rep.rhs2 == pytest.approx(1.0, abs=1e-9)
         assert rep.satisfied
 
-    def test_nonstationary_prev_vw_law_rejected(self):
-        ch = tw.preset_crossed_bitpipes()
-        v = Alphabet(2, "v")
-        gamma = np.ascontiguousarray(np.broadcast_to(np.arange(2)[:, None, None], (2, 2, 4)))
-        scheme = AdaptiveChannelScheme(
-            v, v, np.full(2, 0.5), np.full(2, 0.5), gamma, gamma,
-            ch.x1, ch.x2, ch.y1, ch.y2,
-        )
-        law = adaptive_scheme_stationary(scheme, ch)
+    def test_nonstationary_prev_law_of_embedded_scheme_rejected(self):
+        scheme, ch = _pipes_identity_scheme()
+        cfg = embed_adaptive_scheme(scheme)
         # uniform mass on previous channel pairs that disagree with prev_v
-        bad = tw.JointPmf(law.axes, np.full(law.shape, 1.0 / law.probs.size))
+        shape = tuple(a.size for a in cfg.prev_axes)
+        bad = tw.JointPmf(cfg.prev_axes, np.full(shape, 1.0 / np.prod(shape)))
         with pytest.raises(ValueError, match="not stationary"):
-            eval_sscc(dataclasses.replace(scheme, prev_vw_law=bad), 0.5, 0.5, ch)
+            eval_adaptive(dataclasses.replace(cfg, prev_law=bad), ch, _UNIT_SOURCE)
+
+    @pytest.mark.parametrize("field, rate1, rate2", [
+        ("rate1", True, 0.5),
+        ("rate2", 0.5, False),
+        ("rate1", "0.5", 0.5),
+        ("rate2", 0.5, None),
+        ("rate1", 0.5j, 0.5),
+    ])
+    def test_non_real_rate_rejected(self, field, rate1, rate2):
+        scheme, ch = _pipes_identity_scheme()
+        with pytest.raises(ValueError, match=field):
+            eval_sscc(scheme, rate1, rate2, ch)
 
     def test_zero_rate_always_satisfied_when_rhs_positive(self):
-        rng = np.random.default_rng(15)
-        ch = tw.preset_crossed_bitpipes()
-        v = Alphabet(2, "v")
-        gamma = np.ascontiguousarray(np.broadcast_to(np.arange(2)[:, None, None], (2, 2, 4)))
-        scheme = AdaptiveChannelScheme(
-            v, v, np.full(2, 0.5), np.full(2, 0.5), gamma, gamma,
-            ch.x1, ch.x2, ch.y1, ch.y2,
-        )
-        scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
+        scheme, ch = _pipes_identity_scheme()
         rep = eval_sscc(scheme, 0.0, 0.0, ch)
         assert rep.satisfied
 
@@ -281,7 +287,6 @@ class TestSeparateCoding:
         rng = np.random.default_rng(16)
         for _ in range(5):
             scheme = random_adaptive_scheme(rng, ch)
-            scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
             rep = eval_sscc(scheme, lhs, lhs, ch)
             assert max(rep.rhs1, rep.rhs2) <= 0.646
             assert not rep.satisfied
@@ -292,13 +297,12 @@ class TestSeparateCoding:
             src = tw.preset_independent_bernoulli(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8))
             ch = random_binary_channel(rng)
             scheme = random_adaptive_scheme(rng, ch)
-            scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
             wz1 = random_wz_scheme(rng, src, 1)
             wz2 = random_wz_scheme(rng, src, 2)
             r1 = wz_scheme_rate(wz1, src, 1)
             r2 = wz_scheme_rate(wz2, src, 2)
             cor = eval_sscc(scheme, r1, r2, ch)
-            thm = eval_adaptive(lift_sscc(scheme, wz1, wz2, src), ch, src)
+            thm = eval_adaptive(lift_sscc(scheme, wz1, wz2, ch, src), ch, src)
             for a, b in ((thm.lhs1, cor.lhs1), (thm.rhs1, cor.rhs1), (thm.lhs2, cor.lhs2), (thm.rhs2, cor.rhs2)):
                 assert a == pytest.approx(b, abs=1e-9)
 
@@ -308,10 +312,9 @@ class TestSeparateCoding:
         ch = random_binary_channel(rng)
         d = tw.hamming(src.s1)
         scheme = random_adaptive_scheme(rng, ch)
-        scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
         wz1 = random_wz_scheme(rng, src, 1)
         wz2 = random_wz_scheme(rng, src, 2)
-        cfg = lift_sscc(scheme, wz1, wz2, src)
+        cfg = lift_sscc(scheme, wz1, wz2, ch, src)
         lifted = reconstruction_distortions(build_chain(cfg, ch, src), d, d)
         # expected: E[d(S1, h(S2, T1))] under the one-shot law, and mirrored
         def expected(wz, which):
@@ -330,13 +333,12 @@ class TestSeparateCoding:
         src = tw.preset_example2_source()
         ch = random_binary_channel(rng)
         scheme = random_adaptive_scheme(rng, ch)
-        scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
         wz1 = random_wz_scheme(rng, src, 1)
         wz2 = random_wz_scheme(rng, src, 2)
         r1 = max(0.0, wz_scheme_rate(wz1, src, 1))
         r2 = max(0.0, wz_scheme_rate(wz2, src, 2))
         cor = eval_sscc(scheme, r1, r2, ch)
-        thm = eval_adaptive(lift_sscc(scheme, wz1, wz2, src), ch, src)
+        thm = eval_adaptive(lift_sscc(scheme, wz1, wz2, ch, src), ch, src)
         assert thm.rhs1 - thm.lhs1 >= cor.rhs1 - cor.lhs1 - 1e-9
         assert thm.rhs2 - thm.lhs2 >= cor.rhs2 - cor.lhs2 - 1e-9
 

@@ -1,12 +1,15 @@
-"""Every module of the package uses each name it imports at top level, and
-every private name it defines at top level is used.
+"""Every module of the package uses each name it imports at top level, every
+private name it defines at top level is used, and every name the package
+exports is used by the package or the benchmark.
 
 The repository runs no linter, so these are its unused-import and dead-name
 checks, made with `ast` alone.  `__init__.py` re-exports by importing, `from
 __future__` binds nothing, and a line marked `# noqa: F401` keeps its import
 on purpose.  A private (`_name`) module-level function, class or constant
 counts as used when `src/` or `bench/` reads it, imports it by name or spells
-it as a string anywhere outside its own definition.
+it as a string anywhere outside its own definition; an exported name, by the
+same rule, when a module other than `__init__.py` does.  A function that only
+tests call belongs in `tests/util.py`.
 """
 
 import ast
@@ -106,3 +109,49 @@ def test_check_sees_a_dead_private_name():
     assert set(defined) == {"_A", "_B", "_C", "_f", "_K"}
     dead = {name for name, node in defined.items() if name not in _references(tree, skip=node)}
     assert dead == {"_B", "_C", "_f", "_K"}
+
+
+def _exports() -> dict[str, str]:
+    """Each name `__init__.py` re-exports, with the module that defines it."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name: node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+
+
+def _definition(tree: ast.Module, name: str) -> ast.stmt | None:
+    """The top-level statement of `tree` that defines `name`."""
+    for node in tree.body:
+        if getattr(node, "name", None) == name:
+            return node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if name in {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}:
+                return node
+    return None
+
+
+def _unread_exports(exports: dict[str, str], trees: dict[Path, ast.Module]) -> list[str]:
+    """Exported names that no reader uses outside their own definition; the
+    re-exporting `__init__.py` does not count as a reader."""
+    unread = []
+    for name, module in exports.items():
+        home = PACKAGE / f"{module}.py"
+        if not any(name in _references(tree, skip=_definition(tree, name) if path == home else None)
+                   for path, tree in trees.items() if path != PACKAGE / "__init__.py"):
+            unread.append(name)
+    return unread
+
+
+def test_every_export_is_read_by_src_or_bench():
+    unread = _unread_exports(_exports(), _reader_trees())
+    assert not unread, f"twjscc exports names that only tests use: {unread}"
+
+
+def test_check_sees_an_unread_export():
+    home = PACKAGE / "m.py"
+    trees = {
+        PACKAGE / "__init__.py": ast.parse("from .m import a, b, c\n"),
+        home: ast.parse("def a():\n    return a()\n\ndef b():\n    return 1\n\nc = b()\n"),
+        ROOT / "bench" / "w.py": ast.parse("from twjscc import c\n"),
+    }
+    assert _unread_exports({"a": "m", "b": "m", "c": "m"}, trees) == ["a"]

@@ -6,14 +6,11 @@ law; the margins must equal the single-block ones, read off the oracle law
 `one_shot_hybrid_law` of `util`.
 """
 
-import dataclasses
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import twjscc as tw
 from twjscc.conditions import (
-    adaptive_scheme_stationary,
     bayes_hybrid_decoders,
     eval_adaptive,
     eval_hybrid,
@@ -76,10 +73,9 @@ def test_lift_sscc_sides_equal_eval_sscc(seed, p1, p2):
     src = tw.preset_independent_bernoulli(p1, p2)
     ch = random_binary_channel(rng)
     scheme = random_adaptive_scheme(rng, ch)
-    scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
     wz1, wz2 = random_wz_scheme(rng, src, 1), random_wz_scheme(rng, src, 2)
     single = eval_sscc(scheme, wz_scheme_rate(wz1, src, 1), wz_scheme_rate(wz2, src, 2), ch)
-    lifted = eval_adaptive(lift_sscc(scheme, wz1, wz2, src), ch, src)
+    lifted = eval_adaptive(lift_sscc(scheme, wz1, wz2, ch, src), ch, src)
     for a, b in ((lifted.lhs1, single.lhs1), (lifted.rhs1, single.rhs1),
                  (lifted.lhs2, single.lhs2), (lifted.rhs2, single.rhs2)):
         assert abs(a - b) <= 1e-9

@@ -10,7 +10,6 @@ from twjscc.markov import (
     FactoredKernel,
     _residual,
     build_chain,
-    check_configuration,
     pair_law,
     pair_marginal,
     reconstruction_distortions,
@@ -22,6 +21,7 @@ from twjscc.probability import Alphabet, ConditionalPmf, JointPmf, marginalize
 from twjscc.region import identity_hybrid_configuration, uncoded_configuration
 
 from util import (
+    check_configuration,
     dense_kernel,
     dense_pair_law,
     echo_configuration,

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import twjscc as tw
-from twjscc.probability import Alphabet, JointPmf, entropy, mutual_information, marginalize, conditional_entropy
+from twjscc.probability import Alphabet, JointPmf, mutual_information, marginalize
+
+from util import conditional_entropy, entropy, expected_distortion
 
 
 class TestBmcPreset:
@@ -103,17 +105,17 @@ class TestDistortion:
     def test_expected_distortion_diagonal(self):
         sa = Alphabet(2)
         joint = JointPmf((sa, sa), np.array([[0.3, 0.0], [0.0, 0.7]]))
-        assert tw.expected_distortion(joint, tw.hamming(sa)) == 0.0
+        assert expected_distortion(joint, tw.hamming(sa)) == 0.0
 
     def test_expected_distortion_uniform(self):
         sa = Alphabet(2)
         joint = JointPmf((sa, sa), np.full((2, 2), 0.25))
-        assert tw.expected_distortion(joint, tw.hamming(sa)) == pytest.approx(0.5)
+        assert expected_distortion(joint, tw.hamming(sa)) == pytest.approx(0.5)
 
     def test_expected_distortion_off_diagonal_mass(self):
         sa = Alphabet(2)
         joint = JointPmf((sa, sa), np.array([[0.5, 0.11], [0.0, 0.39]]))
-        assert tw.expected_distortion(joint, tw.hamming(sa)) == pytest.approx(0.11)
+        assert expected_distortion(joint, tw.hamming(sa)) == pytest.approx(0.11)
 
     def test_linearity_in_joint(self):
         rng = np.random.default_rng(0)
@@ -123,9 +125,9 @@ class TestDistortion:
         b = rng.dirichlet(np.ones(4)).reshape(2, 2)
         lam = 0.3
         mix = JointPmf((sa, sa), lam * a + (1 - lam) * b)
-        da = tw.expected_distortion(JointPmf((sa, sa), a), d)
-        db = tw.expected_distortion(JointPmf((sa, sa), b), d)
-        assert tw.expected_distortion(mix, d) == pytest.approx(lam * da + (1 - lam) * db, abs=1e-12)
+        da = expected_distortion(JointPmf((sa, sa), a), d)
+        db = expected_distortion(JointPmf((sa, sa), b), d)
+        assert expected_distortion(mix, d) == pytest.approx(lam * da + (1 - lam) * db, abs=1e-12)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):

@@ -6,17 +6,13 @@ from twjscc.probability import (
     ConditionalPmf,
     JointPmf,
     bernoulli,
-    binary_entropy,
-    conditional_entropy,
     conditional_mutual_information,
-    entropy,
-    joint_typicality_test,
     marginalize,
     mutual_information,
     product,
 )
 
-from util import random_joint_source
+from util import binary_entropy, conditional_entropy, entropy, joint_typicality_test, random_joint_source
 
 
 def example2_pmf() -> JointPmf:

@@ -8,7 +8,6 @@ from twjscc import conditions, markov, rate_distortion, region
 from twjscc.conditions import eval_adaptive
 from twjscc.markov import (
     build_chain,
-    check_configuration,
     reconstruction_distortions,
     stationary_prev_law,
 )
@@ -23,7 +22,7 @@ from twjscc.region import (
     uncoded_configuration,
 )
 
-from util import echo_configuration, exhaustive_search, random_configuration
+from util import check_configuration, echo_configuration, exhaustive_search, random_configuration
 
 SETTINGS = {
     "bmc-example2": (tw.preset_bmc, tw.preset_example2_source),

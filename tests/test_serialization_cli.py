@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -10,11 +9,10 @@ import pytest
 import twjscc as tw
 from twjscc import serialization as ser
 from twjscc.cli import _emit, execute, main, parse_args
-from twjscc.conditions import adaptive_scheme_stationary
-from twjscc.probability import binary_entropy
 from twjscc.region import uncoded_configuration
 
 from util import (
+    binary_entropy,
     random_adaptive_scheme,
     random_binary_channel,
     random_hybrid_scheme,
@@ -77,13 +75,37 @@ class TestRoundTrips:
         rng = np.random.default_rng(1)
         ch = random_binary_channel(rng)
         scheme = random_adaptive_scheme(rng, ch)
-        scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
         path = str(tmp_path / "as.json")
         ser.save_adaptive_scheme(scheme, path)
         back = ser.load_adaptive_scheme(path)
-        assert np.array_equal(back.gamma1, scheme.gamma1)
-        assert np.allclose(back.prev_vw_law.probs, scheme.prev_vw_law.probs)
-        assert back.prev_vw_law.axes == scheme.prev_vw_law.axes == scheme.prev_axes
+        for name in ("pv1", "pv2", "gamma1", "gamma2"):
+            assert np.array_equal(getattr(back, name), getattr(scheme, name))
+
+    def test_adaptive_scheme_with_prev_vw_law_loads(self, tmp_path, capsys):
+        """v1 files once carried a hand-filled `prev_vw_law`; the loader ignores
+        it, so a law that is not stationary changes nothing."""
+        ch = tw.preset_crossed_bitpipes()
+        v = tw.Alphabet(2)
+        gamma = np.ascontiguousarray(np.broadcast_to(np.arange(2)[:, None, None], (2, 2, 4)))  # x = v
+        scheme = tw.AdaptiveChannelScheme(v, v, np.full(2, 0.5), np.full(2, 0.5),
+                                          gamma, gamma, ch.x1, ch.x2, ch.y1, ch.y2)
+        plain = tmp_path / "plain.json"
+        ser.save_adaptive_scheme(scheme, str(plain))
+        doc = json.loads(plain.read_text())
+        # (prev_v1, prev_v2, prev_io1, prev_io2), uniform: mass on x != prev_v
+        doc["prev_vw_law"] = np.full((2, 2, 4, 4), 1 / 64).tolist()
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        back = ser.load_adaptive_scheme(str(old))
+        for name in ("pv1", "pv2", "gamma1", "gamma2"):
+            assert np.array_equal(getattr(back, name), getattr(scheme, name))
+        results = []
+        for path in (plain, old):
+            code = main(["eval-sscc", "--scheme", str(path), "--channel", "bitpipes",
+                         "--rate1", "0.5", "--rate2", "0.5"])
+            assert code == 0
+            results.append(json.loads(capsys.readouterr().out)["result"])
+        assert results[0] == results[1]
 
     def test_wz_scheme(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -313,7 +335,6 @@ class TestExecute:
         gamma = np.ascontiguousarray(np.broadcast_to(np.arange(2)[:, None, None], (2, 2, 4)))
         scheme = tw.AdaptiveChannelScheme(v, v, np.full(2, 0.5), np.full(2, 0.5),
                                           gamma, gamma, ch.x1, ch.x2, ch.y1, ch.y2)
-        scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
         path = str(tmp_path / "scheme.json")
         ser.save_adaptive_scheme(scheme, path)
         code = main(["eval-sscc", "--scheme", path, "--channel", "bitpipes",
@@ -331,7 +352,6 @@ class TestExecute:
         gamma = np.ascontiguousarray(np.broadcast_to(np.arange(2)[:, None, None], (2, 2, 4)))
         scheme = tw.AdaptiveChannelScheme(v, v, np.full(2, 0.5), np.full(2, 0.5),
                                           gamma, gamma, ch.x1, ch.x2, ch.y1, ch.y2)
-        scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
         path = str(tmp_path / "scheme.json")
         ser.save_adaptive_scheme(scheme, path)
         code = main(["eval-sscc", "--scheme", path, "--channel", "bmc",

@@ -10,7 +10,6 @@ from twjscc.coded_channel import fresh_law
 from twjscc.conditions import (
     _UNIT_SOURCE,
     AdaptiveChannelScheme,
-    adaptive_scheme_stationary,
     embed_adaptive_scheme,
     lift_hybrid,
 )
@@ -449,8 +448,7 @@ class TestRunSimulation:
         gamma = np.broadcast_to(np.arange(2)[:, None, None], (2, 2, 4))  # x = v
         scheme = AdaptiveChannelScheme(v, v, np.full(2, 0.5), np.full(2, 0.5), gamma, gamma,
                                        ch.x1, ch.x2, ch.y1, ch.y2)
-        scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
-        cfg = embed_adaptive_scheme(scheme)
+        cfg = markov.build_chain(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE).cfg
         d = tw.hamming(Alphabet(1))
         params = SimParams(n=256, blocks=3, eps=0.5, eps1=0.2, rate1=8 / 256, rate2=8 / 256,
                            seed=1, trials=5)

@@ -13,7 +13,6 @@ from twjscc.coded_channel import _check_table
 from twjscc.conditions import (
     _UNIT_SOURCE,
     AdaptiveChannelScheme,
-    adaptive_scheme_stationary,
     embed_adaptive_scheme,
     eval_hybrid,
     lift_hybrid,
@@ -89,14 +88,10 @@ class TestLiftTables:
         assert np.array_equal(
             cfg.g2, _full(cfg.g2.shape, lambda uo, s, u, ps, pu, io, y: hs.g2[uo, ps, pu, y]))
 
-    def _scheme(self, rng, ch):
-        scheme = random_adaptive_scheme(rng, ch)
-        return dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
-
     def test_embed_adaptive_scheme(self):
         rng = np.random.default_rng(31)
         ch = random_binary_channel(rng)
-        scheme = self._scheme(rng, ch)
+        scheme = random_adaptive_scheme(rng, ch)
         cfg = embed_adaptive_scheme(scheme)
         nv, nio, ny = 2, ch.x1.size * ch.y1.size, ch.y1.size
         assert cfg.f1.shape == (1, nv, 1, nv, nio)
@@ -110,9 +105,9 @@ class TestLiftTables:
     def test_lift_sscc(self):
         rng = np.random.default_rng(32)
         src, ch = random_joint_source(rng), random_binary_channel(rng)
-        scheme = self._scheme(rng, ch)
+        scheme = random_adaptive_scheme(rng, ch)
         wz1, wz2 = random_wz_scheme(rng, src, 1), random_wz_scheme(rng, src, 2)
-        cfg = lift_sscc(scheme, wz1, wz2, src)
+        cfg = lift_sscc(scheme, wz1, wz2, ch, src)
         nv = 2  # u = t * nv + v
         assert cfg.f1.shape == (2, 4, 2, 4, 4)
         assert np.array_equal(
@@ -214,10 +209,9 @@ def test_sscc_rates_equal_the_channel_view_information():
         for _ in range(4):
             scheme = random_adaptive_scheme(rng, ch)
             try:
-                scheme = dataclasses.replace(scheme, prev_vw_law=adaptive_scheme_stationary(scheme, ch))
+                rep = tw.eval_sscc(scheme, 0.0, 0.0, ch)
             except ValueError:  # a random gamma can leave the stationary law non-unique
                 continue
-            rep = tw.eval_sscc(scheme, 0.0, 0.0, ch)
             sys_ = build_chain(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE)
             pi = sys_.pi
             rhs1 = mutual_information(pair_marginal(sys_, pi, (6, 11, 13, 7, 9)), (0,), (1, 2, 3, 4))

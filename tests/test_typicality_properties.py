@@ -12,12 +12,17 @@ from twjscc.probability import (
     Alphabet,
     ConditionalPmf,
     JointPmf,
-    joint_typicality_test,
     typical_count_bounds,
 )
 from twjscc.simulate import SimContext, _typical_candidates
 
-from util import dense_pair_law, random_binary_channel, random_configuration, random_joint_source
+from util import (
+    dense_pair_law,
+    joint_typicality_test,
+    random_binary_channel,
+    random_configuration,
+    random_joint_source,
+)
 
 
 def float_candidates(own, book, ref, eps):

@@ -3,13 +3,15 @@
 import dataclasses
 import importlib.util
 import sys
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 import twjscc as tw
 from twjscc import region
-from twjscc.coded_channel import _check_table
+from twjscc.coded_channel import Configuration, _check_table
 from twjscc.conditions import (
     AdaptiveChannelScheme,
     ConditionReport,
@@ -19,15 +21,20 @@ from twjscc.conditions import (
     _adaptive_report,
     bayes_hybrid_decoders,
 )
-from twjscc.markov import build_chain, reconstruction_distortions
-from twjscc.models import bayes_decoder, decoder_distortion
+from twjscc.markov import RESIDUAL_TOL, build_chain, reconstruction_distortions
+from twjscc.models import DistortionMeasure, JointSource, TwoWayChannel, bayes_decoder, decoder_distortion
 from twjscc.probability import (
+    AxisSet,
     Alphabet,
     ConditionalPmf,
     JointPmf,
+    _as_axes,
+    _check_disjoint,
     _plogp_sum,
+    _subset_entropy,
     conditional_mutual_information,
     marginalize,
+    typical_count_bounds,
 )
 from twjscc.region import RegionPoint, uncoded_configuration
 
@@ -327,3 +334,97 @@ def _pair_rates(chp: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> tuple[float,
     h_x2y1x1 = -_plogp_sum(j.sum(axis=3))
     i2 = h_x1x2 + h_y1x1 - h_x2y1x1 - h_x1
     return max(i1, 0.0), max(i2, 0.0)
+
+
+# Information quantities, typicality, distortion and feasibility helpers that
+# no package code calls: test oracles for the package's own readouts.
+
+
+def entropy(p: JointPmf) -> float:
+    """Shannon entropy of the full joint, in bits."""
+    return -_plogp_sum(p.probs)
+
+
+def conditional_entropy(p: JointPmf, target: AxisSet, given: AxisSet = ()) -> float:
+    """H(target | given) = H(target, given) - H(given), in bits."""
+    t = _as_axes(p, target, "target")
+    g = _as_axes(p, given, "given")
+    _check_disjoint(t, g)
+    return _subset_entropy(p, tuple(sorted(t + g))) - _subset_entropy(p, g)
+
+
+def binary_entropy(x: float) -> float:
+    """Entropy of a Bernoulli(x) variable in bits."""
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
+
+
+def _joint_counts(sequences: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """Joint count tensor of per-letter symbol tuples."""
+    seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
+    if len(seqs) != len(shape):
+        raise ValueError(f"expected {len(shape)} sequences, got {len(seqs)}")
+    n = len(seqs[0])
+    if n < 1:
+        raise ValueError("sequences must have length >= 1")
+    for s in seqs:
+        if len(s) != n:
+            raise ValueError("sequences have mismatched lengths")
+    flat = np.ravel_multi_index(tuple(seqs), shape)
+    return np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
+
+
+def joint_typicality_test(sequences: Sequence[np.ndarray], reference: JointPmf, eps: float) -> bool:
+    """Robust joint typicality: every cell satisfies |emp - p| <= eps * p.
+
+    Symbols with zero reference probability must not appear (the eps * p
+    bound is then zero).  With eps = 0 this accepts exactly the sequences
+    whose empirical pmf equals the reference.  The test is made on integer
+    counts, see `typical_count_bounds`.
+    """
+    counts = _joint_counts(sequences, reference.shape)
+    lo, hi = typical_count_bounds(reference.probs, int(counts.sum()), eps)
+    return bool(np.all((lo <= counts) & (counts <= hi)))
+
+
+def expected_distortion(joint: JointPmf, d: DistortionMeasure) -> float:
+    """Mean distortion of a joint (source, reconstruction) law."""
+    if joint.shape != d.table.shape:
+        raise ValueError(f"joint shape {joint.shape} does not match distortion table {d.table.shape}")
+    return float(np.sum(joint.probs * d.table))
+
+
+DISTORTION_SLACK = 1e-9  # floating-point slack of check_configuration's targets
+
+
+@dataclass(frozen=True)
+class ConfigurationCheck:
+    """Outcome of the stationarity-plus-distortion feasibility test."""
+
+    feasible: bool
+    distortions: tuple[float, float]
+    stationary_residual: float
+
+
+def check_configuration(
+    cfg: Configuration,
+    ch: TwoWayChannel,
+    src: JointSource,
+    d1: DistortionMeasure,
+    d2: DistortionMeasure,
+    target1: float,
+    target2: float,
+) -> ConfigurationCheck:
+    """Decide whether cfg's own previous-block law is stationary and meets
+    both distortion targets (with floating-point slack at the boundary)."""
+    if cfg.prev_law is None:
+        raise ValueError("configuration has no previous-block law to check")
+    sys = build_chain(cfg, ch, src)
+    dist = reconstruction_distortions(sys, d1, d2)
+    feasible = (
+        sys.residual <= RESIDUAL_TOL
+        and dist[0] <= target1 + DISTORTION_SLACK
+        and dist[1] <= target2 + DISTORTION_SLACK
+    )
+    return ConfigurationCheck(feasible, dist, sys.residual)
