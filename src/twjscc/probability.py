@@ -25,6 +25,8 @@ class Alphabet:
     label: str = ""
 
     def __post_init__(self):
+        if type(self.size) is not int and not isinstance(self.size, np.integer):  # bool is refused
+            raise ValueError(f"alphabet size must be an integer, got {self.size!r}")
         if self.size < 1:
             raise ValueError(f"alphabet size must be >= 1, got {self.size}")
 

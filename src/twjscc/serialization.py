@@ -1,9 +1,11 @@
 """Structured-text (JSON) file formats for models, schemes, configurations.
 
-Every document carries version "v1" and a "kind" discriminator.  Laws are
-nested arrays in row-major axis order; encoder/decoder tables are flat
-integer arrays raveled row-major over their argument tuples (the same
-index convention used by the in-memory tables).
+Every document carries version "v1" and a "kind" discriminator, then the
+alphabet sizes, then the laws as nested arrays in row-major axis order, then
+the encoder/decoder tables as flat integer arrays raveled row-major over
+their argument tuples (the same index convention used by the in-memory
+tables).  `_save` is the one writer of that rule; `_alphabets`, `_law` and
+`_table` read it back.
 """
 
 from __future__ import annotations
@@ -76,7 +78,13 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _dump(doc: dict, path: str | None) -> str:
+def _save(kind: str, path: str | None, sizes: dict, laws: dict, tables: dict | None = None) -> str:
+    """The v1 rule, the one writer of every kind: the header, the alphabet
+    sizes, the laws as nested arrays and the integer tables raveled
+    row-major, in that key order; written atomically when `path` is given."""
+    doc = {"version": VERSION, "kind": kind, **{k: int(n) for k, n in sizes.items()},
+           **{k: np.asarray(law).tolist() for k, law in laws.items()},
+           **{k: np.asarray(t).ravel().tolist() for k, t in (tables or {}).items()}}
     text = json.dumps(doc, indent=2)
     if path is not None:
         write_atomic(path, text)
@@ -116,200 +124,131 @@ def _loader(kind: str):
     return wrap
 
 
+def _alphabets(doc: dict, *names: str) -> list[Alphabet]:
+    return [Alphabet(doc[name], name) for name in names]
+
+
+def _law(doc: dict, key: str) -> np.ndarray:
+    return np.asarray(doc[key], dtype=np.float64)
+
+
+def _table(doc: dict, key: str, *shape: int) -> np.ndarray:
+    return np.asarray(doc[key], dtype=np.int64).reshape(shape)
+
+
 def save_channel(ch: TwoWayChannel, path: str | None = None) -> str:
-    doc = {
-        "version": VERSION,
-        "kind": "channel",
-        "x1": ch.x1.size, "x2": ch.x2.size, "y1": ch.y1.size, "y2": ch.y2.size,
-        "law": ch.law.probs.tolist(),
-    }
-    return _dump(doc, path)
+    sizes = {"x1": ch.x1.size, "x2": ch.x2.size, "y1": ch.y1.size, "y2": ch.y2.size}
+    return _save("channel", path, sizes, {"law": ch.law.probs})
 
 
 @_loader("channel")
 def load_channel(doc: dict) -> TwoWayChannel:
-    x1, x2 = Alphabet(doc["x1"], "x1"), Alphabet(doc["x2"], "x2")
-    y1, y2 = Alphabet(doc["y1"], "y1"), Alphabet(doc["y2"], "y2")
-    law = ConditionalPmf((x1, x2), (y1, y2), np.asarray(doc["law"], dtype=np.float64))
-    return TwoWayChannel(x1, x2, y1, y2, law)
+    x1, x2, y1, y2 = _alphabets(doc, "x1", "x2", "y1", "y2")
+    return TwoWayChannel(x1, x2, y1, y2, ConditionalPmf((x1, x2), (y1, y2), _law(doc, "law")))
 
 
 def save_source(src: JointSource, path: str | None = None) -> str:
-    doc = {
-        "version": VERSION,
-        "kind": "source",
-        "s1": src.s1.size, "s2": src.s2.size,
-        "law": src.law.probs.tolist(),
-    }
-    return _dump(doc, path)
+    return _save("source", path, {"s1": src.s1.size, "s2": src.s2.size}, {"law": src.law.probs})
 
 
 @_loader("source")
 def load_source(doc: dict) -> JointSource:
-    s1, s2 = Alphabet(doc["s1"], "s1"), Alphabet(doc["s2"], "s2")
-    return JointSource(s1, s2, JointPmf((s1, s2), np.asarray(doc["law"], dtype=np.float64)))
+    s1, s2 = _alphabets(doc, "s1", "s2")
+    return JointSource(s1, s2, JointPmf((s1, s2), _law(doc, "law")))
 
 
 def save_distortion(d: DistortionMeasure, path: str | None = None) -> str:
-    doc = {
-        "version": VERSION,
-        "kind": "distortion",
-        "source": d.source_alphabet.size,
-        "recon": d.recon_alphabet.size,
-        "table": d.table.tolist(),
-    }
-    return _dump(doc, path)
+    sizes = {"source": d.source_alphabet.size, "recon": d.recon_alphabet.size}
+    return _save("distortion", path, sizes, {"table": d.table})
 
 
 @_loader("distortion")
 def load_distortion(doc: dict) -> DistortionMeasure:
-    return DistortionMeasure(
-        Alphabet(doc["source"], "s"),
-        Alphabet(doc["recon"], "recon"),
-        np.asarray(doc["table"], dtype=np.float64),
-    )
+    return DistortionMeasure(*_alphabets(doc, "source", "recon"), _law(doc, "table"))
+
+
+_CONFIGURATION_SIZES = ("s1", "s2", "u1", "u2", "x1", "x2", "y1", "y2", "recon1", "recon2")
 
 
 def save_configuration(cfg: Configuration, path: str | None = None) -> str:
     if cfg.prev_law is None:
         raise ValueError("cannot serialize a configuration without its previous-block law")
-    doc = {
-        "version": VERSION,
-        "kind": "configuration",
-        "s1": cfg.s1.size, "s2": cfg.s2.size,
-        "u1": cfg.u1.size, "u2": cfg.u2.size,
-        "x1": cfg.x1.size, "x2": cfg.x2.size,
-        "y1": cfg.y1.size, "y2": cfg.y2.size,
-        "recon1": cfg.recon1.size, "recon2": cfg.recon2.size,
-        "pu1_given_s1": cfg.pu1_given_s1.probs.tolist(),
-        "pu2_given_s2": cfg.pu2_given_s2.probs.tolist(),
-        "prev_law": cfg.prev_law.probs.tolist(),
-        "f1": cfg.f1.ravel().tolist(),
-        "f2": cfg.f2.ravel().tolist(),
-        "g1": cfg.g1.ravel().tolist(),
-        "g2": cfg.g2.ravel().tolist(),
-    }
-    return _dump(doc, path)
+    sizes = {name: getattr(cfg, name).size for name in _CONFIGURATION_SIZES}
+    laws = {"pu1_given_s1": cfg.pu1_given_s1.probs, "pu2_given_s2": cfg.pu2_given_s2.probs,
+            "prev_law": cfg.prev_law.probs}
+    tables = {"f1": cfg.f1, "f2": cfg.f2, "g1": cfg.g1, "g2": cfg.g2}
+    return _save("configuration", path, sizes, laws, tables)
 
 
 @_loader("configuration")
 def load_configuration(doc: dict) -> Configuration:
-    s1, s2 = Alphabet(doc["s1"], "s1"), Alphabet(doc["s2"], "s2")
-    u1, u2 = Alphabet(doc["u1"], "u1"), Alphabet(doc["u2"], "u2")
-    x1, x2 = Alphabet(doc["x1"], "x1"), Alphabet(doc["x2"], "x2")
-    y1, y2 = Alphabet(doc["y1"], "y1"), Alphabet(doc["y2"], "y2")
+    s1, s2, u1, u2, x1, x2, y1, y2, recon1, recon2 = _alphabets(doc, *_CONFIGURATION_SIZES)
     nio1, nio2 = x1.size * y1.size, x2.size * y2.size
-
-    def table(key, shape):
-        return np.asarray(doc[key], dtype=np.int64).reshape(shape)
-
     cfg = Configuration(
-        u1=u1,
-        u2=u2,
-        pu1_given_s1=ConditionalPmf((s1,), (u1,), np.asarray(doc["pu1_given_s1"], dtype=np.float64)),
-        pu2_given_s2=ConditionalPmf((s2,), (u2,), np.asarray(doc["pu2_given_s2"], dtype=np.float64)),
+        u1=u1, u2=u2,
+        pu1_given_s1=ConditionalPmf((s1,), (u1,), _law(doc, "pu1_given_s1")),
+        pu2_given_s2=ConditionalPmf((s2,), (u2,), _law(doc, "pu2_given_s2")),
         prev_law=None,
-        f1=table("f1", (s1.size, u1.size, s1.size, u1.size, nio1)),
-        f2=table("f2", (s2.size, u2.size, s2.size, u2.size, nio2)),
-        g1=table("g1", (u2.size, s1.size, u1.size, s1.size, u1.size, nio1, y1.size)),
-        g2=table("g2", (u1.size, s2.size, u2.size, s2.size, u2.size, nio2, y2.size)),
-        x1=x1, x2=x2, y1=y1, y2=y2,
-        recon1=Alphabet(doc["recon1"], "recon1"),
-        recon2=Alphabet(doc["recon2"], "recon2"),
+        f1=_table(doc, "f1", s1.size, u1.size, s1.size, u1.size, nio1),
+        f2=_table(doc, "f2", s2.size, u2.size, s2.size, u2.size, nio2),
+        g1=_table(doc, "g1", u2.size, s1.size, u1.size, s1.size, u1.size, nio1, y1.size),
+        g2=_table(doc, "g2", u1.size, s2.size, u2.size, s2.size, u2.size, nio2, y2.size),
+        x1=x1, x2=x2, y1=y1, y2=y2, recon1=recon1, recon2=recon2,
     )
-    prev = JointPmf(cfg.prev_axes, np.asarray(doc["prev_law"], dtype=np.float64))
-    return dataclasses.replace(cfg, prev_law=prev)
+    return dataclasses.replace(cfg, prev_law=JointPmf(cfg.prev_axes, _law(doc, "prev_law")))
 
 
 def save_hybrid_scheme(hs: HybridScheme, path: str | None = None) -> str:
-    doc = {
-        "version": VERSION,
-        "kind": "hybrid_scheme",
-        "s1": hs.s1.size, "s2": hs.s2.size,
-        "u1": hs.u1.size, "u2": hs.u2.size,
-        "y1": hs.g1.shape[-1], "y2": hs.g2.shape[-1],
-        "recon1": hs.recon1.size, "recon2": hs.recon2.size,
-        "pu1_given_s1": hs.pu1_given_s1.probs.tolist(),
-        "pu2_given_s2": hs.pu2_given_s2.probs.tolist(),
-        "f1": np.asarray(hs.f1).ravel().tolist(),
-        "f2": np.asarray(hs.f2).ravel().tolist(),
-        "g1": np.asarray(hs.g1).ravel().tolist(),
-        "g2": np.asarray(hs.g2).ravel().tolist(),
-    }
-    return _dump(doc, path)
+    sizes = {"s1": hs.s1.size, "s2": hs.s2.size, "u1": hs.u1.size, "u2": hs.u2.size,
+             "y1": np.shape(hs.g1)[-1], "y2": np.shape(hs.g2)[-1],
+             "recon1": hs.recon1.size, "recon2": hs.recon2.size}
+    laws = {"pu1_given_s1": hs.pu1_given_s1.probs, "pu2_given_s2": hs.pu2_given_s2.probs}
+    return _save("hybrid_scheme", path, sizes, laws, {"f1": hs.f1, "f2": hs.f2, "g1": hs.g1, "g2": hs.g2})
 
 
 @_loader("hybrid_scheme")
 def load_hybrid_scheme(doc: dict) -> HybridScheme:
-    s1, s2 = Alphabet(doc["s1"], "s1"), Alphabet(doc["s2"], "s2")
-    u1, u2 = Alphabet(doc["u1"], "u1"), Alphabet(doc["u2"], "u2")
+    s1, s2, u1, u2, y1, y2, recon1, recon2 = _alphabets(
+        doc, "s1", "s2", "u1", "u2", "y1", "y2", "recon1", "recon2")
     return HybridScheme(
-        pu1_given_s1=ConditionalPmf((s1,), (u1,), np.asarray(doc["pu1_given_s1"], dtype=np.float64)),
-        pu2_given_s2=ConditionalPmf((s2,), (u2,), np.asarray(doc["pu2_given_s2"], dtype=np.float64)),
-        f1=np.asarray(doc["f1"], dtype=np.int64).reshape(s1.size, u1.size),
-        f2=np.asarray(doc["f2"], dtype=np.int64).reshape(s2.size, u2.size),
-        g1=np.asarray(doc["g1"], dtype=np.int64).reshape(u2.size, s1.size, u1.size, doc["y1"]),
-        g2=np.asarray(doc["g2"], dtype=np.int64).reshape(u1.size, s2.size, u2.size, doc["y2"]),
-        recon1=Alphabet(doc["recon1"], "recon1"),
-        recon2=Alphabet(doc["recon2"], "recon2"),
+        pu1_given_s1=ConditionalPmf((s1,), (u1,), _law(doc, "pu1_given_s1")),
+        pu2_given_s2=ConditionalPmf((s2,), (u2,), _law(doc, "pu2_given_s2")),
+        f1=_table(doc, "f1", s1.size, u1.size),
+        f2=_table(doc, "f2", s2.size, u2.size),
+        g1=_table(doc, "g1", u2.size, s1.size, u1.size, y1.size),
+        g2=_table(doc, "g2", u1.size, s2.size, u2.size, y2.size),
+        recon1=recon1, recon2=recon2,
     )
 
 
 def save_adaptive_scheme(scheme: AdaptiveChannelScheme, path: str | None = None) -> str:
-    doc = {
-        "version": VERSION,
-        "kind": "adaptive_scheme",
-        "v1": scheme.v1.size, "v2": scheme.v2.size,
-        "x1": scheme.x1.size, "x2": scheme.x2.size,
-        "y1": scheme.y1.size, "y2": scheme.y2.size,
-        "pv1": scheme.pv1.tolist(),
-        "pv2": scheme.pv2.tolist(),
-        "gamma1": np.asarray(scheme.gamma1).ravel().tolist(),
-        "gamma2": np.asarray(scheme.gamma2).ravel().tolist(),
-    }
-    return _dump(doc, path)
+    sizes = {name: getattr(scheme, name).size for name in ("v1", "v2", "x1", "x2", "y1", "y2")}
+    return _save("adaptive_scheme", path, sizes, {"pv1": scheme.pv1, "pv2": scheme.pv2},
+                 {"gamma1": scheme.gamma1, "gamma2": scheme.gamma2})
 
 
 @_loader("adaptive_scheme")
 def load_adaptive_scheme(doc: dict) -> AdaptiveChannelScheme:
-    v1, v2 = Alphabet(doc["v1"], "v1"), Alphabet(doc["v2"], "v2")
-    x1, x2 = Alphabet(doc["x1"], "x1"), Alphabet(doc["x2"], "x2")
-    y1, y2 = Alphabet(doc["y1"], "y1"), Alphabet(doc["y2"], "y2")
-    nio1, nio2 = x1.size * y1.size, x2.size * y2.size
+    v1, v2, x1, x2, y1, y2 = _alphabets(doc, "v1", "v2", "x1", "x2", "y1", "y2")
     return AdaptiveChannelScheme(
-        v1=v1, v2=v2,
-        pv1=np.asarray(doc["pv1"], dtype=np.float64),
-        pv2=np.asarray(doc["pv2"], dtype=np.float64),
-        gamma1=np.asarray(doc["gamma1"], dtype=np.int64).reshape(v1.size, v1.size, nio1),
-        gamma2=np.asarray(doc["gamma2"], dtype=np.int64).reshape(v2.size, v2.size, nio2),
-        x1=x1, x2=x2, y1=y1, y2=y2,
+        v1, v2, _law(doc, "pv1"), _law(doc, "pv2"),
+        _table(doc, "gamma1", v1.size, v1.size, x1.size * y1.size),
+        _table(doc, "gamma2", v2.size, v2.size, x2.size * y2.size),
+        x1, x2, y1, y2,
     )
 
 
 def save_wz_scheme(scheme: WZScheme, path: str | None = None) -> str:
-    doc = {
-        "version": VERSION,
-        "kind": "wz_scheme",
-        "s": scheme.p_t_given_s.given_axes[0].size,
-        "side": scheme.h.shape[0],
-        "t": scheme.t.size,
-        "shat": scheme.shat.size,
-        "p_t_given_s": scheme.p_t_given_s.probs.tolist(),
-        "h": np.asarray(scheme.h).ravel().tolist(),
-    }
-    return _dump(doc, path)
+    sizes = {"s": scheme.p_t_given_s.given_axes[0].size, "side": np.shape(scheme.h)[0],
+             "t": scheme.t.size, "shat": scheme.shat.size}
+    return _save("wz_scheme", path, sizes, {"p_t_given_s": scheme.p_t_given_s.probs}, {"h": scheme.h})
 
 
 @_loader("wz_scheme")
 def load_wz_scheme(doc: dict) -> WZScheme:
-    s = Alphabet(doc["s"], "s")
-    t = Alphabet(doc["t"], "t")
-    return WZScheme(
-        t=t,
-        p_t_given_s=ConditionalPmf((s,), (t,), np.asarray(doc["p_t_given_s"], dtype=np.float64)),
-        h=np.asarray(doc["h"], dtype=np.int64).reshape(doc["side"], doc["t"]),
-        shat=Alphabet(doc["shat"], "shat"),
-    )
+    s, side, t, shat = _alphabets(doc, "s", "side", "t", "shat")
+    return WZScheme(t, ConditionalPmf((s,), (t,), _law(doc, "p_t_given_s")),
+                    _table(doc, "h", side.size, t.size), shat)
 
 
 def resolve_channel(spec: str) -> TwoWayChannel:

@@ -216,7 +216,7 @@ class TestEvalAdaptive:
         bad = np.full(cfg.prev_law.shape, 1.0)
         bad /= bad.sum()
         cfg = dataclasses.replace(cfg, prev_law=tw.JointPmf(cfg.prev_law.axes, bad))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not stationary"):
             eval_adaptive(cfg, ch, src)
 
     def test_missing_prev_law_solved_internally(self):

@@ -1,6 +1,6 @@
-"""Every module of the package uses each name it imports at top level, every
-private name it defines at top level is used, and every name the package
-exports is used by the package or the benchmark.
+"""Every module of the package and of `tests/` uses each name it imports at
+top level, every private name the package defines at top level is used, and
+every name the package exports is used by the package or the benchmark.
 
 The repository runs no linter, so these are its unused-import and dead-name
 checks, made with `ast` alone.  `__init__.py` re-exports by importing, `from
@@ -21,6 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "twjscc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 READERS = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")])
 
 
@@ -43,7 +44,7 @@ def _used_names(tree: ast.Module) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_every_top_level_import_is_used(path):
     text = path.read_text()
     tree = ast.parse(text)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from twjscc.probability import (
     product,
 )
 
-from util import binary_entropy, conditional_entropy, entropy, joint_typicality_test, random_joint_source
+from util import binary_entropy, conditional_entropy, entropy, joint_typicality_test
 
 
 def example2_pmf() -> JointPmf:
@@ -24,6 +26,22 @@ def random_pmf(rng, shape):
     p = rng.gamma(1.0, 1.0, size=shape)
     p /= p.sum()
     return JointPmf(tuple(Alphabet(k) for k in shape), p)
+
+
+class TestAlphabet:
+    @pytest.mark.parametrize("size", [2, np.int64(2), np.int32(2), np.uint8(2)])
+    def test_integer_sizes_accepted(self, size):
+        assert Alphabet(size).size == 2
+
+    @pytest.mark.parametrize("size", [True, False, 2.0, np.float64(2.0), "2", None])
+    def test_non_integer_size_refused(self, size):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {size!r}")):
+            Alphabet(size)
+
+    @pytest.mark.parametrize("size", [0, -1, np.int64(0)])
+    def test_size_below_one_refused(self, size):
+        with pytest.raises(ValueError, match=">= 1"):
+            Alphabet(size)
 
 
 class TestEntropy:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import twjscc as tw
 from twjscc import serialization as ser
-from twjscc.cli import _emit, execute, main, parse_args
+from twjscc.cli import _emit, main, parse_args
 from twjscc.region import uncoded_configuration
 
 from util import (
@@ -128,6 +129,105 @@ class TestRoundTrips:
         path = str(tmp_path / "out.json")
         ser.write_atomic(path, "{}")
         assert os.listdir(tmp_path) == ["out.json"]
+
+
+def _small_instances() -> dict:
+    """One small object of each v1 kind, with the exact document it saves as:
+    sizes first, then laws as nested arrays, then tables raveled row-major
+    (an axis order a column-major ravel would give differently)."""
+    a1, a2 = tw.Alphabet(1), tw.Alphabet(2)
+    law = [[[[0.25, 0.75]]], [[[1.0, 0.0]]]]
+    channel = tw.TwoWayChannel(a2, a1, a1, a2, tw.ConditionalPmf((a2, a1), (a1, a2), np.array(law)))
+    source = tw.JointSource(a2, a1, tw.JointPmf((a2, a1), np.array([[0.25], [0.75]])))
+    prev = [[[[[[0.5], [0.0]]]]], [[[[[0.0], [0.5]]]]]]
+    cfg = tw.Configuration(
+        u1=a1, u2=a1, pu1_given_s1=tw.ConditionalPmf((a2,), (a1,), np.ones((2, 1))),
+        pu2_given_s2=tw.ConditionalPmf((a1,), (a1,), np.ones((1, 1))), prev_law=None,
+        f1=np.arange(2).reshape(2, 1, 1, 1, 1), f2=0, g1=0, g2=1,
+        x1=a2, x2=a1, y1=a1, y2=a1, recon1=a2, recon2=a1,
+    )
+    cfg = dataclasses.replace(cfg, prev_law=tw.JointPmf(cfg.prev_axes, np.array(prev)))
+    hybrid = tw.HybridScheme(
+        tw.ConditionalPmf((a2,), (a2,), np.array([[0.5, 0.5], [0.0, 1.0]])),
+        tw.ConditionalPmf((a1,), (a1,), np.ones((1, 1))),
+        np.array([[0, 0], [1, 1]]), np.zeros((1, 1), dtype=int),
+        np.zeros((1, 2, 2, 1), dtype=int), np.array([[[[0, 0]]], [[[1, 1]]]]), a2, a1,
+    )
+    gamma1 = np.array([[[0, 0], [0, 0]], [[1, 1], [1, 1]]])
+    adaptive = tw.AdaptiveChannelScheme(a2, a1, np.array([0.25, 0.75]), np.ones(1), gamma1,
+                                        np.zeros((1, 1, 1), dtype=int), a2, a1, a1, a1)
+    wz = tw.WZScheme(a2, tw.ConditionalPmf((a2,), (a2,), np.eye(2)), np.array([[0, 0], [1, 1]]), a2)
+    return {
+        "channel": (ser.save_channel, ser.load_channel, channel,
+                    {"x1": 2, "x2": 1, "y1": 1, "y2": 2, "law": law}),
+        "source": (ser.save_source, ser.load_source, source,
+                   {"s1": 2, "s2": 1, "law": [[0.25], [0.75]]}),
+        "distortion": (ser.save_distortion, ser.load_distortion, tw.hamming(a2),
+                       {"source": 2, "recon": 2, "table": [[0.0, 1.0], [1.0, 0.0]]}),
+        "configuration": (ser.save_configuration, ser.load_configuration, cfg, {
+            "s1": 2, "s2": 1, "u1": 1, "u2": 1, "x1": 2, "x2": 1, "y1": 1, "y2": 1,
+            "recon1": 2, "recon2": 1, "pu1_given_s1": [[1.0], [1.0]], "pu2_given_s2": [[1.0]],
+            "prev_law": prev, "f1": [0, 0, 0, 0, 1, 1, 1, 1], "f2": [0], "g1": [0] * 8, "g2": [1]}),
+        "hybrid_scheme": (ser.save_hybrid_scheme, ser.load_hybrid_scheme, hybrid, {
+            "s1": 2, "s2": 1, "u1": 2, "u2": 1, "y1": 1, "y2": 2, "recon1": 2, "recon2": 1,
+            "pu1_given_s1": [[0.5, 0.5], [0.0, 1.0]], "pu2_given_s2": [[1.0]],
+            "f1": [0, 0, 1, 1], "f2": [0], "g1": [0, 0, 0, 0], "g2": [0, 0, 1, 1]}),
+        "adaptive_scheme": (ser.save_adaptive_scheme, ser.load_adaptive_scheme, adaptive, {
+            "v1": 2, "v2": 1, "x1": 2, "x2": 1, "y1": 1, "y2": 1, "pv1": [0.25, 0.75], "pv2": [1.0],
+            "gamma1": [0, 0, 0, 0, 1, 1, 1, 1], "gamma2": [0]}),
+        "wz_scheme": (ser.save_wz_scheme, ser.load_wz_scheme, wz, {
+            "s": 2, "side": 2, "t": 2, "shat": 2, "p_t_given_s": [[1.0, 0.0], [0.0, 1.0]],
+            "h": [0, 0, 1, 1]}),
+    }
+
+
+KINDS = list(_small_instances())
+
+
+class TestFormat:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_saved_text_is_pinned(self, kind, tmp_path):
+        save, load, obj, body = _small_instances()[kind]
+        expected = json.dumps({"version": "v1", "kind": kind, **body}, indent=2)
+        assert save(obj) == expected
+        path = tmp_path / f"{kind}.json"
+        assert save(obj, str(path)) == expected
+        assert path.read_text() == expected
+        assert save(load(str(path))) == expected
+
+    def test_numpy_integer_size_saves_as_a_json_integer(self):
+        # Alphabet accepts numpy integers; the file holds the same plain integer
+        assert ser.save_distortion(tw.hamming(tw.Alphabet(np.int64(2)))) == ser.save_distortion(
+            tw.hamming(tw.Alphabet(2)))
+
+    # (a required key, a size, a table or law) of each kind
+    BROKEN = {
+        "channel": ("y2", "x1", "law"),
+        "source": ("law", "s1", "law"),
+        "distortion": ("recon", "source", "table"),
+        "configuration": ("prev_law", "u1", "g1"),
+        "hybrid_scheme": ("f2", "y2", "g2"),
+        "adaptive_scheme": ("gamma2", "v1", "gamma1"),
+        "wz_scheme": ("shat", "side", "h"),
+    }
+
+    @pytest.mark.parametrize("case", ["missing key", "non-integer size", "short table"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_loader_reports_a_malformed_file(self, kind, case, tmp_path):
+        save, load, obj, _ = _small_instances()[kind]
+        doc = json.loads(save(obj))
+        missing, size, table = self.BROKEN[kind]
+        if case == "missing key":
+            del doc[missing]
+        elif case == "non-integer size":
+            doc[size] = float(doc[size])
+        else:
+            doc[table] = doc[table][:-1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed v1 file") as exc:
+            load(str(bad))
+        assert str(exc.value).count(str(bad)) == 1
 
 
 class TestParseArgs:
@@ -430,6 +530,28 @@ class TestExecute:
         assert main(["shannon-bound", "--channel", str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"error: {bad}" in err and err.count(str(bad)) == 1
+
+    @pytest.mark.parametrize("kind, size, argv", [
+        ("channel", 2.0, ["shannon-bound", "--channel"]),
+        ("channel", True, ["shannon-bound", "--channel"]),
+        ("source", 2.0, ["wz-rd", "--D", "0.1", "--source"]),
+        ("source", 2.0, ["search-region", "--channel", "bmc", "--budget", "3", "--source"]),
+    ], ids=["shannon-bound-float", "shannon-bound-bool", "wz-rd-float", "search-region-float"])
+    def test_non_integer_alphabet_size_exits_two(self, kind, size, argv, tmp_path, capsys):
+        if kind == "channel":
+            doc = json.loads(ser.save_channel(tw.preset_bmc()))
+            doc["x1"] = size
+            doc["law"] = doc["law"][:1] if size is True else doc["law"]  # a law that fits x1 = 1
+        else:
+            doc = json.loads(ser.save_source(tw.preset_example2_source()))
+            doc["s1"] = size
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(argv + [str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {bad}" in captured.err and captured.err.count(str(bad)) == 1
+        assert f"alphabet size must be an integer, got {size!r}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("law", [[[float("nan")] * 2] * 2, float("nan")])
     def test_refused_law_names_the_file(self, law, tmp_path, capsys):

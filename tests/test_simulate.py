@@ -16,7 +16,6 @@ from twjscc.conditions import (
 from twjscc.probability import Alphabet, ConditionalPmf
 from twjscc.region import uncoded_configuration
 from twjscc.simulate import (
-    Codebooks,
     SimContext,
     SimParams,
     codebook_size,
