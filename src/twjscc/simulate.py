@@ -27,7 +27,7 @@ from .probability import typical_count_bounds
 
 MAX_CODEBOOK = 2 ** 16  # largest codebook a simulation may draw
 MAX_N = 1024  # longest block length
-DRAW_CHUNK = 2 ** 15  # letters per fill of _letter_sample's uniform buffer
+DRAW_CHUNK = 2 ** 15  # letters per fill of _letter_sample's uniform buffer, in whole codewords
 
 
 def codebook_size(n: int, rate: float) -> int:
@@ -138,27 +138,40 @@ def _cdf_sample(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray
 
 
 def _letter_sample(rng: np.random.Generator, cdf: np.ndarray, shape: tuple) -> np.ndarray:
-    """Letters drawn from a short CDF in the smallest unsigned dtype.
+    """Codewords of shape[-1] letters drawn from a short CDF, as the packed
+    bit-sliced planes of `Codebooks`: (*shape[:-1], L, W) uint64 words.
 
     Each letter counts the CDF entries at or below its uniform draw, which
-    is the index `_cdf_sample` returns for the same draw.  The flat output
-    is filled DRAW_CHUNK letters at a time from one reused buffer of doubles
-    (the same stream as one draw of the whole shape), and the counts are
-    written straight into the output, so beyond it only the buffer and its
-    bool twin are allocated.  With one letter `cdf[0]` is the pinned 1.0
-    and every count is 0.
+    is the index `_cdf_sample` returns for the same draw.  The draws fill
+    one reused buffer of doubles, max(1, DRAW_CHUNK // n) whole codewords at
+    a time (the same stream as one draw of the whole shape); the counts go
+    to a letter buffer, and each of their L bits is packed straight into its
+    plane, so beyond the planes only the chunk's buffers are allocated.
+    With one letter `cdf[0]` is the pinned 1.0 and every count is 0.
     """
-    out = np.empty(shape, dtype=np.min_scalar_type(len(cdf) - 1))
-    r = np.empty(min(DRAW_CHUNK, out.size))
-    hit = np.empty(len(r), dtype=bool)
-    for start in range(0, out.size, DRAW_CHUNK):
-        part = out.reshape(-1)[start:start + DRAW_CHUNK]
-        u = r[:len(part)]
+    n, bits = shape[-1], max(1, (len(cdf) - 1).bit_length())
+    out = np.empty((*shape[:-1], bits, -(-n // 64)), dtype=np.uint64)
+    rows = out.reshape(-1, bits, out.shape[-1])
+    step = max(1, DRAW_CHUNK // n)
+    r = np.empty(min(step, len(rows)) * n)
+    letters, hit = np.empty(len(r), dtype=np.min_scalar_type(len(cdf) - 1)), np.empty(len(r), dtype=bool)
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        u, let, h = (buf[:len(part) * n] for buf in (r, letters, hit))
         rng.random(out=u)
-        np.greater_equal(u, cdf[0], out=part, casting="unsafe")
+        np.greater_equal(u, cdf[0], out=let, casting="unsafe")
         for c in cdf[1:-1]:
-            part += np.greater_equal(u, c, out=hit[:len(part)])
+            let += np.greater_equal(u, c, out=h)
+        for b in range(bits):  # with one plane the letters are its bits
+            plane = let if bits == 1 else np.bitwise_and(let, 1 << b, out=h, casting="unsafe")
+            part[:, b] = _packed_words(plane.reshape(-1, n))
     return out
+
+
+def _letters(planes: np.ndarray, n: int) -> np.ndarray:
+    """The n letters of each bit-sliced codeword in `planes` (..., L, W)."""
+    bits = np.unpackbits(planes.view(np.uint8), axis=-1, count=n)
+    return (1 << np.arange(bits.shape[-2])) @ bits
 
 
 def _in_bounds(counts, bounds) -> np.ndarray:
@@ -178,16 +191,17 @@ def _packed_words(bits: np.ndarray) -> np.ndarray:
 def _typical_candidates(own: np.ndarray, book: np.ndarray, bounds) -> np.ndarray:
     """Ascending indices of the codewords jointly typical with `own`.
 
-    `own` holds each letter's own-sequence cell and `book` is the (m, n)
-    codebook; `bounds` are the integer count bounds over (own cell,
-    codeword letter).  A codeword's letter counts in own cell o sum to
-    N_o, the count of o in `own`, so if some N_o lies outside
-    [sum_a lo, sum_a hi] no codeword is typical; this also decides every
-    own cell that does not occur, since all lo share the sign of 1 - eps.
-    Otherwise each occurring cell's positions and each thermometer plane
-    `book > a` are packed into 64-bit words, the plane as (words, m); gt_a,
-    a cell's count of letters > a, is the popcount of their AND, and letter
-    a's count gt_(a-1) - gt_a (gt_(-1) = N_o) is exact at every n <= MAX_N.
+    `own` holds each letter's own-sequence cell and `book` is one (m, L, W)
+    block of bit-sliced codewords (see `Codebooks`); `bounds` are the
+    integer count bounds over (own cell, codeword letter).  A codeword's
+    letter counts in own cell o sum to N_o, the count of o in `own`, so if
+    some N_o lies outside [sum_a lo, sum_a hi] no codeword is typical; this
+    also decides every own cell that does not occur, since all lo share the
+    sign of 1 - eps.  Otherwise each occurring cell's positions are packed
+    into words like the planes.  A cell's count of letter a >= 1 is the
+    popcount of its mask AND, over l, plane l where bit l of a is set and
+    ~plane l where it is not; letter 0's count is N_o less the others.  Every
+    count is exact at n <= MAX_N, and no plane is re-packed.
     """
     lo, hi = bounds
     n_own = np.bincount(own, minlength=len(lo))
@@ -195,22 +209,26 @@ def _typical_candidates(own: np.ndarray, book: np.ndarray, bounds) -> np.ndarray
         return np.empty(0, dtype=np.intp)
     cells = np.flatnonzero(n_own)
     masks = _packed_words(own == cells[:, None])
+    planes = book.transpose(1, 2, 0)  # (L, W, m)
     ok = np.ones(len(book), dtype=bool)
-    above = n_own[cells, None]
-    for a in range(lo.shape[1] - 1):
-        plane = np.ascontiguousarray(_packed_words(book > a).T)
-        gt = np.stack([np.bitwise_count(plane & w[:, None]).sum(axis=0, dtype=np.int64) for w in masks])
-        ok &= _in_bounds(above - gt, (lo[cells, a, None], hi[cells, a, None])).all(axis=0)
-        above = gt
-    ok &= _in_bounds(above, (lo[cells, -1, None], hi[cells, -1, None])).all(axis=0)
+    rest = n_own[cells, None]
+    for a in range(1, lo.shape[1]):
+        is_a = np.bitwise_and.reduce([p if a >> b & 1 else ~p for b, p in enumerate(planes)])
+        count = np.stack([np.bitwise_count(is_a & w[:, None]).sum(axis=0, dtype=np.int64) for w in masks])
+        ok &= _in_bounds(count, (lo[cells, a, None], hi[cells, a, None])).all(axis=0)
+        rest = rest - count
+    ok &= _in_bounds(rest, (lo[cells, 0, None], hi[cells, 0, None])).all(axis=0)
     return np.flatnonzero(ok)
 
 
 @dataclass
 class Codebooks:
-    """Per-block codebooks plus the fixed boundary sequences of one trial."""
+    """Per-block codebooks plus the fixed boundary sequences of one trial.
 
-    u1: np.ndarray  # (B, M1, n), uint8 for alphabets up to 256 letters
+    A book is stored only packed and bit-sliced, in L = max(1, (|U| - 1).bit_length()) planes
+    of ceil(n / 64) words: [b, m, l] holds bit l of codeword m's letters, as `_packed_words` packs."""
+
+    u1: np.ndarray  # (B, M1, L1, ceil(n / 64)) uint64; `_letters` unpacks codewords
     u2: np.ndarray
     init_prev: tuple  # (prev_s1, prev_s2, prev_u1, prev_u2, prev_io1, prev_io2)
     termination: tuple  # (s1, s2, u1, u2)
@@ -325,10 +343,10 @@ def encode_block(ctx: SimContext, j: int, s_block: np.ndarray, prev: tuple,
     Returns (index, codeword, x, covered); on covering failure the index is
     uniform over the whole codebook.
     """
-    m, n = codebook.shape
+    n = len(s_block)
     cand = _typical_candidates(s_block, codebook, ctx.count_bounds(("enc", j), n, params.eps1))
-    mj = _pick(rng, cand, m)
-    u = codebook[mj]
+    mj = _pick(rng, cand, len(codebook))
+    u = _letters(codebook[mj], n)
     f = ctx.cfg.f1 if j == 1 else ctx.cfg.f2
     ps, pu, pio = prev
     x = f[s_block, u, ps, pu, pio]
@@ -345,12 +363,12 @@ def decode_block(ctx: SimContext, j: int, own: tuple, codebook_prev: np.ndarray,
     """
     cfg = ctx.cfg
     own_flat = np.ravel_multi_index(own, ctx.own_shape[j])
-    m, n = codebook_prev.shape
+    n = len(own_flat)
     cand = _typical_candidates(own_flat, codebook_prev,
                                ctx.count_bounds(("dec", j), n, params.eps))
-    m_hat = _pick(rng, cand, m)
+    m_hat = _pick(rng, cand, len(codebook_prev))
     g = cfg.g1 if j == 1 else cfg.g2
-    recon = g[(codebook_prev[m_hat], *own)]
+    recon = g[(_letters(codebook_prev[m_hat], n), *own)]
     return m_hat, recon, cand
 
 
@@ -398,7 +416,7 @@ def _run_trial(ctx: SimContext, dists: dict, params: SimParams, rng: np.random.G
                     tally["claim_app"] += 1
                     tally["claim_bad"] += m_hat != truth
                     g = cfg.g1 if j == 1 else cfg.g2
-                    genie = g[(book[truth], *own)]
+                    genie = g[(_letters(book[truth], params.n), *own)]
                     tally["unexplained"] += bool(np.any(recon != genie))
                 dist_sum[b - 2, other - 1] += dists[other].table[s_other, recon].mean()
 

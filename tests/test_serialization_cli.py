@@ -553,6 +553,32 @@ class TestExecute:
         assert f"alphabet size must be an integer, got {size!r}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("kind", ["adaptive_scheme", "configuration"])
+    def test_non_integer_table_entry_exits_two(self, kind, tmp_path, capsys):
+        # gamma1 all 0.9 once loaded as all 0, and true as 1; here the true
+        # replaces a 1, so only the check tells the file from a valid one
+        if kind == "adaptive_scheme":
+            ch, v = tw.preset_crossed_bitpipes(), tw.Alphabet(2)
+            gamma = np.ascontiguousarray(np.broadcast_to(np.arange(2)[:, None, None], (2, 2, 4)))
+            doc = json.loads(ser.save_adaptive_scheme(tw.AdaptiveChannelScheme(
+                v, v, np.full(2, 0.5), np.full(2, 0.5), gamma, gamma, ch.x1, ch.x2, ch.y1, ch.y2)))
+            key, argv = "gamma1", ["eval-sscc", "--channel", "bitpipes", "--rate1", "0.5",
+                                   "--rate2", "0.5", "--scheme"]
+            doc[key] = [0.9] * len(doc[key])
+        else:
+            ch, src = tw.preset_bmc(), tw.preset_example2_source()
+            d = tw.hamming(src.s1)
+            doc = json.loads(ser.save_configuration(uncoded_configuration(ch, src, d, d)))
+            key, argv = "f1", ["eval-adaptive", "--channel", "bmc", "--source", "example2", "--config"]
+            doc[key][doc[key].index(1)] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(argv + [str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {bad}" in captured.err and captured.err.count(str(bad)) == 1
+        assert f"table {key} must be a flat list of integers" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("law", [[[float("nan")] * 2] * 2, float("nan")])
     def test_refused_law_names_the_file(self, law, tmp_path, capsys):
         doc = json.loads(ser.save_source(tw.preset_example2_source()))

@@ -25,7 +25,7 @@ from twjscc.simulate import (
     run_simulation,
 )
 
-from util import bsc_codeword_scheme, dense_pair_law, load_bench_workloads
+from util import bsc_codeword_scheme, dense_pair_law, load_bench_workloads, packed_book
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +92,9 @@ class TestCodebooks:
         params = SimParams(n=32, blocks=2, eps=0.3, eps1=0.1, rate1=0.1, rate2=0.05)
         a = generate_codebooks(cfg, src, params, np.random.default_rng(3))
         b = generate_codebooks(cfg, src, params, np.random.default_rng(3))
-        assert a.u1.shape == (2, codebook_size(32, 0.1), 32)
-        assert a.u2.shape == (2, codebook_size(32, 0.05), 32)
+        # binary codewords of 32 letters: one plane of one word each
+        assert a.u1.shape == (2, codebook_size(32, 0.1), 1, 1) and a.u1.dtype == np.uint64
+        assert a.u2.shape == (2, codebook_size(32, 0.05), 1, 1)
         assert np.array_equal(a.u1, b.u1) and np.array_equal(a.u2, b.u2)
         for x, y in zip(a.init_prev, b.init_prev):
             assert np.array_equal(x, y)
@@ -106,8 +107,9 @@ class TestCodebooks:
         # rate 0.01 at n = 1000 draws 2^10 codewords, 1,024,000 letters
         params = SimParams(n=1000, blocks=1, eps=0.3, eps1=0.1, rate1=0.01, rate2=0.01)
         books = generate_codebooks(cfg, src, params, np.random.default_rng(0))
-        assert books.u1.shape == (1, 1024, 1000)
-        freq1 = np.bincount(books.u1.ravel(), minlength=2) / books.u1.size
+        assert books.u1.shape == (1, 1024, 1, 16)
+        letters = simulate._letters(books.u1, 1000)
+        freq1 = np.bincount(letters.ravel(), minlength=2) / letters.size
         assert abs(freq1[1] - 0.5) <= 0.05
 
     def test_init_sequences_follow_prev_law(self, bmc_example2):
@@ -176,7 +178,7 @@ class TestSampling:
         assert y1.tolist() == [1] * 3 and y2.tolist() == [6] * 3
         params = SimParams(n=3, blocks=1, eps=0.3, eps1=0.1, rate1=0.0, rate2=0.0)
         books = generate_codebooks(cfg, src, params, top)
-        assert books.u1.dtype == np.uint8 and not books.u1.any()
+        assert books.u1.dtype == np.uint64 and not books.u1.any()
         for seqs, shape in ((books.init_prev, cfg.prev_law.shape),
                             (books.termination, (2, 7, 1, 1))):
             assert all(np.all(np.asarray(s) == k - 1) for s, k in zip(seqs, shape))
@@ -204,7 +206,7 @@ class TestSampling:
         src1 = tw.preset_independent_bernoulli(1.0, 0.5)
         cfg1 = lift_hybrid(bsc_codeword_scheme(ch, src1, 0.0, d, d), ch, src1)
         books = generate_codebooks(cfg1, src1, params, zero)
-        assert np.all(books.u1 == 1) and np.all(books.u2 == 0)
+        assert np.all(simulate._letters(books.u1, 3) == 1) and not books.u2.any()
 
     @pytest.mark.parametrize("probs", DRAW_LAWS)
     def test_in_place_draw_matches_slice_formula(self, probs):
@@ -212,11 +214,11 @@ class TestSampling:
         shape = (3, 17, 11)
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
         got = simulate._letter_sample(rng, cdf, shape)
-        assert got.dtype == np.min_scalar_type(len(cdf) - 1)
-        assert np.array_equal(got, slice_formula(ref, cdf, shape))
+        assert got.dtype == np.uint64
+        assert np.array_equal(simulate._letters(got, shape[-1]), slice_formula(ref, cdf, shape))
         assert rng.random() == ref.random()
 
-    @pytest.mark.parametrize("chunk", [1000, 10 ** 6])  # ends mid-row; more than the output
+    @pytest.mark.parametrize("chunk", [1000, 10 ** 6])  # ends mid-book; more than the output
     @pytest.mark.parametrize("probs", DRAW_LAWS)
     def test_draw_does_not_depend_on_the_buffer_size(self, monkeypatch, chunk, probs):
         monkeypatch.setattr(simulate, "DRAW_CHUNK", chunk)
@@ -224,8 +226,26 @@ class TestSampling:
         shape = (2, 3001, 17)
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         got = simulate._letter_sample(rng, cdf, shape)
-        assert got.dtype == np.min_scalar_type(len(cdf) - 1)
-        assert np.array_equal(got, slice_formula(ref, cdf, shape))
+        assert got.dtype == np.uint64
+        assert np.array_equal(simulate._letters(got, shape[-1]), slice_formula(ref, cdf, shape))
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("chunk", [1000, 10 ** 6])
+    # n: inside one word; one bit short of, exactly and one bit past a word; 16 words
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("size", range(2, 10))  # one to four planes
+    def test_packed_planes_hold_the_drawn_letters(self, monkeypatch, chunk, n, size):
+        # 21 codewords: at n = 63, 64 and 65 a 1000-letter chunk holds 15 of
+        # them, so the second fill is partial; at n = 1000 each fill holds one
+        monkeypatch.setattr(simulate, "DRAW_CHUNK", chunk)
+        cdf = simulate._cdf(np.random.default_rng(size).dirichlet(np.ones(size)))
+        shape = (3, 7, n)
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        got = simulate._letter_sample(rng, cdf, shape)
+        want = slice_formula(ref, cdf, shape)
+        assert got.shape == (3, 7, (size - 1).bit_length(), -(-n // 64)) and got.dtype == np.uint64
+        assert np.array_equal(simulate._letters(got, n), want)
+        assert np.array_equal(got, packed_book(want, size))  # the tail bits are zero
         assert rng.random() == ref.random()
 
     def test_in_place_draw_allocates_one_slice(self):
@@ -239,7 +259,9 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= out.nbytes + simulate.DRAW_CHUNK * (8 + 1) + 64 * 1024
+        # the packed planes, then one chunk of doubles, letters and bools
+        assert out.shape == (3, 2048, 2, 4)
+        assert peak <= out.nbytes + simulate.DRAW_CHUNK * (8 + 1 + 1) + 64 * 1024
 
 
 class TestTypicalCandidates:
@@ -271,7 +293,7 @@ class TestTypicalCandidates:
                 moved.append(t)
         tables = [c] * 4 + moved
         order = rng.permutation(len(tables))
-        book = np.stack([self.codeword(rng, own, tables[i]) for i in order])
+        book = packed_book(np.stack([self.codeword(rng, own, tables[i]) for i in order]), 3)
         expected = np.flatnonzero(order < 4)
         for bounds in ((c, np.repeat(n_own[:, None], 3, axis=1)), (np.zeros_like(c), c)):
             got = simulate._typical_candidates(own, book, bounds)
@@ -294,8 +316,8 @@ class TestEncode:
             planted = int(rng.integers(m))
             book[planted] = s
             prev = (np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n, dtype=int))
-            mj, u, x, covered = encode_block(ctx, 1, s, prev, book, params, rng)
-            assert covered and mj == planted
+            mj, u, x, covered = encode_block(ctx, 1, s, prev, packed_book(book, 2), params, rng)
+            assert covered and mj == planted and np.array_equal(u, s)
 
     def test_covering_failure_grows_below_rate_threshold(self):
         # codeword rate below the source-codeword information: failures
@@ -327,7 +349,7 @@ class TestEncode:
         rng = np.random.default_rng(11)
         pu = rng.integers(0, 2, 16)
         prev = (rng.integers(0, 2, 16), pu, rng.integers(0, 4, 16))
-        book = rng.integers(0, 2, size=(1, 16))
+        book = packed_book(rng.integers(0, 2, size=(1, 16)), 2)
         _, _, x, _ = encode_block(ctx, 1, rng.integers(0, 2, 16), prev, book, params, rng)
         assert np.array_equal(x, pu)
 
@@ -354,7 +376,7 @@ class TestDecode:
             book = rng.integers(0, 2, size=(m, n))
             truth = int(rng.integers(m))
             book[truth] = pu1
-            m_hat, recon, cand = decode_block(ctx, 2, own, book, params, rng)
+            m_hat, recon, cand = decode_block(ctx, 2, own, packed_book(book, 2), params, rng)
             correct += m_hat == truth
             wrong = bool(np.any(cand != truth))
             wrong_candidates += wrong
@@ -370,7 +392,7 @@ class TestDecode:
         params = SimParams(n=16, blocks=1, eps=0.3, eps1=0.1, rate1=0.0, rate2=0.0)
         rng = np.random.default_rng(0)
         n = 16
-        book = np.zeros((1, n), dtype=int)
+        book = packed_book(np.zeros((1, n), dtype=int), 2)
         own = (rng.integers(0, 2, n), np.zeros(n, dtype=int), rng.integers(0, 2, n),
                np.zeros(n, dtype=int), rng.integers(0, 4, n), rng.integers(0, 2, n))
         m_hat, recon, cand = decode_block(ctx, 2, own, book, params, rng)
@@ -471,8 +493,10 @@ class TestRunSimulation:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        books = 2 * params.blocks * codebook_size(params.n, params.rate1) * params.n
-        assert peak <= books + 1.5 * 2 ** 20
+        # both books hold one plane of n / 64 words per codeword; beyond them
+        # one draw buffer (doubles, letters and bools) and 256 KiB
+        books = 2 * params.blocks * codebook_size(params.n, params.rate1) * (params.n // 64) * 8
+        assert peak <= books + simulate.DRAW_CHUNK * (8 + 1 + 1) + 256 * 1024
 
     def test_jscc_rate_reported(self, bmc_example2):
         ch, src, d, cfg = bmc_example2

@@ -18,6 +18,7 @@ from twjscc.simulate import SimContext, _typical_candidates
 
 from util import (
     dense_pair_law,
+    packed_book,
     joint_typicality_test,
     random_binary_channel,
     random_configuration,
@@ -86,7 +87,7 @@ def search_instances(draw):
 def test_candidate_search_matches_float_bincount_path(inst):
     own, book, ref, n, eps = inst
     assume(clear_of_integers(n * ref * (1 - eps)) and clear_of_integers(n * ref * (1 + eps)))
-    got = _typical_candidates(own, book, typical_count_bounds(ref, n, eps))
+    got = _typical_candidates(own, packed_book(book, ref.shape[1]), typical_count_bounds(ref, n, eps))
     assert got.tolist() == float_candidates(own, book.astype(np.int64), ref, eps).tolist()
 
 

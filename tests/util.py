@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import twjscc as tw
-from twjscc import region
+from twjscc import region, simulate
 from twjscc.coded_channel import Configuration, _check_table
 from twjscc.conditions import (
     AdaptiveChannelScheme,
@@ -213,6 +213,14 @@ def random_wz_scheme(rng, src, which) -> WZScheme:
         rng.integers(0, s.size, size=(other.size, 2)),
         Alphabet(s.size, "shat"),
     )
+
+
+def packed_book(letters, size: int) -> np.ndarray:
+    """Codeword letters (..., n) over a `size`-letter alphabet as the packed
+    bit-sliced planes of `simulate.Codebooks`, (..., L, ceil(n / 64))."""
+    letters = np.asarray(letters)
+    bits = max(1, (size - 1).bit_length())
+    return np.stack([simulate._packed_words(letters >> b & 1) for b in range(bits)], axis=-2)
 
 
 def bsc_codeword_scheme(ch, src, q, d1, d2) -> HybridScheme:
