@@ -20,8 +20,9 @@ from .probability import Alphabet, ConditionalPmf, JointPmf
 
 
 def io_index(x: np.ndarray | int, y: np.ndarray | int, y_size: int):
-    """Flatten a channel (input, output) pair to one symbol."""
-    return x * y_size + y
+    """Flatten a channel (input, output) pair to one symbol; x is promoted to
+    intp first, since a table read gives it in the table's narrow type."""
+    return np.asarray(x, dtype=np.intp) * y_size + y
 
 
 def _check_table(name: str, table, shape: tuple[int, ...], out_size: int) -> np.ndarray:
@@ -29,9 +30,10 @@ def _check_table(name: str, table, shape: tuple[int, ...], out_size: int) -> np.
 
     The table broadcasts to `shape` by numpy's rule: a missing leading axis
     or an axis of size 1 means the table ignores that argument.  Returns a
-    contiguous, read-only int64 copy; raises ValueError naming the table when
-    it does not broadcast, does not hold integers, or has an entry outside
-    [0, out_size).
+    contiguous, read-only copy in the narrowest unsigned type that holds
+    out_size - 1 (uint8 up to 256 letters), so arithmetic on an entry must
+    promote it to intp first; raises ValueError naming the table when it does
+    not broadcast, does not hold integers, or has an entry outside [0, out_size).
     """
     arr = np.asarray(table)
     try:
@@ -42,7 +44,7 @@ def _check_table(name: str, table, shape: tuple[int, ...], out_size: int) -> np.
         raise ValueError(f"{name} table must hold integers")
     if arr.size and (arr.min() < 0 or arr.max() >= out_size):
         raise ValueError(f"{name} entries must lie in [0, {out_size})")
-    arr = np.array(arr, dtype=np.int64, order="C")
+    arr = np.array(arr, dtype=np.min_scalar_type(out_size - 1), order="C")
     arr.flags.writeable = False
     return arr
 
@@ -54,8 +56,10 @@ class Configuration:
     f_j maps (s_j, u_j, prev_s_j, prev_u_j, prev_io_j) to a channel input.
     g_j maps (prev_u_j', s_j, u_j, prev_s_j, prev_u_j, prev_io_j, y_j) to a
     reconstruction of the other terminal's previous-block source.  Both are
-    stored as dense integer tables indexed row-major over their argument
-    tuples; the constructor accepts any table that broadcasts to that shape
+    stored as dense tables of the narrowest unsigned type that holds their
+    output letters, indexed row-major over their argument tuples (on Dueck's
+    channel with binary sources and codewords the four take 17,408 bytes);
+    the constructor accepts any table that broadcasts to that shape
     (see `_check_table`), so a table may leave out the arguments it ignores.
     prev_law may be None while a stationary previous-block law is still to
     be computed (markov.build_chain solves and installs it).

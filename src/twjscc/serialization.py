@@ -135,7 +135,10 @@ def _law(doc: dict, key: str) -> np.ndarray:
 def _table(doc: dict, key: str, *shape: int) -> np.ndarray:
     if not isinstance(doc[key], list) or any(type(v) is not int for v in doc[key]):  # bool is refused
         raise ValueError(f"table {key} must be a flat list of integers")
-    return np.asarray(doc[key], dtype=np.int64).reshape(shape)
+    try:
+        return np.asarray(doc[key], dtype=np.int64).reshape(shape)
+    except OverflowError:
+        raise ValueError(f"table {key} has an entry beyond int64") from None
 
 
 def save_channel(ch: TwoWayChannel, path: str | None = None) -> str:

@@ -321,6 +321,7 @@ class SimContext:
         return np.unravel_index(flat, self.src.law.shape)
 
     def sample_channel(self, rng, x1, x2):
+        x1 = np.asarray(x1, dtype=np.intp)  # a narrow table entry would wrap in x1 * |X2|
         rows = self.chan_cdf[x1 * self.ch.x2.size + x2]
         r = rng.random(len(x1))
         y_flat = (rows <= r[:, None]).sum(axis=1)

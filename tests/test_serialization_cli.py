@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -199,6 +200,29 @@ class TestFormat:
         # Alphabet accepts numpy integers; the file holds the same plain integer
         assert ser.save_distortion(tw.hamming(tw.Alphabet(np.int64(2)))) == ser.save_distortion(
             tw.hamming(tw.Alphabet(2)))
+
+    @pytest.mark.parametrize("kind", ["configuration", "hybrid_scheme", "adaptive_scheme", "wz_scheme"])
+    def test_saved_text_does_not_depend_on_the_table_dtype(self, kind):
+        # random instances, so that every table has more than a few entries
+        rng = np.random.default_rng(36)
+        src, ch = random_joint_source(rng), random_binary_channel(rng)
+        d = tw.hamming(src.s1)
+        save, names, obj = {
+            "configuration": (ser.save_configuration, ("f1", "f2", "g1", "g2"),
+                              uncoded_configuration(tw.preset_dueck(), src, d, d)),
+            "hybrid_scheme": (ser.save_hybrid_scheme, ("f1", "f2", "g1", "g2"),
+                              random_hybrid_scheme(rng, src, ch, d, d)),
+            "adaptive_scheme": (ser.save_adaptive_scheme, ("gamma1", "gamma2"),
+                                random_adaptive_scheme(rng, ch)),
+            "wz_scheme": (ser.save_wz_scheme, ("h",), random_wz_scheme(rng, src, 1)),
+        }[kind]
+        texts = set()
+        for dtype in (np.int64, np.uint8):
+            stored = copy.copy(obj)
+            for name in names:  # set past the constructor, which would narrow an int64 table
+                object.__setattr__(stored, name, getattr(obj, name).astype(dtype))
+            texts.add(save(stored))
+        assert texts == {save(obj)}
 
     # (a required key, a size, a table or law) of each kind
     BROKEN = {
@@ -577,6 +601,31 @@ class TestExecute:
         captured = capsys.readouterr()
         assert f"error: {bad}" in captured.err and captured.err.count(str(bad)) == 1
         assert f"table {key} must be a flat list of integers" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["configuration", "hybrid_scheme", "adaptive_scheme", "wz_scheme"])
+    def test_table_entry_beyond_int64_exits_two(self, kind, tmp_path, capsys):
+        # 2**70 once escaped the loader as a bare OverflowError (exit 1, traceback)
+        save, _, obj, _ = _small_instances()[kind]
+        key = TestFormat.BROKEN[kind][2]
+        doc = json.loads(save(obj))
+        doc[key][0] = 2 ** 70
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        good = tmp_path / "scheme.json"
+        ser.save_adaptive_scheme(_small_instances()["adaptive_scheme"][2], str(good))
+        argv = {
+            "configuration": ["eval-adaptive", "--channel", "bmc", "--source", "example2", "--config", bad],
+            "hybrid_scheme": ["eval-hybrid", "--channel", "bmc", "--source", "example2", "--scheme", bad],
+            "adaptive_scheme": ["eval-sscc", "--channel", "bmc", "--rate1", "0.1", "--rate2", "0.1",
+                                "--scheme", bad],
+            "wz_scheme": ["eval-sscc", "--channel", "bmc", "--source", "example2", "--scheme", good,
+                          "--wz1", bad, "--wz2", bad],
+        }[kind]
+        assert main([str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {bad}" in captured.err and captured.err.count(str(bad)) == 1
+        assert f"table {key} has an entry beyond int64" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("law", [[[float("nan")] * 2] * 2, float("nan")])

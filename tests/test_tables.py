@@ -9,7 +9,7 @@ import pytest
 import twjscc as tw
 from twjscc import serialization as ser
 from twjscc.cli import main
-from twjscc.coded_channel import _check_table
+from twjscc.coded_channel import _check_table, io_index
 from twjscc.conditions import (
     _UNIT_SOURCE,
     AdaptiveChannelScheme,
@@ -21,10 +21,12 @@ from twjscc.conditions import (
 from twjscc.markov import build_chain, pair_marginal
 from twjscc.probability import Alphabet, mutual_information
 from twjscc.region import uncoded_configuration
+from twjscc.simulate import SimContext
 
 from util import (
     random_adaptive_scheme,
     random_binary_channel,
+    random_configuration,
     random_hybrid_scheme,
     random_joint_source,
     random_wz_scheme,
@@ -39,8 +41,28 @@ class TestCheckTable:
         got = _check_table("t", t, shape, 5)
         want = np.ascontiguousarray(np.broadcast_to(t, shape), dtype=np.int64)
         assert np.array_equal(got, want)
-        assert got.dtype == want.dtype == np.int64
+        assert got.dtype == np.uint8  # five letters fit one byte
         assert got.flags.c_contiguous and not got.flags.writeable
+
+    @pytest.mark.parametrize("out_size, dtype", [
+        (1, np.uint8), (2, np.uint8), (255, np.uint8), (256, np.uint8),
+        (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
+    ])
+    def test_entries_stored_in_the_narrowest_unsigned_type(self, out_size, dtype):
+        t = np.random.default_rng(out_size).integers(0, out_size, size=(3, 1))
+        t[0, 0] = out_size - 1
+        got = _check_table("t", t, (3, 4), out_size)
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.broadcast_to(t, (3, 4)))
+
+    def test_dueck_configuration_takes_one_byte_per_entry(self):
+        # the eval_dueck shape: Dueck's channel (|IO| = 32), binary sources and codewords;
+        # 2 f tables of 512 entries and 2 g tables of 8192, 139,264 bytes as int64
+        rng = np.random.default_rng(35)
+        cfg = random_configuration(rng, tw.preset_dueck(), tw.preset_independent_bernoulli(0.89, 0.89))
+        tables = (cfg.f1, cfg.f2, cfg.g1, cfg.g2)
+        assert [t.size for t in tables] == [512, 512, 8192, 8192]
+        assert sum(t.nbytes for t in tables) <= 17_408
 
     def test_result_does_not_follow_the_input(self):
         t = np.zeros((2, 2), dtype=np.int64)
@@ -61,6 +83,42 @@ class TestCheckTable:
     def test_entry_out_of_range_names_the_table(self, entry):
         with pytest.raises(ValueError, match=r"g3 entries must lie in \[0, 2\)"):
             _check_table("g3", np.array([[0, entry]]), (3, 2), 2)
+
+
+class TestNarrowEntriesPromoted:
+    """Arithmetic on a uint8 table entry with a Python int stays in uint8 and
+    wraps (16 * 17 + 16 gives 32, not 288), so every site that computes with
+    an entry read from a table must promote it first."""
+
+    def test_io_index(self):
+        x = _check_table("f1", np.array([16, 3]), (2,), 17)
+        assert x.dtype == np.uint8
+        assert io_index(x, np.array([16, 2]), 17).tolist() == [288, 53]
+        assert io_index(x[0], 16, 17) == 288
+
+    def test_sample_channel(self):
+        # 17 x 17 inputs, y1 = x2 and one y2 letter; x1 * 17 + x2 wrapped in
+        # uint8 would read another input pair's row
+        x, one = Alphabet(17), Alphabet(1)
+        law = np.zeros((17, 17, 17, 1))
+        law[:, np.arange(17), np.arange(17), 0] = 1.0
+        ch = tw.TwoWayChannel(x, x, x, one, tw.ConditionalPmf((x, x), (x, one), law))
+        src = tw.JointSource(one, one, tw.JointPmf((one, one), np.ones((1, 1))))
+        unit = tw.ConditionalPmf((one,), (one,), np.ones((1, 1)))
+        io = np.arange(289)  # io1 = x1 * 17 + y1; f1 reads x1 back off the previous io1
+        cfg = tw.Configuration(
+            u1=one, u2=one, pu1_given_s1=unit, pu2_given_s2=unit, prev_law=None,
+            f1=io // 17, f2=np.arange(17), g1=0, g2=0,
+            x1=x, x2=x, y1=x, y2=one, recon1=one, recon2=one,
+        )
+        prev = np.full((1, 1, 1, 1, 289, 17), 1 / 4913)
+        cfg = dataclasses.replace(cfg, prev_law=tw.JointPmf(cfg.prev_axes, prev))
+        ctx = SimContext(cfg, ch, src)
+        x1, x2 = cfg.f1[0, 0, 0, 0, io], cfg.f2[0, 0, 0, 0, io % 17]
+        assert x1.dtype == x2.dtype == np.uint8
+        y1, y2 = ctx.sample_channel(np.random.default_rng(0), x1, x2)
+        assert np.array_equal(y1, x2) and not y2.any()
+        assert np.array_equal(io_index(x1, y1, 17), io)
 
 
 def _full(shape, value) -> np.ndarray:

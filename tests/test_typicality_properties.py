@@ -152,7 +152,8 @@ def feasible_letters(ctx, z_shape):
     prev, a, y1, y2 = np.indices((ctx.pi.size, ctx.psu.size, ny1, ny2)).reshape(4, -1)
     ps1, ps2, pu1, pu2, pio1, pio2 = np.unravel_index(prev, ctx.state_shape)
     s1, s2, u1, u2 = np.unravel_index(a, ctx.state_shape[:4])
-    x1, x2 = cfg.f1[s1, u1, ps1, pu1, pio1], cfg.f2[s2, u2, ps2, pu2, pio2]
+    x1 = cfg.f1[s1, u1, ps1, pu1, pio1].astype(np.intp)  # x1 * ny1 would wrap a uint8 entry
+    x2 = cfg.f2[s2, u2, ps2, pu2, pio2].astype(np.intp)
     state = np.ravel_multi_index((s1, s2, u1, u2, x1 * ny1 + y1, x2 * ny2 + y2), ctx.state_shape)
     z = np.ravel_multi_index((s1, s2, u1, u2, ps1, ps2, pu1, pu2, pio1, pio2, x1, x2, y1, y2),
                              z_shape)

@@ -237,11 +237,13 @@ def bsc_codeword_scheme(ch, src, q, d1, d2) -> HybridScheme:
 
 def all_rows_inputs(cfg, kernel):
     """x1, x2 of every state under every fresh tuple, as (states, fresh
-    tuples) tables read from f1/f2 over the whole state grid."""
+    tuples) intp tables read from f1/f2 over the whole state grid (the
+    callers compute cells from them, which a uint8 entry would wrap)."""
     prev = np.unravel_index(np.arange(kernel.n_states), kernel.state_shape)
     s1p, s2p, u1p, u2p, io1p, io2p = (c[:, None] for c in prev)
     s1, s2, u1, u2 = np.unravel_index(np.arange(kernel.psu.size), kernel.state_shape[:4])
-    return cfg.f1[s1, u1, s1p, u1p, io1p], cfg.f2[s2, u2, s2p, u2p, io2p]
+    return (cfg.f1[s1, u1, s1p, u1p, io1p].astype(np.intp),
+            cfg.f2[s2, u2, s2p, u2p, io2p].astype(np.intp))
 
 
 def all_rows_image(cfg, kernel) -> np.ndarray:
