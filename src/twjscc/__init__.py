@@ -7,7 +7,6 @@ from .probability import (
     conditional_mutual_information,
     marginalize,
     mutual_information,
-    product,
 )
 from .models import (
     DistortionMeasure,

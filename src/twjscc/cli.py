@@ -10,15 +10,14 @@ not satisfied, distortion target unreachable), 2 on input errors.
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
 from . import serialization as ser
 from .conditions import _adaptive_report, eval_hybrid, eval_sscc, shannon_nonadaptive_bound, wz_scheme_rate
 from .markov import Z_AXES, build_chain, pair_marginal
-from .models import hamming
 from .rate_distortion import InfeasibleDistortion, rd_curve, rd_function, wz_curve, wz_function
 from .region import convexify, search_region, uncoded_configuration
 from .probability import marginalize
@@ -33,11 +32,19 @@ class RunSpec:
     options: dict
 
 
+def _model_flags(parser: argparse.ArgumentParser, required: bool) -> None:
+    """Declare the flags that `_models` resolves, in this order."""
+    parser.add_argument("--channel", required=required)
+    parser.add_argument("--source", required=required)
+    parser.add_argument("--dist1", default="hamming")
+    parser.add_argument("--dist2", default="hamming")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="twjscc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("presets", help="list built-in channels and sources")
+    sub.add_parser("presets", help="list built-in channels and sources").add_argument("--out")
 
     ev = sub.add_parser("eval-adaptive", help="adaptive block-Markov conditions for a configuration")
     ev.add_argument("--config", required=True)
@@ -50,10 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     eh = sub.add_parser("eval-hybrid", help="single-block hybrid conditions for a scheme")
     eh.add_argument("--scheme", required=True)
-    eh.add_argument("--channel", required=True)
-    eh.add_argument("--source", required=True)
-    eh.add_argument("--dist1", default="hamming")
-    eh.add_argument("--dist2", default="hamming")
+    _model_flags(eh, required=True)
     eh.add_argument("--out")
 
     es = sub.add_parser("eval-sscc", help="separate-coding conditions: WZ rates vs adaptive channel rates")
@@ -66,21 +70,15 @@ def _build_parser() -> argparse.ArgumentParser:
     es.add_argument("--source", help="needed when rates come from WZ scheme files")
     es.add_argument("--out")
 
-    rd = sub.add_parser("rd", help="rate-distortion function of one source marginal")
-    rd.add_argument("--source", required=True)
-    rd.add_argument("--which", type=int, choices=(1, 2), default=1)
-    rd.add_argument("--D", type=float)
-    rd.add_argument("--curve", help="comma-separated distortion grid (emits CSV)")
-    rd.add_argument("--dist", default="hamming")
-    rd.add_argument("--out")
-
-    wz = sub.add_parser("wz-rd", help="side-information rate-distortion for one source of the pair")
-    wz.add_argument("--source", required=True)
-    wz.add_argument("--which", type=int, choices=(1, 2), default=1)
-    wz.add_argument("--D", type=float)
-    wz.add_argument("--curve", help="comma-separated distortion grid (emits CSV)")
-    wz.add_argument("--dist", default="hamming")
-    wz.add_argument("--out")
+    for name, text in (("rd", "rate-distortion function of one source marginal"),
+                       ("wz-rd", "side-information rate-distortion for one source of the pair")):
+        rd = sub.add_parser(name, help=text)
+        rd.add_argument("--source", required=True)
+        rd.add_argument("--which", type=int, choices=(1, 2), default=1)
+        rd.add_argument("--D", type=float)
+        rd.add_argument("--curve", help="comma-separated distortion grid (emits CSV)")
+        rd.add_argument("--dist", default="hamming")
+        rd.add_argument("--out")
 
     sh = sub.add_parser("shannon-bound", help="non-adaptive random-coding rate bound with time-sharing")
     sh.add_argument("--channel", required=True)
@@ -89,10 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sh.add_argument("--out")
 
     sr = sub.add_parser("search-region", help="search certified achievable distortion pairs")
-    sr.add_argument("--channel", required=True)
-    sr.add_argument("--source", required=True)
-    sr.add_argument("--dist1", default="hamming")
-    sr.add_argument("--dist2", default="hamming")
+    _model_flags(sr, required=True)
     sr.add_argument("--budget", type=int, default=200)
     sr.add_argument("--seed", type=int, default=0)
     sr.add_argument("--aux1", type=int)
@@ -104,10 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="Monte Carlo run of the block-Markov scheme")
     sim.add_argument("--preset", choices=SIM_PRESETS)
     sim.add_argument("--config")
-    sim.add_argument("--channel")
-    sim.add_argument("--source")
-    sim.add_argument("--dist1", default="hamming")
-    sim.add_argument("--dist2", default="hamming")
+    _model_flags(sim, required=False)
     sim.add_argument("--n", type=int, default=64)
     sim.add_argument("--B", type=int, default=3)
     sim.add_argument("--eps", type=float, default=0.3)
@@ -136,35 +128,36 @@ def _emit(spec: RunSpec, result: dict, out: str | None) -> None:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(x) for x in row) + "\n")
-    return buf.getvalue()
+    return "".join(",".join(str(x) for x in row) + "\n" for row in [header, *rows])
 
 
-def _emit_curve(curve, out: str | None) -> int:
-    """Print a rate-distortion curve as CSV, and write it to `out` if given."""
-    rows = [
-        [dd, rr, it, res]
-        for (dd, rr), it, res in zip(curve.points, curve.iterations, curve.residuals)
-    ]
-    text = _csv_text(["D", "R", "iterations", "residual"], rows)
-    if out:
-        ser.write_atomic(out, text)
-    print(text)
-    return 0
+def _models(opt: dict, load=lambda ch, src: None):
+    """Resolve --channel and --source, then `load(ch, src)` (the command's
+    scheme or configuration file, or None), then --dist1 and --dist2."""
+    ch = ser.resolve_channel(opt["channel"])
+    src = ser.resolve_source(opt["source"])
+    loaded = load(ch, src)
+    d1 = ser.resolve_distortion(opt["dist1"], src.s1)
+    d2 = ser.resolve_distortion(opt["dist2"], src.s2)
+    return ch, src, loaded, d1, d2
+
+
+def _status(report) -> int:
+    """Exit status of a condition report: a boundary point counts as met."""
+    return 0 if (report.satisfied or report.boundary) else 1
 
 
 def execute(spec: RunSpec) -> int:
+    """Run one command: each branch computes the result, the exit status and
+    the --csv text, if any; the JSON document is emitted once, after it."""
     opt = dict(spec.options)
     cmd = spec.command
+    status, csv = 0, None
 
     if cmd == "presets":
-        _emit(spec, ser.preset_names(), opt.get("out"))
-        return 0
+        result = ser.preset_names()
 
-    if cmd == "eval-adaptive":
+    elif cmd == "eval-adaptive":
         ch = ser.resolve_channel(opt["channel"])
         src = ser.resolve_source(opt["source"])
         cfg = ser.load_configuration(opt["config"])
@@ -176,25 +169,18 @@ def execute(spec: RunSpec) -> int:
                 marg = pair_marginal(sys_, sys_.pi, (k,)).probs
                 rows.extend([name, sym, p] for sym, p in enumerate(marg))
             ser.write_atomic(opt["marginals_csv"], _csv_text(["axis", "symbol", "probability"], rows))
-        _emit(spec, report.as_dict(), opt.get("out"))
-        return 0 if (report.satisfied or report.boundary) else 1
+        result, status = report.as_dict(), _status(report)
 
-    if cmd == "eval-hybrid":
-        ch = ser.resolve_channel(opt["channel"])
-        src = ser.resolve_source(opt["source"])
-        hs = ser.load_hybrid_scheme(opt["scheme"])
-        d1 = ser.resolve_distortion(opt["dist1"], src.s1)
-        d2 = ser.resolve_distortion(opt["dist2"], src.s2)
+    elif cmd == "eval-hybrid":
+        ch, src, hs, d1, d2 = _models(opt, lambda ch, src: ser.load_hybrid_scheme(opt["scheme"]))
         try:
             ev = eval_hybrid(hs, ch, src, d1, d2)
         except ValueError as exc:  # the scheme's tables do not fit the models
             raise ValueError(f"{opt['scheme']}: {exc}") from exc
-        result = ev.report.as_dict()
-        result["distortions"] = list(ev.distortions)
-        _emit(spec, result, opt.get("out"))
-        return 0 if (ev.report.satisfied or ev.report.boundary) else 1
+        result = {**ev.report.as_dict(), "distortions": list(ev.distortions)}
+        status = _status(ev.report)
 
-    if cmd == "eval-sscc":
+    elif cmd == "eval-sscc":
         ch = ser.resolve_channel(opt["channel"])
         scheme = ser.load_adaptive_scheme(opt["scheme"])
         if opt.get("rate1") is not None and opt.get("rate2") is not None:
@@ -206,126 +192,98 @@ def execute(spec: RunSpec) -> int:
         else:
             raise ValueError("eval-sscc needs --rate1/--rate2 or --wz1/--wz2 with --source")
         report = eval_sscc(scheme, rate1, rate2, ch)
-        _emit(spec, report.as_dict(), opt.get("out"))
-        return 0 if (report.satisfied or report.boundary) else 1
+        result, status = report.as_dict(), _status(report)
 
-    if cmd == "rd":
-        src = ser.resolve_source(opt["source"])
-        marg = marginalize(src.law, (0,) if opt["which"] == 1 else (1,))
-        d = ser.resolve_distortion(opt["dist"], marg.axes[0])
-        if opt.get("curve"):
-            return _emit_curve(rd_curve(marg, d, opt["curve"].split(",")), opt.get("out"))
-        if opt.get("D") is None:
-            raise ValueError("rd needs --D or --curve")
-        rate = rd_function(marg, d, opt["D"])
-        _emit(spec, {"rate": rate, "D": opt["D"]}, opt.get("out"))
-        return 0
-
-    if cmd == "wz-rd":
+    elif cmd in ("rd", "wz-rd"):  # rd codes one marginal; wz-rd has the other source as side information
         src = ser.resolve_source(opt["source"])
         which = opt["which"]
-        alpha = src.s1 if which == 1 else src.s2
-        d = ser.resolve_distortion(opt["dist"], alpha)
-        if opt.get("curve"):
-            return _emit_curve(wz_curve(src, which, d, opt["curve"].split(",")), opt.get("out"))
+        d = ser.resolve_distortion(opt["dist"], src.s1 if which == 1 else src.s2)
+        marg = marginalize(src.law, (which - 1,))
+        if opt.get("curve"):  # the curve is CSV, printed and written in place of the JSON document
+            grid = opt["curve"].split(",")
+            curve = rd_curve(marg, d, grid) if cmd == "rd" else wz_curve(src, which, d, grid)
+            rows = [[*pt, it, res] for pt, it, res in zip(curve.points, curve.iterations, curve.residuals)]
+            text = _csv_text(["D", "R", "iterations", "residual"], rows)
+            if opt.get("out"):
+                ser.write_atomic(opt["out"], text)
+            print(text)
+            return 0
         if opt.get("D") is None:
-            raise ValueError("wz-rd needs --D or --curve")
-        res = wz_function(src, which, d, opt["D"])
-        _emit(
-            spec,
-            {"rate": res.rate, "distortion": res.distortion, "evaluations": res.evaluations},
-            opt.get("out"),
-        )
-        return 0
+            raise ValueError(f"{cmd} needs --D or --curve")
+        if cmd == "rd":
+            result = {"rate": rd_function(marg, d, opt["D"]), "D": opt["D"]}
+        else:
+            res = wz_function(src, which, d, opt["D"])
+            result = {"rate": res.rate, "distortion": res.distortion, "evaluations": res.evaluations}
 
-    if cmd == "shannon-bound":
+    elif cmd == "shannon-bound":
         ch = ser.resolve_channel(opt["channel"])
         result = shannon_nonadaptive_bound(ch, q_size=opt["q"], grid=opt["grid"])
-        _emit(spec, result, opt.get("out"))
-        return 0
 
-    if cmd == "search-region":
-        ch = ser.resolve_channel(opt["channel"])
-        src = ser.resolve_source(opt["source"])
-        d1 = ser.resolve_distortion(opt["dist1"], src.s1)
-        d2 = ser.resolve_distortion(opt["dist2"], src.s2)
+    elif cmd == "search-region":
+        ch, src, _, d1, d2 = _models(opt)
         aux = (opt.get("aux1"), opt.get("aux2"))
         if aux.count(None) == 1:
             raise ValueError("search-region takes --aux1 and --aux2 together or neither")
         points = search_region(ch, src, d1, d2, budget=opt["budget"], seed=opt["seed"],
                                aux_sizes=None if None in aux else aux)
-        cert_paths = []
+        cert_paths = [""] * len(points)
         if opt.get("cert_dir"):
-            import os
-
             os.makedirs(opt["cert_dir"], exist_ok=True)
-            for i, pt in enumerate(points):
-                path = os.path.join(opt["cert_dir"], f"certificate_{i:03d}.json")
+            cert_paths = [os.path.join(opt["cert_dir"], f"certificate_{i:03d}.json")
+                          for i in range(len(points))]
+            for pt, path in zip(points, cert_paths):
                 ser.save_configuration(pt.certificate, path)
-                cert_paths.append(path)
-        else:
-            cert_paths = ["" for _ in points]
-        hull = convexify([(p.d1, p.d2) for p in points])
         result = {
             "points": [
                 {"d1": p.d1, "d2": p.d2, "margin": p.report.margin, "boundary": p.boundary}
                 for p in points
             ],
-            "hull": [list(v) for v in hull],
+            "hull": [list(v) for v in convexify([(p.d1, p.d2) for p in points])],
         }
-        _emit(spec, result, opt.get("out"))
-        if opt.get("csv"):
-            rows = [
-                [p.d1, p.d2, p.report.margin, int(p.boundary), path]
-                for p, path in zip(points, cert_paths)
-            ]
-            ser.write_atomic(
-                opt["csv"], _csv_text(["d1", "d2", "margin", "boundary_flag", "certificate"], rows)
-            )
-        return 0
+        rows = [[p.d1, p.d2, p.report.margin, int(p.boundary), path] for p, path in zip(points, cert_paths)]
+        csv = _csv_text(["d1", "d2", "margin", "boundary_flag", "certificate"], rows)
 
-    if cmd == "simulate":
+    elif cmd == "simulate":
         if opt.get("preset") == "bmc-example2":
             model = [f"--{k}" for k in ("config", "channel", "source") if opt.get(k)]
             model += [f"--{k}" for k in ("dist1", "dist2") if opt[k] != "hamming"]
             if model:
                 raise ValueError(f"--preset fixes the model; it takes no {', '.join(model)}")
-            ch = ser.resolve_channel("bmc")
-            src = ser.resolve_source("example2")
-            d1, d2 = hamming(src.s1), hamming(src.s2)
-            cfg = uncoded_configuration(ch, src, d1, d2)
-        elif opt.get("config") and opt.get("channel") and opt.get("source"):
-            ch = ser.resolve_channel(opt["channel"])
-            src = ser.resolve_source(opt["source"])
-            cfg = ser.load_configuration(opt["config"])
-            cfg.check_against(ch, src)
-            d1 = ser.resolve_distortion(opt["dist1"], src.s1)
-            d2 = ser.resolve_distortion(opt["dist2"], src.s2)
-        else:
+            opt.update(channel="bmc", source="example2")
+        elif not (opt.get("config") and opt.get("channel") and opt.get("source")):
             raise ValueError("simulate needs --preset or (--config, --channel, --source)")
+
+        def load(ch, src):  # None under the preset, whose configuration is uncoded
+            if opt.get("config"):
+                cfg = ser.load_configuration(opt["config"])
+                cfg.check_against(ch, src)
+                return cfg
+
+        ch, src, cfg, d1, d2 = _models(opt, load)
+        if cfg is None:
+            cfg = uncoded_configuration(ch, src, d1, d2)
         params = SimParams(
             n=opt["n"], blocks=opt["B"], eps=opt["eps"], eps1=opt["eps1"],
             rate1=opt["rate1"], rate2=opt["rate2"], seed=opt["seed"], trials=opt["trials"],
         )
         report = run_simulation(cfg, ch, src, d1, d2, params)
-        _emit(spec, report.as_dict(), opt.get("out"))
-        if opt.get("csv"):
-            row = [
-                params.n, params.blocks, params.eps, params.eps1, params.rate1, params.rate2,
-                report.distortion1, report.distortion2, sum(report.err_cover),
-                report.err_typicality, sum(report.err_confusion), report.trials,
-            ]
-            ser.write_atomic(
-                opt["csv"],
-                _csv_text(
-                    ["n", "B", "eps", "eps1", "R1", "R2", "d1_hat", "d2_hat",
-                     "err_cover", "err_typ", "err_confuse", "trials"],
-                    [row],
-                ),
-            )
-        return 0
+        result = report.as_dict()
+        row = [
+            params.n, params.blocks, params.eps, params.eps1, params.rate1, params.rate2,
+            report.distortion1, report.distortion2, sum(report.err_cover),
+            report.err_typicality, sum(report.err_confusion), report.trials,
+        ]
+        csv = _csv_text(["n", "B", "eps", "eps1", "R1", "R2", "d1_hat", "d2_hat",
+                         "err_cover", "err_typ", "err_confuse", "trials"], [row])
 
-    raise ValueError(f"unknown command {cmd!r}")
+    else:
+        raise ValueError(f"unknown command {cmd!r}")
+
+    _emit(spec, result, opt.get("out"))
+    if opt.get("csv"):
+        ser.write_atomic(opt["csv"], csv)
+    return status
 
 
 def main(argv=None) -> int:

@@ -167,11 +167,6 @@ def marginalize(p: JointPmf, keep: AxisSet) -> JointPmf:
     return JointPmf(tuple(p.axes[a] for a in kk), np.transpose(reduced, perm))
 
 
-def product(p: JointPmf, q: JointPmf) -> JointPmf:
-    """Independent product pmf over p.axes + q.axes."""
-    return JointPmf(p.axes + q.axes, np.multiply.outer(p.probs, q.probs))
-
-
 # Relative distance within which n * p * (1 +- eps) is taken to be an integer.
 SNAP_TOL = 1e-9
 

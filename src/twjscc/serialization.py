@@ -204,6 +204,13 @@ def load_configuration(doc: dict) -> Configuration:
 
 
 def save_hybrid_scheme(hs: HybridScheme, path: str | None = None) -> str:
+    # the file stores every entry of a table, and the y sizes are read off the g tables
+    for name, axes in (("f1", ("s1", "u1")), ("f2", ("s2", "u2")),
+                       ("g1", ("u2", "s1", "u1", "y1")), ("g2", ("u1", "s2", "u2", "y2"))):
+        shape = np.shape(getattr(hs, name))
+        fits = [n == getattr(hs, a).size for n, a in zip(shape, axes) if a[0] != "y"]
+        if len(shape) != len(axes) or not all(fits):
+            raise ValueError(f"{name} has shape {shape}; the file needs a full ({', '.join(axes)}) table")
     sizes = {"s1": hs.s1.size, "s2": hs.s2.size, "u1": hs.u1.size, "u2": hs.u2.size,
              "y1": np.shape(hs.g1)[-1], "y2": np.shape(hs.g2)[-1],
              "recon1": hs.recon1.size, "recon2": hs.recon2.size}

@@ -8,7 +8,9 @@ __future__` binds nothing, and a line marked `# noqa: F401` keeps its import
 on purpose.  A private (`_name`) module-level function, class or constant
 counts as used when `src/` or `bench/` reads it, imports it by name or spells
 it as a string anywhere outside its own definition; an exported name, by the
-same rule, when a module other than `__init__.py` does.  A function that only
+same rule, when a module other than `__init__.py` does.  An attribute is a
+read only on a name bound to `twjscc` or one of its modules, so
+`itertools.product` does not read an export `product`.  A function that only
 tests call belongs in `tests/util.py`.
 """
 
@@ -74,14 +76,39 @@ def _private_definitions(tree: ast.Module):
         yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
 
 
+def _package_modules(tree: ast.Module) -> set[str]:
+    """Names the module binds to `twjscc` or to one of its modules."""
+    submodules = {p.stem for p in PACKAGE.glob("*.py")}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or "twjscc" for alias in node.names
+                         if alias.name.split(".")[0] == "twjscc")
+        elif isinstance(node, ast.ImportFrom) and (node.module == "twjscc" or node.level and not node.module):
+            names.update(alias.asname or alias.name for alias in node.names if alias.name in submodules)
+    return names
+
+
+def _attribute_base(node: ast.Attribute) -> ast.expr:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
 def _references(tree: ast.Module, skip: ast.stmt | None = None) -> set[str]:
-    """Names the module reads, imports by name or spells as a string, outside the statement `skip`."""
+    """Names the module reads, imports by name or spells as a string, outside
+    the statement `skip`; an attribute counts only on a name bound to the
+    package or one of its modules, so `itertools.product` is no read of an
+    export `product`."""
+    modules = _package_modules(tree)
     refs = set()
     for node in (n for top in tree.body if top is not skip for n in ast.walk(top)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            base = _attribute_base(node)
+            if isinstance(base, ast.Name) and base.id in modules:
+                refs.add(node.attr)
         elif isinstance(node, ast.alias):
             refs.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -156,3 +183,15 @@ def test_check_sees_an_unread_export():
         ROOT / "bench" / "w.py": ast.parse("from twjscc import c\n"),
     }
     assert _unread_exports({"a": "m", "b": "m", "c": "m"}, trees) == ["a"]
+
+
+def test_check_counts_attributes_of_package_modules_only():
+    home = PACKAGE / "probability.py"
+    trees = {
+        PACKAGE / "__init__.py": ast.parse("from .probability import a, b, product\n"),
+        home: ast.parse("def a():\n    return 1\n\ndef b():\n    return 2\n\ndef product():\n    return 3\n"),
+        PACKAGE / "k.py": ast.parse("import itertools\nfrom . import probability as p\n\nitertools.product(p.a)\n"),
+        ROOT / "bench" / "w.py": ast.parse("import twjscc.probability\n\ntwjscc.probability.b()\n"),
+    }
+    assert _unread_exports({"a": "probability", "b": "probability", "product": "probability"}, trees) == [
+        "product"]

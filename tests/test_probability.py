@@ -11,10 +11,9 @@ from twjscc.probability import (
     conditional_mutual_information,
     marginalize,
     mutual_information,
-    product,
 )
 
-from util import binary_entropy, conditional_entropy, entropy, joint_typicality_test
+from util import binary_entropy, conditional_entropy, entropy, joint_typicality_test, product
 
 
 def example2_pmf() -> JointPmf:

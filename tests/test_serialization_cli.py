@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 import twjscc as tw
 from twjscc import serialization as ser
 from twjscc.cli import _emit, main, parse_args
+from twjscc.conditions import _adaptive_report, bayes_hybrid_decoders
 from twjscc.region import uncoded_configuration
 
 from util import (
@@ -72,6 +74,26 @@ class TestRoundTrips:
         assert np.array_equal(back.f1, hs.f1)
         assert np.array_equal(back.g1, hs.g1)
         assert np.allclose(back.pu2_given_s2.probs, hs.pu2_given_s2.probs)
+
+    def test_hybrid_scheme_with_broadcast_table_is_refused(self):
+        # eval_hybrid broadcasts a table, but the file stores every entry
+        ch, src = tw.preset_bmc(), tw.preset_example2_source()
+        a = src.s1
+        pu = tw.ConditionalPmf((a,), (tw.Alphabet(1, "u"),), np.ones((2, 1)))
+        f = np.arange(2)[:, None]
+        g = np.zeros((1, 2, 1, 2), dtype=int)
+        for f1, g1, g2, message in (
+            (f, 0, 0, "g1 has shape (); the file needs a full (u2, s1, u1, y1) table"),
+            (f, g, g[0], "g2 has shape (2, 1, 2); the file needs a full (u1, s2, u2, y2) table"),
+            (f, g[:, :1], g, "g1 has shape (1, 1, 1, 2); the file needs a full (u2, s1, u1, y1) table"),
+            (f[:1], g, g, "f1 has shape (1, 1); the file needs a full (s1, u1) table"),
+        ):
+            hs = tw.HybridScheme(pu, pu, f1, f, g1, g2, a, a)
+            tw.eval_hybrid(hs, ch, src, tw.hamming(a), tw.hamming(a))
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ser.save_hybrid_scheme(hs)
+        text = ser.save_hybrid_scheme(tw.HybridScheme(pu, pu, f, f, g, g, a, a))
+        assert json.loads(text)["y1"] == 2
 
     def test_adaptive_scheme(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -440,6 +462,76 @@ class TestExecute:
         assert lines[0] == "axis,symbol,probability"
         # one row per symbol of each of the 14 state axes
         assert len(lines) - 1 == 2 + 2 + 1 + 1 + 2 + 2 + 1 + 1 + 4 + 4 + 2 + 2 + 2 + 2
+
+    @pytest.mark.parametrize("dist1_file", [False, True], ids=["hamming", "dist1-file"])
+    def test_eval_hybrid_certifying_scheme(self, dist1_file, tmp_path, capsys):
+        ch, src = tw.preset_crossed_bitpipes(), tw.preset_independent_bernoulli(0.5, 0.5)
+        ham = tw.hamming(src.s1)
+        pu = tw.ConditionalPmf((src.s1,), (tw.Alphabet(2, "u"),), np.eye(2))
+        f = np.arange(2)[None, :].repeat(2, axis=0)  # x = u = s
+        g1, g2 = bayes_hybrid_decoders(pu, pu, f, f, ch, src, ham, ham)
+        hs = tw.HybridScheme(pu, pu, f, f, g1, g2, ham.recon_alphabet, ham.recon_alphabet)
+        path = str(tmp_path / "hs.json")
+        ser.save_hybrid_scheme(hs, path)
+        argv = ["eval-hybrid", "--scheme", path, "--channel", "bitpipes", "--source", "bernoulli:0.5"]
+        d1 = ham
+        if dist1_file:
+            d1 = tw.DistortionMeasure(src.s1, src.s1, np.array([[0.0, 2.0], [0.5, 0.0]]))
+            argv += ["--dist1", str(tmp_path / "d1.json")]
+            ser.save_distortion(d1, argv[-1])
+        ev = tw.eval_hybrid(hs, ch, src, d1, ham)
+        assert ev.report.satisfied or ev.report.boundary
+        assert main(argv) == 0
+        want = {**ev.report.as_dict(), "distortions": list(ev.distortions)}
+        assert json.loads(capsys.readouterr().out)["result"] == json.loads(json.dumps(want, default=float))
+
+    def test_eval_adaptive_simplify_and_tol(self, tmp_path, capsys):
+        ch, src = tw.preset_bmc(), tw.preset_example2_source()
+        d = tw.hamming(src.s1)
+        cfg = uncoded_configuration(ch, src, d, d)
+        path = str(tmp_path / "cfg.json")
+        ser.save_configuration(cfg, path)
+        code = main(["eval-adaptive", "--config", path, "--channel", "bmc", "--source", "example2",
+                     "--simplify", "--tol", "1e-6"])
+        report = _adaptive_report(tw.build_chain(ser.load_configuration(path), ch, src),
+                                  tol=1e-6, simplify=True)
+        assert code == (0 if (report.satisfied or report.boundary) else 1)
+        got = json.loads(capsys.readouterr().out)
+        assert got["run"]["simplify"] is True and got["run"]["tol"] == 1e-6
+        assert got["result"] == json.loads(json.dumps(report.as_dict(), default=float))
+
+    def test_simulate_saved_configuration(self, tmp_path, capsys):
+        ch, src = tw.preset_bmc(), tw.preset_example2_source()
+        d = tw.hamming(src.s1)
+        path = str(tmp_path / "cfg.json")
+        ser.save_configuration(uncoded_configuration(ch, src, d, d), path)
+        code = main(["simulate", "--config", path, "--channel", "bmc", "--source", "example2",
+                     "--n", "16", "--B", "2", "--seed", "5", "--trials", "4"])
+        assert code == 0
+        got = json.loads(capsys.readouterr().out)["result"]
+        params = tw.SimParams(n=16, blocks=2, eps=0.3, eps1=0.15, rate1=0.0, rate2=0.0, seed=5, trials=4)
+        want = tw.run_simulation(ser.load_configuration(path), ch, src, d, d, params).as_dict()
+        del got["wall_clock"], want["wall_clock"]
+        assert got == json.loads(json.dumps(want, default=float))
+
+    def test_simulate_configuration_of_other_alphabets_exits_two(self, tmp_path, capsys):
+        ch, src = tw.preset_dueck(), tw.preset_independent_bernoulli(0.5, 0.5)
+        d = tw.hamming(src.s1)
+        path = str(tmp_path / "cfg.json")
+        ser.save_configuration(uncoded_configuration(ch, src, d, d), path)
+        code = main(["simulate", "--config", path, "--channel", "bmc", "--source", "example2",
+                     "--n", "16", "--B", "2", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "configuration x1 size 4 does not match model size 2" in captured.err
+        assert captured.out == ""
+
+    def test_presets_out_holds_the_printed_document(self, tmp_path, capsys):
+        out = tmp_path / "presets.json"
+        assert main(["presets", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert out.read_text() + "\n" == printed
+        assert json.loads(printed)["run"] == {"command": "presets", "out": str(out)}
 
     def test_wz_curve_csv(self, tmp_path, capsys):
         out = str(tmp_path / "wz.csv")

@@ -363,6 +363,11 @@ def conditional_entropy(p: JointPmf, target: AxisSet, given: AxisSet = ()) -> fl
     return _subset_entropy(p, tuple(sorted(t + g))) - _subset_entropy(p, g)
 
 
+def product(p: JointPmf, q: JointPmf) -> JointPmf:
+    """Independent product pmf over p.axes + q.axes."""
+    return JointPmf(p.axes + q.axes, np.multiply.outer(p.probs, q.probs))
+
+
 def binary_entropy(x: float) -> float:
     """Entropy of a Bernoulli(x) variable in bits."""
     if x <= 0.0 or x >= 1.0:
