@@ -1,26 +1,27 @@
 """Randomized search for distortion pairs certified by the adaptive conditions.
 
-Candidates are full configurations, and each is evaluated on one system
-chain: a candidate without a previous-block law gets the chain's stationary
-law installed, and its decoder distortions, condition report and the
-installed law's residual are all read off that same `MarkovSystem`.
-Distortions come first: a candidate that a kept point covers (no larger in
-either distortion) is "dominated" and its conditions are never read; any
-other is kept when certified (strictly satisfied, or on the tagged boundary)
-or its evaluation names the reason.  Structured candidates (uncoded, codeword
-hybrids, separate coding) are built as the search reaches them, ahead of the
-random draws; the search stops once (0, 0) is kept, as no distortion is
-negative.
+`search_region` runs the phases of `PHASES` in order: structured (uncoded, two
+codeword hybrids, separate coding), then random.  A phase hands each candidate
+to one `evaluate`, which charges the budget, returns the verdict (a `RegionPoint`
+or the reason why not) and ends the search once the budget is spent or (0, 0)
+is kept.  Each candidate is measured on one chain, a structured one on the chain
+its builder solved.  A candidate that a kept point dominates (`_dominates`, one
+rule up to TWIN_TOL = 1e-12, also in `convexify`) has its conditions never read.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import numbers
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
+from . import rate_distortion
 from .coded_channel import Configuration
 from .conditions import (
     _LIFT_G_READS,
@@ -33,9 +34,14 @@ from .conditions import (
     _lifted_configuration,
     embed_adaptive_scheme,
 )
-from .markov import bayes_decoders, build_chain, reconstruction_distortions, stationary_prev_law
+from .markov import (MarkovSystem, bayes_decoders, build_chain, reconstruction_distortions,
+                     stationary_prev_law)
 from .models import DistortionMeasure, JointSource, TwoWayChannel
 from .probability import Alphabet, ConditionalPmf
+
+TWIN_TOL = 1e-12  # distortions closer than this are one value: the bound they are reproduced to
+_pair = attrgetter("d1", "d2")  # a RegionPoint's distortion pair
+_Search = namedtuple("_Search", "ch src d1 d2 rng aux")  # what a phase draws its candidates from
 
 
 @dataclass(frozen=True)
@@ -50,139 +56,152 @@ class RegionPoint:
     stationary_residual: float
 
 
+def _dominates(q, p) -> bool:
+    """The domination rule on distortion pairs: q is no larger than p in either coordinate,
+    up to TWIN_TOL, and p is not exactly below q (of two twins the smaller, or the first, stays)."""
+    return (q[0] <= p[0] + TWIN_TOL and q[1] <= p[1] + TWIN_TOL
+            and not (p[0] <= q[0] and p[1] <= q[1] and p != q))
+
+
 def _dirichlet_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    gam = rng.gamma(1.0, 1.0, size=(rows, cols))
-    gam = np.maximum(gam, 1e-12)
+    gam = np.maximum(rng.gamma(1.0, 1.0, size=(rows, cols)), 1e-12)
     return gam / gam.sum(axis=1, keepdims=True)
 
 
-def _with_bayes_decoders(cfg: Configuration, ch: TwoWayChannel, src: JointSource,
-                         d1: DistortionMeasure, d2: DistortionMeasure,
-                         reads: tuple[int, ...] = tuple(range(7))) -> Configuration:
-    """`cfg` with its chain's law and Bayes decoders (see `bayes_decoders`) installed."""
+def _bayes_system(cfg: Configuration, ch: TwoWayChannel, src: JointSource, d1: DistortionMeasure,
+                  d2: DistortionMeasure, reads: tuple[int, ...] = tuple(range(7))) -> MarkovSystem:
+    """The chain of `cfg` with its law and Bayes decoders (see `bayes_decoders`) installed."""
     sys = build_chain(cfg, ch, src)
     g1, g2 = bayes_decoders(sys, d1, d2, reads)
-    return dataclasses.replace(sys.cfg, g1=g1, g2=g2)
+    out = dataclasses.replace(sys, cfg=dataclasses.replace(sys.cfg, g1=g1, g2=g2))
+    out.__dict__["_views"] = sys._views  # the view laws read no g
+    return out
 
 
 def uncoded_configuration(ch: TwoWayChannel, src: JointSource,
                           d1: DistortionMeasure, d2: DistortionMeasure) -> Configuration:
     """Constant codewords, x_j = current s_j, and the optimal deterministic
     reconstructions under the configuration's own stationary pair law."""
-    unit = Alphabet(1, "const")
-    pu1 = ConditionalPmf((src.s1,), (unit,), np.ones((src.s1.size, 1)))
-    pu2 = ConditionalPmf((src.s2,), (unit,), np.ones((src.s2.size, 1)))
-    s1_sym = np.minimum(np.arange(src.s1.size), ch.x1.size - 1)
-    s2_sym = np.minimum(np.arange(src.s2.size), ch.x2.size - 1)
-    cfg = Configuration(
-        u1=unit, u2=unit, pu1_given_s1=pu1, pu2_given_s2=pu2, prev_law=None,
-        f1=s1_sym[:, None, None, None, None], f2=s2_sym[:, None, None, None, None], g1=0, g2=0,
-        x1=ch.x1, x2=ch.x2, y1=ch.y1, y2=ch.y2,
-        recon1=d1.recon_alphabet, recon2=d2.recon_alphabet,
-    )
-    return _with_bayes_decoders(cfg, ch, src, d1, d2)
+    return _uncoded_system(ch, src, d1, d2).cfg
 
 
 def constant_codeword_hybrid_configuration(ch: TwoWayChannel, src: JointSource,
                                            d1: DistortionMeasure, d2: DistortionMeasure) -> Configuration:
     """Single-block uncoded transmission lifted into the block framework:
     constant codewords and x_j equal to the previous block's source."""
+    return _constant_codeword_hybrid_system(ch, src, d1, d2).cfg
+
+
+def identity_hybrid_configuration(ch: TwoWayChannel, src: JointSource,
+                                  d1: DistortionMeasure, d2: DistortionMeasure) -> Configuration:
+    """Codeword equals the source, channel input equals the codeword."""
+    return _identity_hybrid_system(ch, src, d1, d2).cfg
+
+
+def _uncoded_system(ch, src, d1, d2) -> MarkovSystem:
+    unit = Alphabet(1, "const")
+    pu1 = ConditionalPmf((src.s1,), (unit,), np.ones((src.s1.size, 1)))
+    pu2 = ConditionalPmf((src.s2,), (unit,), np.ones((src.s2.size, 1)))
+    s1_sym = np.minimum(np.arange(src.s1.size), ch.x1.size - 1)
+    s2_sym = np.minimum(np.arange(src.s2.size), ch.x2.size - 1)
+    cfg = Configuration(u1=unit, u2=unit, pu1_given_s1=pu1, pu2_given_s2=pu2, prev_law=None,
+                        f1=s1_sym[:, None, None, None, None], f2=s2_sym[:, None, None, None, None],
+                        g1=0, g2=0, x1=ch.x1, x2=ch.x2, y1=ch.y1, y2=ch.y2,
+                        recon1=d1.recon_alphabet, recon2=d2.recon_alphabet)
+    return _bayes_system(cfg, ch, src, d1, d2)
+
+
+def _constant_codeword_hybrid_system(ch, src, d1, d2) -> MarkovSystem:
     unit = Alphabet(1, "const")
     pu1 = ConditionalPmf((src.s1,), (unit,), np.ones((src.s1.size, 1)))
     pu2 = ConditionalPmf((src.s2,), (unit,), np.ones((src.s2.size, 1)))
     f1 = np.minimum(np.arange(src.s1.size), ch.x1.size - 1)[:, None]
     f2 = np.minimum(np.arange(src.s2.size), ch.x2.size - 1)[:, None]
     hs = HybridScheme(pu1, pu2, f1, f2, 0, 0, d1.recon_alphabet, d2.recon_alphabet)
-    return _with_bayes_decoders(_lifted_configuration(hs, ch), ch, src, d1, d2, _LIFT_G_READS)
+    return _bayes_system(_lifted_configuration(hs, ch), ch, src, d1, d2, _LIFT_G_READS)
 
 
-def identity_hybrid_configuration(ch: TwoWayChannel, src: JointSource,
-                                  d1: DistortionMeasure, d2: DistortionMeasure) -> Configuration:
-    """Codeword equals the source, channel input equals the codeword."""
-    u1 = Alphabet(src.s1.size, "u1")
-    u2 = Alphabet(src.s2.size, "u2")
+def _identity_hybrid_system(ch, src, d1, d2) -> MarkovSystem:
+    u1, u2 = Alphabet(src.s1.size, "u1"), Alphabet(src.s2.size, "u2")
     pu1 = ConditionalPmf((src.s1,), (u1,), np.eye(src.s1.size))
     pu2 = ConditionalPmf((src.s2,), (u2,), np.eye(src.s2.size))
     f1 = np.minimum(np.arange(u1.size), ch.x1.size - 1)[None, :].repeat(src.s1.size, axis=0)
     f2 = np.minimum(np.arange(u2.size), ch.x2.size - 1)[None, :].repeat(src.s2.size, axis=0)
     hs = HybridScheme(pu1, pu2, f1, f2, 0, 0, d1.recon_alphabet, d2.recon_alphabet)
-    return _with_bayes_decoders(_lifted_configuration(hs, ch), ch, src, d1, d2, _LIFT_G_READS)
+    return _bayes_system(_lifted_configuration(hs, ch), ch, src, d1, d2, _LIFT_G_READS)
 
 
 def _sscc_candidates(ch: TwoWayChannel, src: JointSource,
                      d1: DistortionMeasure, d2: DistortionMeasure) -> list[Configuration]:
     """Separate-coding points built from a memoryless uniform channel scheme."""
-    from .rate_distortion import InfeasibleDistortion, wz_function
-
     if ch.x1.size < 2 or ch.x2.size < 2:
         return []
     x_of_v = np.arange(2)[:, None, None]  # x_j = v_j
-    scheme = AdaptiveChannelScheme(
-        Alphabet(2, "v1"), Alphabet(2, "v2"), np.full(2, 0.5), np.full(2, 0.5),
-        x_of_v, x_of_v, ch.x1, ch.x2, ch.y1, ch.y2,
-    )
+    scheme = AdaptiveChannelScheme(Alphabet(2, "v1"), Alphabet(2, "v2"), np.full(2, 0.5), np.full(2, 0.5),
+                                   x_of_v, x_of_v, ch.x1, ch.x2, ch.y1, ch.y2)
     law = stationary_prev_law(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE)  # one solve, every lift
     out = []
     for frac in (0.0, 0.1, 0.25):
         try:
-            wz1 = wz_function(src, 1, d1, frac * d1.d_max).scheme
-            wz2 = wz_function(src, 2, d2, frac * d2.d_max).scheme
+            wz1 = rate_distortion.wz_function(src, 1, d1, frac * d1.d_max).scheme
+            wz2 = rate_distortion.wz_function(src, 2, d2, frac * d2.d_max).scheme
             out.append(_lift_sscc(scheme, law, wz1, wz2, src))
-        except (InfeasibleDistortion, ValueError):
+        except (rate_distortion.InfeasibleDistortion, ValueError):
             continue
     return out
 
 
-def _structured_candidates(ch: TwoWayChannel, src: JointSource,
-                           d1: DistortionMeasure, d2: DistortionMeasure):
-    """The structured candidates in search order, each built when reached."""
-    for build in (uncoded_configuration, constant_codeword_hybrid_configuration,
-                  identity_hybrid_configuration, _sscc_candidates):
-        try:
-            built = build(ch, src, d1, d2)
-        except (ValueError, RuntimeError):  # a failed structured build uses no budget
-            continue
-        yield from built if isinstance(built, list) else [built]
-
-
-def _random_candidate(rng: np.random.Generator, ch: TwoWayChannel, src: JointSource,
-                      d1: DistortionMeasure, d2: DistortionMeasure,
-                      aux1: int, aux2: int) -> Configuration:
-    u1 = Alphabet(aux1, "u1")
-    u2 = Alphabet(aux2, "u2")
+def _random_candidate(s: _Search) -> Configuration:
+    (aux1, aux2), ch, src, rng = s.aux, s.ch, s.src, s.rng
+    u1, u2 = Alphabet(aux1, "u1"), Alphabet(aux2, "u2")
+    nio1, nio2 = ch.x1.size * ch.y1.size, ch.x2.size * ch.y2.size
     pu1 = ConditionalPmf((src.s1,), (u1,), _dirichlet_rows(rng, src.s1.size, aux1))
     pu2 = ConditionalPmf((src.s2,), (u2,), _dirichlet_rows(rng, src.s2.size, aux2))
-    nio1 = ch.x1.size * ch.y1.size
-    nio2 = ch.x2.size * ch.y2.size
     f1 = rng.integers(0, ch.x1.size, size=(src.s1.size, aux1, src.s1.size, aux1, nio1))
     f2 = rng.integers(0, ch.x2.size, size=(src.s2.size, aux2, src.s2.size, aux2, nio2))
-    g1 = rng.integers(0, d2.recon_alphabet.size,
+    g1 = rng.integers(0, s.d2.recon_alphabet.size,
                       size=(aux2, src.s1.size, aux1, src.s1.size, aux1, nio1, ch.y1.size))
-    g2 = rng.integers(0, d1.recon_alphabet.size,
+    g2 = rng.integers(0, s.d1.recon_alphabet.size,
                       size=(aux1, src.s2.size, aux2, src.s2.size, aux2, nio2, ch.y2.size))
-    return Configuration(
-        u1=u1, u2=u2, pu1_given_s1=pu1, pu2_given_s2=pu2, prev_law=None,
-        f1=f1, f2=f2, g1=g1, g2=g2,
-        x1=ch.x1, x2=ch.x2, y1=ch.y1, y2=ch.y2,
-        recon1=d1.recon_alphabet, recon2=d2.recon_alphabet,
-    )
+    return Configuration(u1=u1, u2=u2, pu1_given_s1=pu1, pu2_given_s2=pu2, prev_law=None,
+                         f1=f1, f2=f2, g1=g1, g2=g2, x1=ch.x1, x2=ch.x2, y1=ch.y1, y2=ch.y2,
+                         recon1=s.d1.recon_alphabet, recon2=s.d2.recon_alphabet)
 
 
-def _covers(kept: Sequence[RegionPoint], a: float, b: float) -> bool:
-    """Whether a kept point is at most (a, b) in both coordinates."""
-    return any(q.d1 <= a and q.d2 <= b for q in kept)
+def _structured_phase(s: _Search, evaluate) -> None:
+    """The structured candidates in search order, each built when reached."""
+    for build in (_uncoded_system, _constant_codeword_hybrid_system, _identity_hybrid_system,
+                  _sscc_candidates):
+        try:
+            built = build(s.ch, s.src, s.d1, s.d2)
+        except (ValueError, RuntimeError):  # a failed structured build uses no budget
+            continue
+        for cand in built if isinstance(built, list) else [built]:
+            evaluate(cand)
 
 
-def _evaluate(cfg: Configuration, ch: TwoWayChannel, src: JointSource,
+def _random_phase(s: _Search, evaluate) -> None:
+    """Random configurations from the seeded generator, until the search ends."""
+    while True:
+        evaluate(_random_candidate(s))
+
+
+PHASES = (_structured_phase, _random_phase)
+
+
+class _Done(Exception):
+    """Ends a search: its budget is spent, or (0, 0) is kept."""
+
+
+def _evaluate(cand: Configuration | MarkovSystem, ch: TwoWayChannel, src: JointSource,
               d1: DistortionMeasure, d2: DistortionMeasure,
               kept: Sequence[RegionPoint] = ()) -> RegionPoint | str:
-    """Certify one candidate on its one system chain, or name why not: the
-    message of the error that stopped the evaluation, "dominated" (a kept
-    point covers its distortions) or "condition violated"."""
+    """Certify one candidate on its one system chain, or name why not: the message of the error
+    that stopped it, "dominated" (by a kept point) or "condition violated"."""
     try:
-        sys = build_chain(cfg, ch, src)
+        sys = cand if isinstance(cand, MarkovSystem) else build_chain(cand, ch, src)
         dist = reconstruction_distortions(sys, d1, d2)
-        if _covers(kept, *dist):
+        if any(_dominates(_pair(q), dist) for q in kept):
             return "dominated"
         report = _adaptive_report(sys)
     except (ValueError, RuntimeError) as exc:
@@ -193,61 +212,38 @@ def _evaluate(cfg: Configuration, ch: TwoWayChannel, src: JointSource,
                        boundary=report.boundary, stationary_residual=sys.residual)
 
 
-def _pareto_min(points: list[RegionPoint]) -> list[RegionPoint]:
-    kept: list[RegionPoint] = []
-    for p in points:
-        dominated = any(
-            q.d1 <= p.d1 and q.d2 <= p.d2 and (q.d1 < p.d1 or q.d2 < p.d2) for q in points
-        )
-        if not dominated and not any(q.d1 == p.d1 and q.d2 == p.d2 for q in kept):
-            kept.append(p)
-    return kept
-
-
-def search_region(
-    ch: TwoWayChannel,
-    src: JointSource,
-    d1: DistortionMeasure,
-    d2: DistortionMeasure,
-    budget: int = 1000,
-    seed: int = 0,
-    aux_sizes: tuple[int, int] | None = None,
-) -> list[RegionPoint]:
+def search_region(ch: TwoWayChannel, src: JointSource, d1: DistortionMeasure, d2: DistortionMeasure,
+                  budget: int = 1000, seed: int = 0,
+                  aux_sizes: tuple[int, int] | None = None) -> list[RegionPoint]:
     """Seeded candidate search returning Pareto-minimal certified points.
 
-    Deterministic for a fixed (seed, budget): structured candidates come
-    first, then random configurations from the seeded generator, until the
-    budget is spent or (0, 0) is kept.  Boundary certificates are flagged.
+    Deterministic for a fixed (seed, budget): the phases of `PHASES` run in order
+    until the budget is spent or (0, 0) is kept.  Boundary certificates are flagged.
     """
+    for name, value in (("budget", budget), ("seed", seed)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    aux1, aux2 = aux_sizes if aux_sizes is not None else (src.s1.size, src.s2.size)
-    if min(aux1, aux2) < 1:
-        raise ValueError(f"auxiliary alphabet sizes must be >= 1, got {aux1} and {aux2}")
+    aux = aux_sizes if aux_sizes is not None else (src.s1.size, src.s2.size)
+    if min(aux) < 1:
+        raise ValueError(f"auxiliary alphabet sizes must be >= 1, got {aux[0]} and {aux[1]}")
+    search = _Search(ch, src, d1, d2, np.random.default_rng(seed), aux)
+    kept, left = [], budget
 
-    structured = _structured_candidates(ch, src, d1, d2)
-    points: list[RegionPoint] = []
-    for _ in range(budget):
-        if _covers(points, 0.0, 0.0):  # distortions are >= 0: nothing can enter
-            break
-        cfg = next(structured, None)
-        if cfg is None:
-            cfg = _random_candidate(rng, ch, src, d1, d2, aux1, aux2)
-        point = _evaluate(cfg, ch, src, d1, d2, points)
-        if not isinstance(point, str):  # a str names why the candidate failed
-            points = _pareto_min(points + [point])
-    return points
+    def evaluate(cand: Configuration | MarkovSystem) -> RegionPoint | str:
+        nonlocal kept, left
+        verdict = _evaluate(cand, ch, src, d1, d2, kept)
+        if not isinstance(verdict, str):  # a str names why the candidate failed
+            kept = [q for q in kept if not _dominates(_pair(verdict), _pair(q))] + [verdict]
+        left -= 1
+        if left == 0 or any(_dominates(_pair(q), (0.0, 0.0)) for q in kept):
+            raise _Done
+        return verdict
 
-
-def _staircase(points) -> list[tuple[float, float]]:
-    """Pareto-minimal points of a point set, with increasing first coordinate."""
-    kept = []
-    best2 = np.inf
-    for p in sorted({(float(a), float(b)) for a, b in points}):
-        if p[1] < best2 - 1e-15:
-            kept.append(p)
-            best2 = p[1]
+    with contextlib.suppress(_Done):
+        for phase in PHASES:
+            phase(search, evaluate)
     return kept
 
 
@@ -257,9 +253,13 @@ def convexify(points) -> list[tuple[float, float]]:
     Vertices come back with increasing first coordinate; together with the
     segments between them (time-sharing) they bound the reported region.
     """
-    kept = _staircase(points)
-    if len(kept) <= 2:
-        return kept
+    kept: list[tuple[float, float]] = []
+    for p in sorted({(float(a), float(b)) for a, b in points}):
+        if kept and _dominates(kept[-1], p):  # in this order only the last point can,
+            continue
+        while kept and _dominates(p, kept[-1]):  # and p dominates a tail of them
+            kept.pop()
+        kept.append(p)
     hull: list[tuple[float, float]] = []
     for p in kept:
         while len(hull) >= 2:

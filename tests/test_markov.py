@@ -486,8 +486,8 @@ class TestDecoderMarginals:
 
         ch, src, d = bmc_setup
         search_region(ch, src, d, d, budget=100, seed=1)
-        # the uncoded build's Bayes decoders, then its evaluation
-        assert len(marginal_calls) == 4
+        # the uncoded build's Bayes decoders; its evaluation reads the same views
+        assert len(marginal_calls) == 2
 
     def test_sim_context(self, bmc_setup, marginal_calls):
         from twjscc.simulate import SimContext

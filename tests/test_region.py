@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +35,34 @@ SETTINGS = {
 }
 
 
+def _theta_source(theta):
+    """theta * example2 + (1 - theta) * uniform, the source family of ROADMAP item 9."""
+    ex2 = tw.preset_example2_source()
+    law = theta * ex2.law.probs + (1 - theta) * 0.25
+    return tw.JointSource(ex2.s1, ex2.s2, tw.JointPmf(ex2.law.axes, law))
+
+
+PINNED = {**SETTINGS, "bmc-theta:0.8": (tw.preset_bmc, lambda: _theta_source(0.8))}
+FRONTS = Path(__file__).with_name("region_fronts.json")
+
+
 def _setting(name):
-    ch, src = SETTINGS[name][0](), SETTINGS[name][1]()
+    ch, src = PINNED[name][0](), PINNED[name][1]()
     return ch, src, tw.hamming(src.s1)
+
+
+def _pinned_fronts() -> dict:
+    """search_region output on every PINNED setting at seeds 1-3 and budget 20, as
+    `FRONTS` holds it: each point's distortions, boundary flag, report and residual."""
+    fronts = {}
+    for name in PINNED:
+        ch, src, d = _setting(name)
+        for seed in (1, 2, 3):
+            fronts[f"{name}/seed={seed}"] = [
+                {"d1": p.d1, "d2": p.d2, "boundary": p.boundary,
+                 "report": dataclasses.asdict(p.report), "residual": p.stationary_residual}
+                for p in search_region(ch, src, d, d, budget=20, seed=seed)]
+    return fronts
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +151,18 @@ class TestSearchRegion:
         d = tw.hamming(src.s1)
         with pytest.raises(ValueError):
             search_region(ch, src, d, d, budget=0, seed=0)
+        # a bool or a non-integer is refused by name, before any candidate
+        for field, value in (("budget", True), ("budget", 2.5), ("budget", "3"),
+                             ("seed", True), ("seed", 2.5), ("seed", "1")):
+            with pytest.raises(ValueError, match=f"{field} must be an int"):
+                search_region(ch, src, d, d, **{"budget": 3, "seed": 0, field: value})
+
+    def test_numpy_integer_budget_and_seed_accepted(self):
+        ch = tw.preset_bmc()
+        src = tw.preset_example2_source()
+        d = tw.hamming(src.s1)
+        got = search_region(ch, src, d, d, budget=np.int64(3), seed=np.uint8(1))
+        assert [(p.d1, p.d2) for p in got] == [(p.d1, p.d2) for p in search_region(ch, src, d, d, 3, 1)]
 
     def test_auxiliary_size_below_one_rejected_before_random_candidates(self):
         # budget 5 is spent on structured candidates alone
@@ -196,7 +235,9 @@ class TestEvaluate:
         ch, src, d = bmc_uniform
         calls = self._count_chains(monkeypatch)
         search_region(ch, src, d, d, budget=30, seed=0)
-        assert 30 < len(calls) <= 30 + 4  # one per candidate, plus the structured builds
+        # one per candidate (the three Bayes-decoded structured candidates are
+        # evaluated on the chain their builder solved) plus the shared SSCC channel solve
+        assert len(calls) == 31
 
     @pytest.mark.parametrize("build", [uncoded_configuration, constant_codeword_hybrid_configuration,
                                        identity_hybrid_configuration])
@@ -221,7 +262,7 @@ class TestEvaluate:
         monkeypatch.setattr(region, "_random_candidate", counted)
         search_region(ch, src, d, d, budget=10, seed=0)
         base = len(draws)
-        monkeypatch.setattr(region, "uncoded_configuration", fail)
+        monkeypatch.setattr(region, "_uncoded_system", fail)
         search_region(ch, src, d, d, budget=10, seed=0)
         assert len(draws) - base == base + 1
 
@@ -253,8 +294,8 @@ class TestPruning:
         def fail(*args):
             raise ValueError("build failed")
 
-        for name in ("uncoded_configuration", "constant_codeword_hybrid_configuration",
-                     "identity_hybrid_configuration", "_sscc_candidates"):
+        for name in ("_uncoded_system", "_constant_codeword_hybrid_system",
+                     "_identity_hybrid_system", "_sscc_candidates"):
             monkeypatch.setattr(region, name, fail)
         ch, src, d = _setting(setting)
         got = search_region(ch, src, d, d, budget=40, seed=2)
@@ -294,7 +335,7 @@ class TestPruning:
         monkeypatch.setattr(region, "_random_candidate", counted(draws, region._random_candidate))
         pts = search_region(ch, src, d, d, budget=100, seed=1)
         assert [(p.d1, p.d2) for p in pts] == [(0.0, 0.0)]
-        assert (len(chains), len(wz), len(draws)) == (2, 0, 0)  # uncoded build, its evaluation
+        assert (len(chains), len(wz), len(draws)) == (1, 0, 0)  # the uncoded build, evaluated on its chain
 
     def test_failed_lossless_build_uses_no_budget(self, bmc_example2, monkeypatch):
         # the constant-codeword hybrid takes the first budget slot, certifies
@@ -310,7 +351,7 @@ class TestPruning:
         def fail(*args):
             raise ValueError("build failed")
 
-        monkeypatch.setattr(region, "uncoded_configuration", fail)
+        monkeypatch.setattr(region, "_uncoded_system", fail)
         monkeypatch.setattr(region, "_random_candidate", counted)
         hybrid = constant_codeword_hybrid_configuration(ch, src, d, d)
         for budget in (1, 100):
@@ -318,6 +359,34 @@ class TestPruning:
             assert [(p.d1, p.d2) for p in pts] == [(0.0, 0.0)]
             assert pts[0].certificate.f1.tobytes() == hybrid.f1.tobytes()
         assert draws == []
+
+
+class TestDominationRule:
+    @pytest.mark.parametrize("second, want", [
+        ((0.25 + 1e-15, 0.25), [0]),  # crossing twins: the first stays
+        ((0.25, 0.25 - 1e-15), [1]),  # exactly below the first: it replaces it
+        ((0.25 + 1e-13, 0.25 - 1e-13), [0]),  # crossing within TWIN_TOL
+        ((0.25 + 1e-11, 0.25 - 1e-11), [0, 1]),  # beyond TWIN_TOL: both stay
+    ])
+    def test_roundoff_twins_are_one_point(self, bmc_uniform, monkeypatch, second, want):
+        ch, src, d = bmc_uniform
+        pairs = [(0.25, 0.25 + 1e-15), second]
+        dists = iter(pairs)
+        monkeypatch.setattr(region, "reconstruction_distortions", lambda *args: next(dists))
+
+        def twice(s, evaluate):  # two certified candidates: the uncoded system, twice
+            for _ in pairs:
+                evaluate(region._uncoded_system(s.ch, s.src, s.d1, s.d2))
+
+        monkeypatch.setattr(region, "PHASES", (twice,))
+        got = search_region(ch, src, d, d, budget=5, seed=0)
+        assert [(p.d1, p.d2) for p in got] == [pairs[k] for k in want]
+
+    def test_convexify_merges_roundoff_twins(self):
+        assert convexify([(0.3, 0.4), (0.3 + 1e-15, 0.4 - 1e-15)]) == [(0.3, 0.4)]
+        assert convexify([(0.3, 0.4), (0.3 + 1e-13, 0.4 - 1e-13)]) == [(0.3, 0.4)]
+        assert convexify([(0.3, 0.4), (0.3 + 1e-15, 0.4)]) == [(0.3, 0.4)]
+        assert len(convexify([(0.3, 0.4), (0.3 + 1e-11, 0.4 - 1e-11)])) == 2
 
 
 class TestConvexify:
@@ -351,3 +420,13 @@ class TestConvexify:
 
     def test_empty_input(self):
         assert convexify([]) == []
+
+
+class TestPinnedFronts:
+    def test_search_output_matches_the_pinned_file(self):
+        # floats survive the JSON round trip exactly, so == compares bit for bit
+        assert _pinned_fronts() == json.loads(FRONTS.read_text())
+
+
+if __name__ == "__main__":  # rewrite the pinned file: PYTHONPATH=src python tests/test_region.py
+    FRONTS.write_text(json.dumps(_pinned_fronts(), indent=1) + "\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from twjscc.simulate import (
     run_simulation,
 )
 
-from util import bsc_codeword_scheme, dense_pair_law, load_bench_workloads, packed_book
+from util import (bsc_codeword_scheme, dense_pair_law, load_bench_workloads, packed_book,
+                  random_binary_channel, random_configuration, random_joint_source)
 
 
 @pytest.fixture(scope="module")
@@ -503,6 +505,61 @@ class TestRunSimulation:
         params = SimParams(n=16, blocks=3, eps=0.3, eps1=0.15, rate1=0.0, rate2=0.0, trials=2)
         rep = run_simulation(cfg, ch, src, d, d, params)
         assert rep.jscc_rate == pytest.approx(0.75)
+
+
+
+class TestRateZeroAgreesWithChain:
+    """At rate 0 each book holds one codeword, an i.i.d. q_j sequence drawn
+    independently of the source, and decoding cannot fail.  When the codeword
+    law does not read the source, pu_j(u | s) = q_j(u), the simulated letters
+    follow the chain's law at every position (each trial starts from the
+    stationary law), so a trial's block-averaged distortion is an unbiased
+    estimate of `reconstruction_distortions`.  Random f and g tables read
+    every argument: (s, u, prev_s, prev_u, prev_io) and (other u, own block, y)."""
+
+    CASES = 18  # configurations: BMC, bit-pipes, random binary channels; |U| in {1, 2}
+    TRIALS = 30
+    ALPHA = 0.01  # family-wise error level of the 2 * CASES comparisons
+
+    @staticmethod
+    def _configurations(count):
+        rng = np.random.default_rng(21)
+        channels = (tw.preset_bmc, tw.preset_crossed_bitpipes, lambda: random_binary_channel(rng))
+        out, k = [], 0
+        while len(out) < count:
+            ch, aux = channels[k % 3](), 1 + (k // 3) % 2
+            k += 1
+            src = random_joint_source(rng)
+            cfg = random_configuration(rng, ch, src, aux, aux)
+            q = rng.dirichlet(np.ones(aux), size=2)
+            cfg = dataclasses.replace(
+                cfg, pu1_given_s1=ConditionalPmf((src.s1,), (cfg.u1,), np.tile(q[0], (src.s1.size, 1))),
+                pu2_given_s2=ConditionalPmf((src.s2,), (cfg.u2,), np.tile(q[1], (src.s2.size, 1))))
+            try:
+                out.append((markov.build_chain(cfg, ch, src), ch, src, aux))
+            except ValueError:  # a law that is not unique
+                continue
+        return out
+
+    def test_simulated_distortions_match_the_chain(self):
+        cases = self._configurations(self.CASES)
+        assert {aux for *_, aux in cases} == {1, 2}
+        quantile = NormalDist().inv_cdf(1 - self.ALPHA / (2 * 2 * len(cases)))  # two-sided, Bonferroni
+        for chain, ch, src, _ in cases:
+            d = tw.hamming(src.s1)
+            want = markov.reconstruction_distortions(chain, d, d)
+            per_trial = []
+            for seed in range(self.TRIALS):  # one trial per run: its block average
+                params = SimParams(n=256, blocks=3, eps=0.3, eps1=0.15, rate1=0.0, rate2=0.0,
+                                   seed=seed, trials=1)
+                rep = run_simulation(chain.cfg, ch, src, d, d, params)
+                assert rep.decode_accuracy == 1.0
+                assert rep.claim_violations == 0
+                per_trial.append((rep.distortion1, rep.distortion2))
+            got = np.array(per_trial)
+            err = got.std(axis=0, ddof=1) / np.sqrt(self.TRIALS)
+            for j in range(2):
+                assert abs(got[:, j].mean() - want[j]) <= quantile * err[j] + 1e-12, (j, want, got.mean(0))
 
 
 class TestFullStateSupport:

@@ -21,7 +21,7 @@ from twjscc.conditions import (
     _adaptive_report,
     bayes_hybrid_decoders,
 )
-from twjscc.markov import RESIDUAL_TOL, build_chain, reconstruction_distortions
+from twjscc.markov import RESIDUAL_TOL, MarkovSystem, build_chain, reconstruction_distortions
 from twjscc.models import DistortionMeasure, JointSource, TwoWayChannel, bayes_decoder, decoder_distortion
 from twjscc.probability import (
     AxisSet,
@@ -162,31 +162,39 @@ def echo_configuration():
 
 
 def exhaustive_search(ch, src, d1, d2, budget, seed) -> list[RegionPoint]:
-    """search_region without pruning: every structured candidate built up
-    front, then every candidate solved, reported and measured, under the
-    same Pareto filter."""
-    rng = np.random.default_rng(seed)
-    candidates = []
-    for build in (region.uncoded_configuration, region.constant_codeword_hybrid_configuration,
-                  region.identity_hybrid_configuration, region._sscc_candidates):
+    """search_region without pruning: the same phases and domination rule, but
+    every candidate is solved and reported before its distortions are compared,
+    and the budget is spent in full, past a kept (0, 0)."""
+    search = region._Search(ch, src, d1, d2, np.random.default_rng(seed), (src.s1.size, src.s2.size))
+    points, left = [], budget
+
+    class Spent(Exception):
+        pass
+
+    def evaluate(cand):
+        nonlocal points, left
+        left -= 1
         try:
-            built = build(ch, src, d1, d2)
-        except (ValueError, RuntimeError):
-            continue
-        candidates += built if isinstance(built, list) else [built]
-    points = []
-    for k in range(budget):
-        cfg = candidates[k] if k < len(candidates) else region._random_candidate(
-            rng, ch, src, d1, d2, src.s1.size, src.s2.size)
-        try:
-            chain = build_chain(cfg, ch, src)
+            chain = cand if isinstance(cand, MarkovSystem) else build_chain(cand, ch, src)
             report = _adaptive_report(chain)
-        except (ValueError, RuntimeError):
-            continue
-        if report.satisfied or report.boundary:
-            dist = reconstruction_distortions(chain, d1, d2)
-            point = RegionPoint(dist[0], dist[1], chain.cfg, report, report.boundary, chain.residual)
-            points = region._pareto_min(points + [point])
+        except (ValueError, RuntimeError) as exc:
+            verdict = str(exc)
+        else:
+            verdict = "condition violated"
+            if report.satisfied or report.boundary:
+                dist = reconstruction_distortions(chain, d1, d2)
+                verdict = RegionPoint(dist[0], dist[1], chain.cfg, report, report.boundary, chain.residual)
+                if not any(region._dominates((q.d1, q.d2), dist) for q in points):
+                    points = [q for q in points if not region._dominates(dist, (q.d1, q.d2))] + [verdict]
+        if left == 0:
+            raise Spent
+        return verdict
+
+    try:
+        for phase in region.PHASES:
+            phase(search, evaluate)
+    except Spent:
+        pass
     return points
 
 
