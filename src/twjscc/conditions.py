@@ -5,7 +5,9 @@ stationary system chain, the single-block (non-adaptive) hybrid-coding
 conditions, the separate source-channel conditions pairing Wyner-Ziv rates
 with an adaptive channel scheme, and the non-adaptive Shannon random-coding
 bound with time-sharing.  The hybrid conditions, distortions and Bayes
-decoders are read off the chain of the scheme's lift.
+decoders are read off the chain of the scheme's lift.  The bound's symmetric
+maximum and frontier are array expressions over one upper-right hull of the
+unrounded rate cloud, whose only tolerance is `convexify`'s `TWIN_TOL`.
 """
 
 from __future__ import annotations
@@ -244,12 +246,10 @@ class AdaptiveChannelScheme:
 
     def __post_init__(self):
         for nm, pv, v in (("pv1", self.pv1, self.v1), ("pv2", self.pv2, self.v2)):
-            arr = np.asarray(pv, dtype=np.float64)
-            if arr.shape != (v.size,):
-                raise ValueError(f"{nm} shape {arr.shape} does not match alphabet")
-            if abs(arr.sum() - 1.0) > 1e-12 or np.any(arr < 0):
-                raise ValueError(f"{nm} is not a probability vector")
-            object.__setattr__(self, nm, arr)
+            try:
+                object.__setattr__(self, nm, JointPmf((v,), pv).probs)
+            except ValueError as err:
+                raise ValueError(f"{nm}: {err}") from None
         for nm, v, x, y in (("gamma1", self.v1, self.x1, self.y1), ("gamma2", self.v2, self.x2, self.y2)):
             shape = (v.size, v.size, x.size * y.size)
             object.__setattr__(self, nm, _check_table(nm, getattr(self, nm), shape, x.size))
@@ -417,19 +417,11 @@ def _lift_sscc(scheme: AdaptiveChannelScheme, law: JointPmf,
 
 
 def _simplex_lattice(k: int, levels: int) -> np.ndarray:
-    """All distributions on k symbols with masses at multiples of 1/levels."""
-    if k == 1:
-        return np.ones((1, 1))
-    out = []
-    for cuts in itertools.combinations(range(levels + k - 1), k - 1):
-        prev = -1
-        counts = []
-        for c in cuts:
-            counts.append(c - prev - 1)
-            prev = c
-        counts.append(levels + k - 2 - prev)
-        out.append(counts)
-    return np.asarray(out, dtype=np.float64) / levels
+    """All distributions on k symbols with masses at multiples of 1/levels: the
+    gaps between k - 1 stars-and-bars cuts of levels + k - 1 slots."""
+    cuts = np.array(list(itertools.combinations(range(levels + k - 1), k - 1)), dtype=np.int64)
+    bounds = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-1, levels + k - 1))
+    return (np.diff(bounds, axis=1) - 1) / levels
 
 
 def _lattice_levels(k: int, grid: int) -> int:
@@ -457,17 +449,6 @@ def _rate_tables(chp: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> tuple[np.nd
     return np.maximum(per_x2 @ c2.T, 0.0), np.maximum(c1 @ per_x1.T, 0.0)
 
 
-def _segment_symmetric_max(a: np.ndarray, b: np.ndarray) -> float:
-    best = max(min(a[0], a[1]), min(b[0], b[1]))
-    d = (b[0] - a[0]) - (b[1] - a[1])
-    if abs(d) > 1e-15:
-        t = (a[1] - a[0]) / d
-        if 0.0 < t < 1.0:
-            p = a + t * (b - a)
-            best = max(best, min(p[0], p[1]))
-    return best
-
-
 def shannon_nonadaptive_bound(
     ch: TwoWayChannel,
     q_size: int = 4,
@@ -478,16 +459,19 @@ def shannon_nonadaptive_bound(
     Grid-searches independent input distributions (with local refinement
     around the symmetric incumbent); time-sharing makes the reachable set
     the convex hull of the product-input points, so any q_size >= 2
-    saturates it.  Returns the maximal symmetric rate, of the best product
-    input (q_size = 1) or on the hull, and the frontier: for each of
-    SHANNON_FRONTIER_WEIGHTS weights lam, the hull vertex that maximizes
-    lam R1 + (1 - lam) R2.  A weighted sum is maximized at a hull vertex,
-    so the frontier is the same for every q_size.
+    saturates it.  One upper-right hull of the rate cloud, unrounded, decides
+    the rest.  Returns the maximal symmetric rate, of the best product input
+    (q_size = 1) or on the hull (its best vertex, or where an edge crosses
+    R1 = R2), and the frontier: for each of SHANNON_FRONTIER_WEIGHTS weights
+    lam, the hull vertex that maximizes lam R1 + (1 - lam) R2.  A weighted
+    sum is maximized at a hull vertex, so the frontier is the same for every
+    q_size.
     """
-    if q_size < 1:
-        raise ValueError("q_size must be >= 1")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    for name, value, low in (("q_size", q_size, 1), ("grid", grid, 2)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}")
     from .region import convexify  # region imports this module
 
     lat1 = _simplex_lattice(ch.x1.size, _lattice_levels(ch.x1.size, grid))
@@ -505,22 +489,21 @@ def shannon_nonadaptive_bound(
             best1, best2, best_sym = c1[i], c2[k], float(sym[i, k])
         clouds.append(np.stack([rates1.ravel(), rates2.ravel()], axis=1))
 
-    # upper-right hull: the lower-left hull of the negated cloud
-    frontier_pool = -np.asarray(convexify(-np.round(np.concatenate(clouds), 12))[::-1])
+    # upper-right hull by increasing R1: the lower-left hull of the negated cloud
+    hull = -np.asarray(convexify(-np.concatenate(clouds))[::-1])
     if q_size == 1:
         symmetric_max = best_sym
     else:
-        symmetric_max = max(min(float(p[0]), float(p[1])) for p in frontier_pool)
-        for a, b in zip(frontier_pool[:-1], frontier_pool[1:]):
-            symmetric_max = max(symmetric_max, _segment_symmetric_max(a, b))
+        gap = hull[:, 0] - hull[:, 1]
+        e = np.flatnonzero(gap[:-1] * gap[1:] < 0)  # the edges that cross R1 = R2
+        t = gap[e] / (gap[e] - gap[e + 1])
+        crossings = hull[e] + t[:, None] * (hull[e + 1] - hull[e])
+        symmetric_max = float(np.concatenate([hull, crossings]).min(axis=1).max())
 
-    frontier = []
-    for lam in np.linspace(0.0, 1.0, SHANNON_FRONTIER_WEIGHTS):
-        scores = lam * frontier_pool[:, 0] + (1 - lam) * frontier_pool[:, 1]
-        frontier.append(tuple(frontier_pool[int(np.argmax(scores))]))
-    frontier = sorted(set((round(a, 12), round(b, 12)) for a, b in frontier))
+    lam = np.linspace(0.0, 1.0, SHANNON_FRONTIER_WEIGHTS)[:, None]
+    picks = np.unique(np.argmax(lam * hull[:, 0] + (1 - lam) * hull[:, 1], axis=1))
     return {
         "symmetric_max": symmetric_max,
-        "frontier": [(float(a), float(b)) for a, b in frontier],
+        "frontier": [tuple(p) for p in hull[picks].tolist()],
         "q_size": q_size,
     }

@@ -22,7 +22,7 @@ import numpy as np
 
 from .coded_channel import Configuration, fresh_law
 from .models import DistortionMeasure, JointSource, TwoWayChannel, bayes_decoder, decoder_distortion
-from .probability import Alphabet, JointPmf
+from .probability import NORM_TOL, Alphabet, JointPmf
 
 # Axis order of the full per-block state law.
 Z_AXES = (
@@ -175,7 +175,7 @@ def build_chain(cfg: Configuration, ch: TwoWayChannel, src: JointSource) -> Mark
     # a row sums psu[a] times the channel row sums of the (x1, x2) it reaches
     reached = ((kernel.counts > 0) & (kernel.psu > 0)[:, None, None]).any(axis=0)
     off = np.abs(chan.sum(axis=(2, 3)) - 1.0)[reached]
-    if abs(kernel.psu.sum() - 1.0) > 1e-12 or np.any(off > 1e-12):
+    if abs(kernel.psu.sum() - 1.0) > NORM_TOL or np.any(off > NORM_TOL):
         raise AssertionError("kernel rows failed to normalize")
 
     if cfg.prev_law is None:

@@ -33,14 +33,16 @@ class InfeasibleDistortion(ValueError):
 
 
 def _as_vector(source) -> np.ndarray:
-    if isinstance(source, JointPmf):
-        if source.naxes != 1:
-            raise ValueError("rate-distortion source must be a one-axis pmf")
-        return source.probs
-    arr = np.asarray(source, dtype=np.float64)
-    if arr.ndim != 1 or abs(arr.sum() - 1.0) > 1e-12 or np.any(arr < 0):
-        raise ValueError("source must be a probability vector")
-    return arr
+    """The law of a one-axis JointPmf, or of a vector checked as one."""
+    if not isinstance(source, JointPmf):
+        arr = np.asarray(source, dtype=np.float64)
+        try:
+            source = JointPmf((Alphabet(arr.size),), arr)
+        except ValueError as err:
+            raise ValueError(f"source: {err}") from None
+    if source.naxes != 1:
+        raise ValueError("rate-distortion source must be a one-axis pmf")
+    return source.probs
 
 
 def _law(ps: np.ndarray):

@@ -226,8 +226,9 @@ def search_region(ch: TwoWayChannel, src: JointSource, d1: DistortionMeasure, d2
     if budget < 1:
         raise ValueError("budget must be >= 1")
     aux = aux_sizes if aux_sizes is not None else (src.s1.size, src.s2.size)
-    if min(aux) < 1:
-        raise ValueError(f"auxiliary alphabet sizes must be >= 1, got {aux[0]} and {aux[1]}")
+    if not isinstance(aux, (Sequence, np.ndarray)) or len(aux) != 2 or not all(
+            isinstance(a, numbers.Integral) and not isinstance(a, bool) and a >= 1 for a in aux):
+        raise ValueError(f"aux_sizes must be two auxiliary alphabet sizes, ints >= 1, got {aux!r}")
     search = _Search(ch, src, d1, d2, np.random.default_rng(seed), aux)
     kept, left = [], budget
 

@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from twjscc.region import uncoded_configuration
 from util import (
     _pair_rates,
     binary_entropy,
+    loop_simplex_lattice,
     bsc_codeword_scheme,
     one_shot_hybrid_law,
     random_adaptive_scheme,
@@ -372,17 +376,29 @@ class TestShannonBound:
         assert all(fr[i][0] <= fr[i + 1][0] for i in range(len(fr) - 1))
         assert all(r1 >= 0 and r2 >= 0 for r1, r2 in fr)
 
-    @pytest.mark.parametrize("grid", [1, 0, -5])
+    @pytest.mark.parametrize("grid", [1, 0, -5, 2.5, True, "2"])
     def test_grid_below_two_refused(self, grid):
         # a grid below 2 would otherwise search a 2-point lattice and report
-        # 0.4427 on BMC, against 0.6169 at the default grid
-        with pytest.raises(ValueError, match="grid must be >= 2"):
+        # 0.4427 on BMC, against 0.6169 at the default grid; a bool or
+        # non-integer is refused by name
+        match = "grid must be >= 2" if type(grid) is int else re.escape(f"grid must be an int, got {grid!r}")
+        with pytest.raises(ValueError, match=match):
             shannon_nonadaptive_bound(tw.preset_bmc(), q_size=1, grid=grid)
+
+    @pytest.mark.parametrize("q_size", [0, -2, 2.5, True, "2"])
+    def test_q_size_below_one_refused(self, q_size):
+        # q_size=True and 2.5 were once accepted and echoed back in the result
+        match = ("q_size must be >= 1" if type(q_size) is int
+                 else re.escape(f"q_size must be an int, got {q_size!r}"))
+        with pytest.raises(ValueError, match=match):
+            shannon_nonadaptive_bound(tw.preset_bmc(), q_size=q_size, grid=3)
 
     def test_deterministic_given_same_arguments(self):
         a = shannon_nonadaptive_bound(tw.preset_bmc(), q_size=2, grid=13)
         b = shannon_nonadaptive_bound(tw.preset_bmc(), q_size=2, grid=13)
         assert a == b
+        # numpy integers are accepted as ints
+        assert shannon_nonadaptive_bound(tw.preset_bmc(), q_size=np.int64(2), grid=np.uint8(13)) == a
 
     @pytest.mark.parametrize("grid", [11, 21])
     def test_bitpipes_single_law_frontier_is_the_corner(self, grid):
@@ -437,3 +453,51 @@ class TestRateTables:
         c1 = np.concatenate([lat1, rng.dirichlet(np.ones(sizes[0]), size=4)])
         c2 = np.concatenate([lat2, rng.dirichlet(np.ones(sizes[1]), size=4)])
         self._check(ch, c1, c2)
+
+
+SHANNON_BOUNDS = Path(__file__).with_name("shannon_bounds.json")
+
+
+def _bound_channels() -> dict:
+    """The three presets and six seeded random channels of 2-3 letters per alphabet
+    (a 3-letter input on at most one side, which keeps the corpus under a second)."""
+    chans = {name: getattr(tw, f"preset_{name}")() for name in ("bmc", "crossed_bitpipes", "dueck")}
+    sizes = [(2, 2, 2, 3), (2, 2, 3, 2), (2, 2, 3, 3), (3, 2, 2, 3), (2, 3, 3, 2), (2, 2, 2, 2)]
+    for seed, size in enumerate(sizes):
+        chans[f"random{seed}"] = _random_channel(np.random.default_rng(300 + seed), *size)
+    return chans
+
+
+def _pinned_bounds() -> dict:
+    """shannon_nonadaptive_bound on every `_bound_channels` channel at q_size in
+    (1, 2, 4) and grid in (2, 3, 11, 21), as `SHANNON_BOUNDS` holds it."""
+    return {f"{name}/q={q}/grid={grid}": shannon_nonadaptive_bound(ch, q_size=q, grid=grid)
+            for name, ch in _bound_channels().items() for q in (1, 2, 4) for grid in (2, 3, 11, 21)}
+
+
+class TestPinnedBound:
+    def test_bounds_match_pinned_corpus(self):
+        # the symmetric maximum of one product input is exact; a hull crossing
+        # and the frontier's hull vertices may move by roundoff alone
+        pinned = json.loads(SHANNON_BOUNDS.read_text())
+        got = _pinned_bounds()
+        assert len(got) == 108 and got.keys() == pinned.keys()
+        for key, res in got.items():
+            want = pinned[key]
+            if res["q_size"] == 1:
+                assert res["symmetric_max"] == want["symmetric_max"], key
+            else:
+                assert abs(res["symmetric_max"] - want["symmetric_max"]) <= 1e-12, key
+            assert len(res["frontier"]) == len(want["frontier"]), key
+            np.testing.assert_allclose(res["frontier"], want["frontier"], rtol=0, atol=1e-12, err_msg=key)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_lattice_equals_loop_oracle(self, k):
+        for levels in range(1, 14):
+            got, want = _simplex_lattice(k, levels), loop_simplex_lattice(k, levels)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want, err_msg=f"k={k} levels={levels}")
+
+
+if __name__ == "__main__":  # rewrite the pinned file: PYTHONPATH=src python tests/test_conditions.py
+    SHANNON_BOUNDS.write_text(json.dumps(_pinned_bounds(), indent=1) + "\n")

@@ -48,6 +48,12 @@ class TestRdFunction:
         with pytest.raises(InfeasibleDistortion):
             rd_function(p, d, -0.01)
 
+    @pytest.mark.parametrize("source", [[np.nan, np.nan], [0.5, np.nan]])
+    def test_nan_source_refused(self, source):
+        # NaN passed the old sum and sign checks, and the rate came back inf
+        with pytest.raises(ValueError, match="source: pmf entries must be finite and nonnegative"):
+            rd_function(source, tw.hamming(Alphabet(2)), 0.1)
+
     def test_ternary_uniform_interior_point_below_entropy(self):
         p = tw.JointPmf((Alphabet(3),), np.full(3, 1 / 3))
         d = tw.hamming(p.axes[0])

@@ -65,6 +65,19 @@ def _pinned_fronts() -> dict:
     return fronts
 
 
+def _count_chains(monkeypatch) -> list:
+    """A list that gains one entry per `build_chain` call from here on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build_chain(*args, **kwargs)
+
+    for mod in (markov, region, conditions):
+        monkeypatch.setattr(mod, "build_chain", counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def bmc_example2():
     return _setting("bmc-example2")
@@ -164,13 +177,15 @@ class TestSearchRegion:
         got = search_region(ch, src, d, d, budget=np.int64(3), seed=np.uint8(1))
         assert [(p.d1, p.d2) for p in got] == [(p.d1, p.d2) for p in search_region(ch, src, d, d, 3, 1)]
 
-    def test_auxiliary_size_below_one_rejected_before_random_candidates(self):
-        # budget 5 is spent on structured candidates alone
-        ch = tw.preset_bmc()
-        src = tw.preset_example2_source()
-        d = tw.hamming(src.s1)
-        with pytest.raises(ValueError, match="auxiliary alphabet sizes"):
-            search_region(ch, src, d, d, budget=5, seed=0, aux_sizes=(0, 2))
+    def test_auxiliary_size_below_one_rejected_before_random_candidates(self, bmc_uniform, monkeypatch):
+        # the structured candidates alone build 7 chains at budget 8, after which
+        # the random phase once refused a bool or non-integer size through Alphabet
+        ch, src, d = bmc_uniform
+        calls = _count_chains(monkeypatch)
+        for aux in ((0, 2), (2, -1), (True, 2), (2.5, 2), ("2", 2), (2,), (2, 2, 2), 2):
+            with pytest.raises(ValueError, match="aux_sizes must be two auxiliary alphabet sizes"):
+                search_region(ch, src, d, d, budget=8, seed=0, aux_sizes=aux)
+        assert calls == []
 
 
 class TestEvaluate:
@@ -218,22 +233,9 @@ class TestEvaluate:
             pytest.fail("no violating candidate drawn")
         assert _evaluate(cfg, ch, src, d, d) == "condition violated"
 
-    @staticmethod
-    def _count_chains(monkeypatch) -> list:
-        """A list that gains one entry per `build_chain` call from here on."""
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return build_chain(*args, **kwargs)
-
-        for mod in (markov, region, conditions):
-            monkeypatch.setattr(mod, "build_chain", counted)
-        return calls
-
     def test_one_chain_per_candidate(self, bmc_uniform, monkeypatch):
         ch, src, d = bmc_uniform
-        calls = self._count_chains(monkeypatch)
+        calls = _count_chains(monkeypatch)
         search_region(ch, src, d, d, budget=30, seed=0)
         # one per candidate (the three Bayes-decoded structured candidates are
         # evaluated on the chain their builder solved) plus the shared SSCC channel solve
@@ -243,7 +245,7 @@ class TestEvaluate:
                                        identity_hybrid_configuration])
     def test_one_chain_per_structured_builder(self, bmc_uniform, monkeypatch, build):
         ch, src, d = bmc_uniform
-        calls = self._count_chains(monkeypatch)
+        calls = _count_chains(monkeypatch)
         build(ch, src, d, d)
         assert len(calls) == 1
 

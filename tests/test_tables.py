@@ -246,6 +246,23 @@ class TestGammaChecked:
         scheme = AdaptiveChannelScheme(*self._args(np.arange(2)[:, None, None]))
         assert scheme.gamma2.shape == (2, 2, 4) and not scheme.gamma2.flags.writeable
 
+    @pytest.mark.parametrize("pv1", [(np.nan, np.nan), (0.5, np.nan)])
+    def test_nan_pv_refused(self, pv1, tmp_path, capsys):
+        # NaN passed the old sum and sign checks, was saved as NaN tokens and
+        # read back, and only eval_sscc failed, naming no field
+        args = self._args(np.arange(2)[:, None, None])
+        with pytest.raises(ValueError, match="pv1: pmf entries must be finite and nonnegative"):
+            AdaptiveChannelScheme(*args[:2], np.array(pv1), *args[3:])
+        doc = json.loads(ser.save_adaptive_scheme(AdaptiveChannelScheme(*args)))
+        doc["pv1"] = list(pv1)
+        bad = tmp_path / "scheme.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval-sscc", "--scheme", str(bad), "--channel", "bmc",
+                     "--rate1", "0.1", "--rate2", "0.1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err and "pv1: pmf entries must be finite" in err
+
     def test_eval_sscc_cli_names_file_and_gamma(self, tmp_path, capsys):
         scheme = AdaptiveChannelScheme(*self._args(np.arange(2)[:, None, None]))
         doc = json.loads(ser.save_adaptive_scheme(scheme))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import itertools
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -352,6 +353,23 @@ def _pair_rates(chp: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> tuple[float,
     h_x2y1x1 = -_plogp_sum(j.sum(axis=3))
     i2 = h_x1x2 + h_y1x1 - h_x2y1x1 - h_x1
     return max(i1, 0.0), max(i2, 0.0)
+
+
+def loop_simplex_lattice(k: int, levels: int) -> np.ndarray:
+    """All distributions on k symbols with masses at multiples of 1/levels, one
+    stars-and-bars cut tuple at a time: the oracle for `conditions._simplex_lattice`."""
+    if k == 1:
+        return np.ones((1, 1))
+    out = []
+    for cuts in itertools.combinations(range(levels + k - 1), k - 1):
+        prev = -1
+        counts = []
+        for c in cuts:
+            counts.append(c - prev - 1)
+            prev = c
+        counts.append(levels + k - 2 - prev)
+        out.append(counts)
+    return np.asarray(out, dtype=np.float64) / levels
 
 
 # Information quantities, typicality, distortion and feasibility helpers that
