@@ -93,9 +93,17 @@ class FactoredKernel:
         """Number of (state of `rows`, successor) pairs with positive probability."""
         return int(self._live().sum(axis=(2, 4)).ravel()[self.cells(rows)].sum())
 
+    @cached_property
+    def _image(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The image, and the (fresh tuple, x1, x2) cell and channel entry of each of its states."""
+        hit = self._live() & (self.counts > 0)[:, :, None, :, None]
+        rows = np.flatnonzero(hit)
+        a, x1, y1, x2, y2 = np.unravel_index(rows, hit.shape)
+        return rows, np.ravel_multi_index((a, x1, x2), self.counts.shape), self.chan[x1, x2, y1, y2]
+
     def image(self) -> np.ndarray:
         """Ascending states that some state reaches in one step."""
-        return np.flatnonzero(self._live() & (self.counts > 0)[:, :, None, :, None])
+        return self._image[0]
 
     def predecessors(self, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """States of `rows` with a positive-probability successor in the boolean `mask`."""
@@ -106,9 +114,17 @@ class FactoredKernel:
     def push(self, pi: np.ndarray) -> np.ndarray:
         """The row vector pi K, summed over the nonzero entries of pi."""
         rows = np.flatnonzero(pi != 0)  # faster than flatnonzero(pi) on floats
-        w = np.bincount(self.cells(rows).ravel(), weights=(pi[rows][:, None] * self.psu).ravel(),
-                        minlength=self.counts.size)
-        return self._spread(w)
+        return self._spread(self._weights(rows, pi[rows]))
+
+    def push_image(self, v: np.ndarray) -> np.ndarray:
+        """push(pi) at the image, bit for bit, for the pi that is v there and 0 elsewhere."""
+        rows, cell, chan = self._image
+        return self._weights(rows, v)[cell] * chan
+
+    def _weights(self, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(fresh tuple, x1, x2) weights of the pi that is v on `rows`; a 0 in v adds +0.0."""
+        return np.bincount(self.cells(rows).ravel(), weights=(v[:, None] * self.psu).ravel(),
+                           minlength=self.counts.size)
 
     def push_uniform(self) -> np.ndarray:
         """push(np.full(n, 1/n)) without the (state, fresh tuple) cells, bit for bit:
@@ -192,29 +208,36 @@ def solve_stationary(kernel) -> tuple[np.ndarray, float]:
     start, with a half-lazy fallback, and the L1 residual of pi K - pi.
 
     `kernel` offers `n_states`, `push` (pi -> pi K), `push_uniform` (the
-    push of the uniform vector), `image` and `predecessors`, as FactoredKernel
-    does.  Negative solver noise is clipped and the vector renormalized
-    before the residual is taken, so the residual is that of the returned
-    vector.  Raises RuntimeError when it exceeds RESIDUAL_TOL, and then
-    ValueError when the law is not unique: that is, unless every state of the
-    one-step image (so every state) reaches r = argmax pi, since r is
-    recurrent and a second closed class would be a set of states that never
-    reach it.
+    push of the uniform vector), `image`, `push_image` (pi K on the image)
+    and `predecessors`, as FactoredKernel does.  Later iterates live on the
+    image; only the normalizer and the L1 step sum the dense vector.
+    Negative solver noise is clipped and the vector renormalized before the
+    residual is taken, so the residual is that of the returned vector.
+    Raises RuntimeError when it exceeds RESIDUAL_TOL, naming the last
+    residual ratio and whether the half-lazy switch fired, and then
+    ValueError when the law is not unique: that is, unless every state of
+    the image (so every state) reaches r = argmax pi, since r is recurrent
+    and a second closed class would be a set of states that never reach it.
     """
     n = kernel.n_states
+    rows, dense = kernel.image(), np.zeros(n)  # dense: exact zeros off the image
     pi = np.full(n, 1.0 / n)
     first = kernel.push_uniform()  # pi K; every later push reads only the one-step image
     best, best_res = pi, float(np.abs(first - pi).sum())
+    res = last = best_res
     lazy = False
     stall = 0
     it = 0
     while it < SOLVE_MAX_ITER and best_res > SOLVE_TARGET:
         it += 1
-        nxt = first if it == 1 else kernel.push(pi)
+        nxt = first[rows] if it == 1 else kernel.push_image(pi)
         if lazy:
             nxt = 0.5 * (nxt + pi)
-        nxt /= nxt.sum()
-        res = float(np.abs(nxt - pi).sum()) * (2.0 if lazy else 1.0)
+        dense[rows] = nxt
+        nxt /= dense.sum()
+        dense[rows] = nxt if it == 1 else np.abs(nxt - pi)
+        step = np.abs(dense - pi) if it == 1 else dense  # the uniform start fills every state
+        last, res = res, float(step.sum()) * (2.0 if lazy else 1.0)
         pi = nxt
         if res < best_res:
             best_res = res
@@ -230,14 +253,16 @@ def solve_stationary(kernel) -> tuple[np.ndarray, float]:
         elif lazy and stall >= 2000:
             break
 
+    if best.size < n:  # held on the image
+        dense[rows], best = best, dense
     best = np.clip(best, 0.0, None)
     best /= best.sum()
     best_res = _residual(kernel, best)
     if best_res > RESIDUAL_TOL:
         raise RuntimeError(
-            f"stationary solve did not converge: residual {best_res:.3e} after {it} iterations"
+            f"stationary solve did not converge: residual {best_res:.3e} after {it} iterations, "
+            f"last residual ratio {res / last:.6g}, half-lazy switch {'fired' if lazy else 'not fired'}"
         )
-    rows = kernel.image()
     reach = np.arange(n) == np.argmax(best)
     while not reach[rows].all():
         grown = reach.copy()

@@ -255,7 +255,7 @@ def convexify(points) -> list[tuple[float, float]]:
     segments between them (time-sharing) they bound the reported region.
     """
     kept: list[tuple[float, float]] = []
-    for p in sorted({(float(a), float(b)) for a, b in points}):
+    for p in map(tuple, np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0).tolist()):
         if kept and _dominates(kept[-1], p):  # in this order only the last point can,
             continue
         while kept and _dominates(p, kept[-1]):  # and p dominates a tail of them

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from util import (
     check_configuration,
     dense_kernel,
     dense_pair_law,
+    dense_solve_stationary,
     echo_configuration,
     random_binary_channel,
     random_configuration,
@@ -228,7 +230,7 @@ class TestStationary:
 
 class DenseKernel:
     """A hand-written transition matrix with the operator interface the
-    solver reads (n_states, push, push_uniform, image, predecessors)."""
+    solver reads (n_states, push, push_uniform, image, push_image, predecessors)."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=np.float64)
@@ -242,6 +244,11 @@ class DenseKernel:
 
     def image(self):
         return np.flatnonzero((self.matrix > 0).any(axis=0))
+
+    def push_image(self, v):
+        pi = np.zeros(self.n_states)
+        pi[self.image()] = v
+        return self.push(pi)[self.image()]
 
     def predecessors(self, mask, rows):
         return (self.matrix[rows][:, mask] > 0).any(axis=1)
@@ -258,11 +265,24 @@ class TestSolverPaths:
 
     def test_slow_chain_fails_with_reason(self, monkeypatch):
         # spectral gap far too small for three iterations from the uniform
-        # start: the solve must fail and say so, not return a poor vector
+        # start: the solve must fail and say so, not return a poor vector,
+        # and name the slow mode: each step scales the residual by the second
+        # eigenvalue 1 - a - b, and the chain never oscillates
         monkeypatch.setattr(markov, "SOLVE_MAX_ITER", 3)
         a, b = 1e-6, 3e-6
         k = DenseKernel([[1 - a, a], [b, 1 - b]])
-        with pytest.raises(RuntimeError, match="did not converge"):
+        with pytest.raises(RuntimeError, match="did not converge") as err:
+            solve_stationary(k)
+        ratio = re.search(r"last residual ratio (\S+),", str(err.value)).group(1)
+        assert abs(float(ratio) - (1 - a - b)) <= 1e-6
+        assert str(err.value).endswith("half-lazy switch not fired")
+
+    def test_oscillating_chain_fails_after_the_lazy_switch(self, monkeypatch):
+        # the two-cycle's residual never falls, so the switch fires after 200
+        # steps; stopped one step later, the solve fails and says it fired
+        monkeypatch.setattr(markov, "SOLVE_MAX_ITER", 201)
+        k = DenseKernel([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(RuntimeError, match="ratio 1, half-lazy switch fired$"):
             solve_stationary(k)
 
     def test_non_uniqueness_flagged_on_block_diagonal_chain(self):
@@ -274,6 +294,73 @@ class TestSolverPaths:
         k = DenseKernel(np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), other]]))
         with pytest.raises(ValueError, match="not unique"):
             solve_stationary(k)
+
+
+def assert_solve_is_dense_solve(kernel):
+    """solve_stationary equals the dense-iterate oracle bit for bit: law and residual."""
+    law, res = solve_stationary(kernel)
+    want_law, want_res = dense_solve_stationary(kernel)
+    assert np.array_equal(law, want_law) and res == want_res
+    return law, res
+
+
+def off_image_predecessor_kernel():
+    """BMC with example2 sources, u1 = 0 always, x1 = 1 exactly when the
+    previous u1 is 1 and x2 = s2: the states with x1 = 1 are in the one-step
+    image, reached only from states off it (every previous u1 = 1)."""
+    ch, src = tw.preset_bmc(), tw.preset_example2_source()
+    cfg = random_configuration(np.random.default_rng(3), ch, src)
+    f1 = np.zeros_like(cfg.f1)
+    f1[:, :, :, 1, :] = 1
+    f2 = np.broadcast_to(np.arange(2)[:, None, None, None, None], cfg.f2.shape).copy()
+    pu1 = ConditionalPmf(cfg.pu1_given_s1.given_axes, cfg.pu1_given_s1.out_axes, np.eye(2)[[0, 0]])
+    cfg = dataclasses.replace(cfg, f1=f1, f2=f2, pu1_given_s1=pu1)
+    return FactoredKernel(cfg.f1, cfg.f2, fresh_law(cfg, src), ch.law.probs)
+
+
+class TestImageHeldSolve:
+    """The solve that holds its iterate on the one-step image reproduces the
+    dense-iterate loop bit for bit."""
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_dueck_pool_chains(self, case):
+        # cases 0-3 of the benchmark's eval_dueck pool (pool seed 20010261)
+        ch, src = tw.preset_dueck(), tw.preset_independent_bernoulli(0.89, 0.89)
+        cfg = random_configuration(np.random.default_rng([20010261, case]), ch, src)
+        kernel = FactoredKernel(cfg.f1, cfg.f2, fresh_law(cfg, src), ch.law.probs)
+        assert kernel.n_states == 16384 and kernel.image().size == 1024
+        assert_solve_is_dense_solve(kernel)
+
+    def test_criterion_8_lift_keeps_its_residual(self):
+        # the lifted BSC(0.45) hybrid that criterion 8 and sim_crit8 simulate
+        from twjscc.conditions import lift_hybrid
+        from util import bsc_codeword_scheme
+
+        ch, src = tw.preset_crossed_bitpipes(), tw.preset_independent_bernoulli(0.5, 0.5)
+        d = tw.hamming(src.s1)
+        cfg = lift_hybrid(bsc_codeword_scheme(ch, src, 0.45, d, d), ch, src)
+        kernel = FactoredKernel(cfg.f1, cfg.f2, fresh_law(cfg, src), ch.law.probs)
+        assert kernel.n_states == 256 and kernel.image().size == 64
+        _, res = assert_solve_is_dense_solve(kernel)
+        assert res == 1.6653345369377348e-16
+
+    def test_bmc_uncoded_chain(self, bmc_setup):
+        ch, src, d = bmc_setup
+        assert_solve_is_dense_solve(build_chain(uncoded_configuration(ch, src, d, d), ch, src).kernel)
+
+    def test_periodic_chain_through_the_lazy_switch(self):
+        assert_solve_is_dense_solve(DenseKernel([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+
+    def test_image_state_reached_only_from_off_the_image(self):
+        # from push 2 on the iterate holds an exact 0 inside the image, whose
+        # rows add +0.0 to their cells
+        kernel = off_image_predecessor_kernel()
+        image = kernel.image()
+        first = kernel.push_uniform()
+        second = kernel.push(first / first.sum())
+        assert (first[image] > 0).all() and (second[image] == 0).any()
+        law, _ = assert_solve_is_dense_solve(kernel)
+        assert np.array_equal(law[image] == 0, second[image] == 0)
 
 
 @pytest.fixture

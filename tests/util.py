@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import twjscc as tw
-from twjscc import region, simulate
+from twjscc import markov, region, simulate
 from twjscc.coded_channel import Configuration, _check_table
 from twjscc.conditions import (
     AdaptiveChannelScheme,
@@ -326,6 +326,57 @@ def dense_kernel(kernel) -> np.ndarray:
     probs = kernel.psu[:, None, None] * kernel.chan[x1n, x2n]
     out[np.arange(n)[:, None], np.arange(na), x1n, :, x2n] = probs
     return out.reshape(n, n)
+
+
+def dense_solve_stationary(kernel) -> tuple[np.ndarray, float]:
+    """`markov.solve_stationary` with every iterate held as the dense n-vector
+    and pushed by `kernel.push`: the oracle the image-held solve is checked
+    against bit for bit (law, residual, errors)."""
+    n = kernel.n_states
+    pi = np.full(n, 1.0 / n)
+    first = kernel.push_uniform()  # pi K; every later push reads only the one-step image
+    best, best_res = pi, float(np.abs(first - pi).sum())
+    lazy = False
+    stall = 0
+    it = 0
+    while it < markov.SOLVE_MAX_ITER and best_res > markov.SOLVE_TARGET:
+        it += 1
+        nxt = first if it == 1 else kernel.push(pi)
+        if lazy:
+            nxt = 0.5 * (nxt + pi)
+        nxt /= nxt.sum()
+        res = float(np.abs(nxt - pi).sum()) * (2.0 if lazy else 1.0)
+        pi = nxt
+        if res < best_res:
+            best_res = res
+            best = nxt
+            stall = 0
+        else:
+            stall += 1
+        if not lazy and stall >= 200:
+            # oscillating iterates: switch to the half-lazy kernel, which has
+            # the same fixed points but is aperiodic
+            lazy = True
+            stall = 0
+        elif lazy and stall >= 2000:
+            break
+
+    best = np.clip(best, 0.0, None)
+    best /= best.sum()
+    best_res = markov._residual(kernel, best)
+    if best_res > markov.RESIDUAL_TOL:
+        raise RuntimeError(
+            f"stationary solve did not converge: residual {best_res:.3e} after {it} iterations"
+        )
+    rows = kernel.image()
+    reach = np.arange(n) == np.argmax(best)
+    while not reach[rows].all():
+        grown = reach.copy()
+        grown[rows] |= kernel.predecessors(reach, rows)
+        if np.array_equal(grown, reach):
+            raise ValueError("stationary law is not unique: some states never reach argmax pi")
+        reach = grown
+    return best, best_res
 
 
 def dense_pair_law(sys, pi) -> JointPmf:
