@@ -36,10 +36,9 @@ from .conditions import (
     eval_hybrid,
     eval_sscc,
     lift_hybrid,
-    shannon_nonadaptive_bound,
 )
 from .rate_distortion import RdCurve, rd_curve, rd_function, wz_curve, wz_function
-from .region import RegionPoint, convexify, search_region
+from .region import RegionPoint, convexify, search_region, shannon_nonadaptive_bound
 from .simulate import SimParams, SimReport, generate_codebooks, run_simulation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

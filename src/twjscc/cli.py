@@ -16,10 +16,10 @@ import sys
 from dataclasses import dataclass
 
 from . import serialization as ser
-from .conditions import _adaptive_report, eval_hybrid, eval_sscc, shannon_nonadaptive_bound, wz_scheme_rate
+from .conditions import _adaptive_report, eval_hybrid, eval_sscc, wz_scheme_rate
 from .markov import Z_AXES, build_chain, pair_marginal
 from .rate_distortion import InfeasibleDistortion, rd_curve, rd_function, wz_curve, wz_function
-from .region import convexify, search_region, uncoded_configuration
+from .region import convexify, search_region, shannon_nonadaptive_bound, uncoded_configuration
 from .probability import marginalize
 from .simulate import SimParams, run_simulation
 

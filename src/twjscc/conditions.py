@@ -1,22 +1,18 @@
 """Achievability condition evaluators and the scheme-lifting maps.
 
-Covers four condition families: the adaptive block-Markov conditions on the
+Covers three condition families: the adaptive block-Markov conditions on the
 stationary system chain, the single-block (non-adaptive) hybrid-coding
-conditions, the separate source-channel conditions pairing Wyner-Ziv rates
-with an adaptive channel scheme, and the non-adaptive Shannon random-coding
-bound with time-sharing.  The hybrid conditions, distortions and Bayes
-decoders are read off the chain of the scheme's lift.  The bound's symmetric
-maximum and frontier are array expressions over one upper-right hull of the
-unrounded rate cloud, whose only tolerance is `convexify`'s `TWIN_TOL`.
+conditions, and the separate source-channel conditions pairing Wyner-Ziv
+rates with an adaptive channel scheme.  The hybrid conditions, distortions
+and Bayes decoders are read off the chain of the scheme's lift.  Shannon's
+non-adaptive inner bound lives in `region`, next to its hull.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import numbers
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -28,15 +24,13 @@ from .probability import (
     Alphabet,
     ConditionalPmf,
     JointPmf,
-    _plogp,
+    checked_real,
     conditional_mutual_information,
     mutual_information,
 )
 
 DEFAULT_TOL = 1e-9
 PREV_LAW_TOL = 1e-8  # largest residual accepted from a supplied previous-block law
-SHANNON_REFINE_ROUNDS = 2  # local refinements of the non-adaptive bound's input grid
-SHANNON_FRONTIER_WEIGHTS = 41  # weighted-sum directions of its frontier sweep
 
 _UNIT_SOURCE = JointSource(
     Alphabet(1, "unit"), Alphabet(1, "unit"), JointPmf((Alphabet(1),) * 2, np.ones((1, 1)))
@@ -315,10 +309,8 @@ def eval_sscc(
     independent of prev_v_j, so this is what its (x, y, prev_v, prev_io) view carries.
     """
     for name, rate in (("rate1", rate1), ("rate2", rate2)):
-        if not isinstance(rate, numbers.Real) or isinstance(rate, bool):
-            raise ValueError(f"{name} must be a real number, got {rate!r}")
-        if not (isfinite(rate) and rate >= 0):
-            raise ValueError(f"{name} {rate} must be finite and nonnegative")
+        if checked_real(name, rate) < 0:
+            raise ValueError(f"{name} {rate} must be nonnegative")
     rep = _adaptive_report(build_chain(embed_adaptive_scheme(scheme), ch, _UNIT_SOURCE))
     return ConditionReport.from_values(rate1, rep.rhs1, rate2, rep.rhs2)
 
@@ -409,101 +401,3 @@ def _lift_sscc(scheme: AdaptiveChannelScheme, law: JointPmf,
     )
     prev = JointPmf(cfg.prev_axes, prev_probs)
     return dataclasses.replace(cfg, prev_law=prev)
-
-
-# ---------------------------------------------------------------------------
-# Non-adaptive Shannon random-coding bound with time-sharing
-# ---------------------------------------------------------------------------
-
-
-def _simplex_lattice(k: int, levels: int) -> np.ndarray:
-    """All distributions on k symbols with masses at multiples of 1/levels: the
-    gaps between k - 1 stars-and-bars cuts of levels + k - 1 slots."""
-    cuts = np.array(list(itertools.combinations(range(levels + k - 1), k - 1)), dtype=np.int64)
-    bounds = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-1, levels + k - 1))
-    return (np.diff(bounds, axis=1) - 1) / levels
-
-
-def _lattice_levels(k: int, grid: int) -> int:
-    if k <= 2:
-        return max(grid - 1, 1)
-    levels = 1
-    while comb(levels + k, k - 1) <= max(8 * grid, 64):
-        levels += 1
-    return levels
-
-
-def _rate_tables(chp: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(I(X1;Y2|X2), I(X2;Y1|X1)) for every pair of independent input laws
-    (c1[i], c2[k]), as two (len(c1), len(c2)) tables.
-
-    With independent inputs I(X1;Y2|X2) = sum_x2 p2(x2) I(X1;Y2|X2=x2), and
-    the inner term depends on p1 alone, so each table is one matrix product
-    of a per-letter rate table with the other side's laws.
-    """
-    w2 = chp.sum(axis=2)  # W(y2 | x1, x2)
-    w1 = chp.sum(axis=3)  # W(y1 | x1, x2)
-    # per_x2[i, x2] = I(X1;Y2|X2=x2) = H(Y2|X2=x2) - H(Y2|X1,X2=x2) under c1[i]
-    per_x2 = c1 @ _plogp(w2).sum(axis=2) - _plogp(np.einsum("ix,xwy->iwy", c1, w2)).sum(axis=2)
-    per_x1 = c2 @ _plogp(w1).sum(axis=2).T - _plogp(np.einsum("kw,xwy->kxy", c2, w1)).sum(axis=2)
-    return np.maximum(per_x2 @ c2.T, 0.0), np.maximum(c1 @ per_x1.T, 0.0)
-
-
-def shannon_nonadaptive_bound(
-    ch: TwoWayChannel,
-    q_size: int = 4,
-    grid: int = 21,
-) -> dict:
-    """Optimize the non-adaptive random-coding rate pair over product inputs.
-
-    Grid-searches independent input distributions (with local refinement
-    around the symmetric incumbent); time-sharing makes the reachable set
-    the convex hull of the product-input points, so any q_size >= 2
-    saturates it.  One upper-right hull of the rate cloud, unrounded, decides
-    the rest.  Returns the maximal symmetric rate, of the best product input
-    (q_size = 1) or on the hull (its best vertex, or where an edge crosses
-    R1 = R2), and the frontier: for each of SHANNON_FRONTIER_WEIGHTS weights
-    lam, the hull vertex that maximizes lam R1 + (1 - lam) R2.  A weighted
-    sum is maximized at a hull vertex, so the frontier is the same for every
-    q_size.
-    """
-    for name, value, low in (("q_size", q_size, 1), ("grid", grid, 2)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}")
-    from .region import convexify  # region imports this module
-
-    lat1 = _simplex_lattice(ch.x1.size, _lattice_levels(ch.x1.size, grid))
-    lat2 = _simplex_lattice(ch.x2.size, _lattice_levels(ch.x2.size, grid))
-    clouds = []
-    best1, best2, best_sym = lat1[0], lat2[0], -np.inf  # alpha = 1 ignores the incumbent
-    for r in range(SHANNON_REFINE_ROUNDS + 1):  # the full lattice, then local refinements
-        alpha = 10.0 ** (-r)
-        c1 = (1 - alpha) * best1[None, :] + alpha * lat1
-        c2 = (1 - alpha) * best2[None, :] + alpha * lat2
-        rates1, rates2 = _rate_tables(ch.law.probs, c1, c2)
-        sym = np.minimum(rates1, rates2)
-        i, k = np.unravel_index(np.argmax(sym), sym.shape)  # first best pair
-        if sym[i, k] > best_sym:
-            best1, best2, best_sym = c1[i], c2[k], float(sym[i, k])
-        clouds.append(np.stack([rates1.ravel(), rates2.ravel()], axis=1))
-
-    # upper-right hull by increasing R1: the lower-left hull of the negated cloud
-    hull = -np.asarray(convexify(-np.concatenate(clouds))[::-1])
-    if q_size == 1:
-        symmetric_max = best_sym
-    else:
-        gap = hull[:, 0] - hull[:, 1]
-        e = np.flatnonzero(gap[:-1] * gap[1:] < 0)  # the edges that cross R1 = R2
-        t = gap[e] / (gap[e] - gap[e + 1])
-        crossings = hull[e] + t[:, None] * (hull[e + 1] - hull[e])
-        symmetric_max = float(np.concatenate([hull, crossings]).min(axis=1).max())
-
-    lam = np.linspace(0.0, 1.0, SHANNON_FRONTIER_WEIGHTS)[:, None]
-    picks = np.unique(np.argmax(lam * hull[:, 0] + (1 - lam) * hull[:, 1], axis=1))
-    return {
-        "symmetric_max": symmetric_max,
-        "frontier": [tuple(p) for p in hull[picks].tolist()],
-        "q_size": q_size,
-    }

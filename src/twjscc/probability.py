@@ -8,6 +8,8 @@ and safe to share across workers.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -15,6 +17,24 @@ import numpy as np
 
 # Normalization tolerance for constructed distributions.
 NORM_TOL = 1e-12
+
+
+def checked_int(name: str, value, low: int | None = None) -> int:
+    """`value` as an int: integral (numpy's too), not a bool, >= `low`; else ValueError naming `name`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
+
+
+def checked_real(name: str, value) -> float:
+    """`value` as a float: real (numpy's too), finite, not a bool; else ValueError naming `name`."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} {value} is not finite")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Randomized search for distortion pairs certified by the adaptive conditions.
+"""Randomized search for distortion pairs certified by the adaptive conditions,
+and Shannon's non-adaptive inner bound, read through the same hull.
 
 `search_region` runs the phases of `PHASES` in order: structured (uncoded, two
 codeword hybrids, separate coding), then random.  A phase hands each candidate
@@ -7,16 +8,21 @@ or the reason why not) and ends the search once the budget is spent or (0, 0)
 is kept.  Each candidate is measured on one chain, a structured one on the chain
 its builder solved.  A candidate that a kept point dominates (`_dominates`, one
 rule up to TWIN_TOL = 1e-12, also in `convexify`) has its conditions never read.
+
+`shannon_nonadaptive_bound` reads its symmetric maximum and frontier off one
+upper-right hull of the unrounded rate cloud, taken by `convexify`, so
+TWIN_TOL is the bound's only tolerance.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import numbers
+import itertools
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import comb
 from operator import attrgetter
 
 import numpy as np
@@ -37,9 +43,11 @@ from .conditions import (
 from .markov import (MarkovSystem, bayes_decoders, build_chain, reconstruction_distortions,
                      stationary_prev_law)
 from .models import DistortionMeasure, JointSource, TwoWayChannel
-from .probability import Alphabet, ConditionalPmf
+from .probability import Alphabet, ConditionalPmf, _plogp, checked_int
 
 TWIN_TOL = 1e-12  # distortions closer than this are one value: the bound they are reproduced to
+SHANNON_REFINE_ROUNDS = 2  # local refinements of the non-adaptive bound's input grid
+SHANNON_FRONTIER_WEIGHTS = 41  # weighted-sum directions of its frontier sweep
 _pair = attrgetter("d1", "d2")  # a RegionPoint's distortion pair
 _Search = namedtuple("_Search", "ch src d1 d2 rng aux")  # what a phase draws its candidates from
 
@@ -220,15 +228,14 @@ def search_region(ch: TwoWayChannel, src: JointSource, d1: DistortionMeasure, d2
     Deterministic for a fixed (seed, budget): the phases of `PHASES` run in order
     until the budget is spent or (0, 0) is kept.  Boundary certificates are flagged.
     """
-    for name, value in (("budget", budget), ("seed", seed)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    budget, seed = checked_int("budget", budget, 1), checked_int("seed", seed)
     aux = aux_sizes if aux_sizes is not None else (src.s1.size, src.s2.size)
-    if not isinstance(aux, (Sequence, np.ndarray)) or len(aux) != 2 or not all(
-            isinstance(a, numbers.Integral) and not isinstance(a, bool) and a >= 1 for a in aux):
-        raise ValueError(f"aux_sizes must be two auxiliary alphabet sizes, ints >= 1, got {aux!r}")
+    try:
+        if not isinstance(aux, (Sequence, np.ndarray)) or len(aux) != 2:
+            raise ValueError
+        aux = tuple(checked_int("aux_sizes", a, 1) for a in aux)
+    except ValueError:
+        raise ValueError(f"aux_sizes must be two auxiliary alphabet sizes, ints >= 1, got {aux!r}") from None
     search = _Search(ch, src, d1, d2, np.random.default_rng(seed), aux)
     kept, left = [], budget
 
@@ -254,8 +261,13 @@ def convexify(points) -> list[tuple[float, float]]:
     Vertices come back with increasing first coordinate; together with the
     segments between them (time-sharing) they bound the reported region.
     """
+    pts = np.asarray(points, dtype=float)
+    if pts.shape == (0,):
+        return []
+    if pts.ndim != 2 or pts.shape[1] != 2 or not np.isfinite(pts).all():
+        raise ValueError(f"points must be finite (x, y) pairs, of shape (k, 2); got shape {pts.shape}")
     kept: list[tuple[float, float]] = []
-    for p in map(tuple, np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0).tolist()):
+    for p in map(tuple, np.unique(pts, axis=0).tolist()):
         if kept and _dominates(kept[-1], p):  # in this order only the last point can,
             continue
         while kept and _dominates(p, kept[-1]):  # and p dominates a tail of them
@@ -272,3 +284,86 @@ def convexify(points) -> list[tuple[float, float]]:
                 break
         hull.append(p)
     return hull
+
+
+def _simplex_lattice(k: int, levels: int) -> np.ndarray:
+    """All distributions on k symbols with masses at multiples of 1/levels: the
+    gaps between k - 1 stars-and-bars cuts of levels + k - 1 slots."""
+    cuts = np.array(list(itertools.combinations(range(levels + k - 1), k - 1)), dtype=np.int64)
+    bounds = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-1, levels + k - 1))
+    return (np.diff(bounds, axis=1) - 1) / levels
+
+
+def _lattice_levels(k: int, grid: int) -> int:
+    if k <= 2:
+        return max(grid - 1, 1)
+    levels = 1
+    while comb(levels + k, k - 1) <= max(8 * grid, 64):
+        levels += 1
+    return levels
+
+
+def _rate_tables(chp: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(I(X1;Y2|X2), I(X2;Y1|X1)) for every pair of independent input laws
+    (c1[i], c2[k]), as two (len(c1), len(c2)) tables.
+
+    With independent inputs I(X1;Y2|X2) = sum_x2 p2(x2) I(X1;Y2|X2=x2), and
+    the inner term depends on p1 alone, so each table is one matrix product
+    of a per-letter rate table with the other side's laws.
+    """
+    w2 = chp.sum(axis=2)  # W(y2 | x1, x2)
+    w1 = chp.sum(axis=3)  # W(y1 | x1, x2)
+    # per_x2[i, x2] = I(X1;Y2|X2=x2) = H(Y2|X2=x2) - H(Y2|X1,X2=x2) under c1[i]
+    per_x2 = c1 @ _plogp(w2).sum(axis=2) - _plogp(np.einsum("ix,xwy->iwy", c1, w2)).sum(axis=2)
+    per_x1 = c2 @ _plogp(w1).sum(axis=2).T - _plogp(np.einsum("kw,xwy->kxy", c2, w1)).sum(axis=2)
+    return np.maximum(per_x2 @ c2.T, 0.0), np.maximum(c1 @ per_x1.T, 0.0)
+
+
+def shannon_nonadaptive_bound(ch: TwoWayChannel, q_size: int = 4, grid: int = 21) -> dict:
+    """Optimize the non-adaptive random-coding rate pair over product inputs.
+
+    Grid-searches independent input distributions (with local refinement
+    around the symmetric incumbent); time-sharing makes the reachable set
+    the convex hull of the product-input points, so any q_size >= 2
+    saturates it.  One upper-right hull of the rate cloud, unrounded, decides
+    the rest.  Returns the maximal symmetric rate, of the best product input
+    (q_size = 1) or on the hull (its best vertex, or where an edge crosses
+    R1 = R2), and the frontier: for each of SHANNON_FRONTIER_WEIGHTS weights
+    lam, the hull vertex that maximizes lam R1 + (1 - lam) R2.  A weighted
+    sum is maximized at a hull vertex, so the frontier is the same for every
+    q_size.
+    """
+    q_size, grid = checked_int("q_size", q_size, 1), checked_int("grid", grid, 2)
+    lat1 = _simplex_lattice(ch.x1.size, _lattice_levels(ch.x1.size, grid))
+    lat2 = _simplex_lattice(ch.x2.size, _lattice_levels(ch.x2.size, grid))
+    clouds = []
+    best1, best2, best_sym = lat1[0], lat2[0], -np.inf  # alpha = 1 ignores the incumbent
+    for r in range(SHANNON_REFINE_ROUNDS + 1):  # the full lattice, then local refinements
+        alpha = 10.0 ** (-r)
+        c1 = (1 - alpha) * best1[None, :] + alpha * lat1
+        c2 = (1 - alpha) * best2[None, :] + alpha * lat2
+        rates1, rates2 = _rate_tables(ch.law.probs, c1, c2)
+        sym = np.minimum(rates1, rates2)
+        i, k = np.unravel_index(np.argmax(sym), sym.shape)  # first best pair
+        if sym[i, k] > best_sym:
+            best1, best2, best_sym = c1[i], c2[k], float(sym[i, k])
+        clouds.append(np.stack([rates1.ravel(), rates2.ravel()], axis=1))
+
+    # upper-right hull by increasing R1: the lower-left hull of the negated cloud
+    hull = -np.asarray(convexify(-np.concatenate(clouds))[::-1])
+    if q_size == 1:
+        symmetric_max = best_sym
+    else:
+        gap = hull[:, 0] - hull[:, 1]
+        e = np.flatnonzero(gap[:-1] * gap[1:] < 0)  # the edges that cross R1 = R2
+        t = gap[e] / (gap[e] - gap[e + 1])
+        crossings = hull[e] + t[:, None] * (hull[e + 1] - hull[e])
+        symmetric_max = float(np.concatenate([hull, crossings]).min(axis=1).max())
+
+    lam = np.linspace(0.0, 1.0, SHANNON_FRONTIER_WEIGHTS)[:, None]
+    picks = np.unique(np.argmax(lam * hull[:, 0] + (1 - lam) * hull[:, 1], axis=1))
+    return {
+        "symmetric_max": symmetric_max,
+        "frontier": [tuple(p) for p in hull[picks].tolist()],
+        "q_size": q_size,
+    }

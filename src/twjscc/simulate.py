@@ -12,7 +12,6 @@ wrong codeword index passing the typicality test).
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from .coded_channel import Configuration, fresh_law, io_index
 from .markov import build_chain, decoder_marginals
 from .markov import pair_law  # noqa: F401  unused; bench/test_bench.py deletes simulate.pair_law
 from .models import DistortionMeasure, JointSource, TwoWayChannel
-from .probability import typical_count_bounds
+from .probability import checked_int, checked_real, typical_count_bounds
 
 MAX_CODEBOOK = 2 ** 16  # largest codebook a simulation may draw
 MAX_N = 1024  # longest block length
@@ -49,22 +48,14 @@ class SimParams:
     trials: int = 1
 
     def __post_init__(self):
-        for name in ("n", "blocks", "trials", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name, low in (("n", 1), ("blocks", 1), ("trials", 1), ("seed", None)):  # stored as Python ints
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), low))
         for name in ("eps", "eps1", "rate1", "rate2"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} {value} is not finite")
+            object.__setattr__(self, name, checked_real(name, getattr(self, name)))
         if not (self.eps > self.eps1 > 0):
             raise ValueError("need eps > eps1 > 0")
-        if not 1 <= self.n <= MAX_N:
+        if self.n > MAX_N:
             raise ValueError(f"block length must be in [1, {MAX_N}]")
-        if self.blocks < 1 or self.trials < 1:
-            raise ValueError("blocks and trials must be >= 1")
         if self.rate1 < 0 or self.rate2 < 0:
             raise ValueError("rates must be nonnegative")
         for r in (self.rate1, self.rate2):

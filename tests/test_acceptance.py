@@ -17,7 +17,6 @@ from twjscc.conditions import (
     eval_sscc,
     lift_hybrid,
     lift_sscc,
-    shannon_nonadaptive_bound,
     wz_scheme_rate,
 )
 from twjscc.markov import (
@@ -27,7 +26,7 @@ from twjscc.markov import (
 )
 from twjscc.probability import Alphabet, bernoulli
 from twjscc.rate_distortion import rd_function, wz_function
-from twjscc.region import uncoded_configuration
+from twjscc.region import shannon_nonadaptive_bound, uncoded_configuration
 from twjscc.simulate import SimParams, run_simulation
 
 from util import (

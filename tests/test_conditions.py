@@ -18,16 +18,18 @@ from twjscc.conditions import (
     eval_hybrid,
     eval_sscc,
     lift_hybrid,
-    _lattice_levels,
-    _rate_tables,
-    _simplex_lattice,
     lift_sscc,
-    shannon_nonadaptive_bound,
     wz_scheme_rate,
 )
 from twjscc.markov import build_chain, pair_marginal, reconstruction_distortions
 from twjscc.probability import Alphabet, ConditionalPmf, mutual_information
-from twjscc.region import uncoded_configuration
+from twjscc.region import (
+    _lattice_levels,
+    _rate_tables,
+    _simplex_lattice,
+    shannon_nonadaptive_bound,
+    uncoded_configuration,
+)
 
 from util import (
     _pair_rates,

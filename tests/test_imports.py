@@ -1,6 +1,8 @@
 """Every module of the package and of `tests/` uses each name it imports at
-top level, every private name the package defines at top level is used, and
-every name the package exports is used by the package or the benchmark.
+top level, every private name the package defines at top level is used,
+every name the package exports is used by the package or the benchmark, and
+every import in the package is a top-level statement, so that the module
+graph, cycles included, can be read off the module heads.
 
 The repository runs no linter, so these are its unused-import and dead-name
 checks, made with `ast` alone.  `__init__.py` re-exports by importing, `from
@@ -61,6 +63,25 @@ def test_check_sees_an_unused_import():
     lines = ["import os", "import sys  # noqa: F401", "from .m import a, b as c", "", "c()"]
     names = _imported_names(tree, lines)
     assert set(names) - _used_names(tree) == {"os", "a"}
+
+
+def _nested_imports(tree: ast.Module) -> list[int]:
+    """Line numbers of the imports that are not top-level statements."""
+    top = {id(node) for node in tree.body}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_package_import_is_top_level(path):
+    nested = _nested_imports(ast.parse(path.read_text()))
+    assert not nested, f"{path.name} imports inside a function or block, at lines {nested}"
+
+
+def test_check_sees_a_nested_import():
+    tree = ast.parse("import os\n\ndef f():\n    from .m import a\n    return a\n\n"
+                     "class K:\n    import sys\n\nif os:\n    import json\n")
+    assert _nested_imports(tree) == [4, 8, 11]
 
 
 def _private_definitions(tree: ast.Module):

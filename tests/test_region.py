@@ -423,6 +423,18 @@ class TestConvexify:
     def test_empty_input(self):
         assert convexify([]) == []
 
+    @pytest.mark.parametrize("points", [
+        [(np.nan, 0.1), (0.2, 0.3)],  # once sorted last and returned as a vertex
+        [(0.1, np.inf)],
+        [[0.1], [0.2]],  # once paired up by a reshape into the one point (0.1, 0.2)
+        [(0.1, 0.2, 0.3)],
+        [0.1, 0.2],
+        [[[0.1, 0.2]]],
+    ])
+    def test_malformed_points_refused(self, points):
+        with pytest.raises(ValueError, match="points must be finite"):
+            convexify(points)
+
 
 class TestPinnedFronts:
     def test_search_output_matches_the_pinned_file(self):

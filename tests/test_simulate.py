@@ -68,6 +68,16 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{field} must be an int"):
             SimParams(**kwargs)
 
+    def test_numpy_integer_fields_accepted_as_python_ints(self):
+        # np.int64 was once refused as "n must be an int", while search_region took it
+        params = SimParams(n=np.int64(64), blocks=np.int32(2), eps=np.float64(0.3), eps1=0.15,
+                           rate1=0.0, rate2=0.0, seed=np.uint8(1), trials=np.int64(1))
+        assert params == SimParams(n=64, blocks=2, eps=0.3, eps1=0.15, rate1=0.0, rate2=0.0, seed=1)
+        assert all(type(getattr(params, f)) is int for f in ("n", "blocks", "seed", "trials"))
+        for value in (True, 2.0, np.float64(64.0)):
+            with pytest.raises(ValueError, match="^n must be an int"):
+                SimParams(n=value, blocks=1, eps=0.3, eps1=0.15, rate1=0.0, rate2=0.0)
+
     @pytest.mark.parametrize("field, value", [
         ("eps", "0.3"), ("eps1", True), ("rate1", True), ("rate2", None),
     ])

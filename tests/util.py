@@ -408,7 +408,7 @@ def _pair_rates(chp: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> tuple[float,
 
 def loop_simplex_lattice(k: int, levels: int) -> np.ndarray:
     """All distributions on k symbols with masses at multiples of 1/levels, one
-    stars-and-bars cut tuple at a time: the oracle for `conditions._simplex_lattice`."""
+    stars-and-bars cut tuple at a time: the oracle for `region._simplex_lattice`."""
     if k == 1:
         return np.ones((1, 1))
     out = []
